@@ -18,7 +18,6 @@
 
 use cumulus_cloud::InstanceType;
 use cumulus_provision::deploy::{GpCloud, GpError, GpInstanceId};
-use cumulus_provision::Topology;
 use cumulus_simkit::engine::Sim;
 use cumulus_simkit::metrics::{MetricId, Metrics};
 use cumulus_simkit::runner::{run_replicas, ReplicaPlan};
@@ -27,7 +26,8 @@ use cumulus_simkit::time::{SimDuration, SimTime};
 use cumulus_store::CacheFleet;
 
 use crate::policy::{ActuationFeedback, ScalingPolicy};
-use crate::signal::{percentile, SignalSample, SignalWindow};
+use crate::signal::{SignalSample, SignalWindow};
+use crate::spot::{drive_episode, SpotEpisodeConfig};
 use crate::workload::Workload;
 
 /// Metrics keys the controller records (see [`cumulus_simkit::metrics`]).
@@ -555,20 +555,6 @@ pub struct EpisodeReport {
     pub log: ActivityLog,
 }
 
-struct EpisodeWorld {
-    cloud: GpCloud,
-    scaler: AutoScaler,
-    total_jobs: usize,
-    submitted: usize,
-    end_at: Option<SimTime>,
-}
-
-impl CloudHost for EpisodeWorld {
-    fn cloud_mut(&mut self) -> &mut GpCloud {
-        &mut self.cloud
-    }
-}
-
 /// Deploy a single-node Galaxy instance, run `workload` through it under
 /// `policy`, and tear the cluster down when the queue drains.
 ///
@@ -576,7 +562,8 @@ impl CloudHost for EpisodeWorld {
 /// controller is a recurring tick, and worker *joins are deferred* — a
 /// scaled-out worker only starts accepting jobs once its provisioning
 /// (boot + converge) completes, so reaction lag is paid honestly by every
-/// policy.
+/// policy. This is the spot episode driver with a calm market and an
+/// all-on-demand fleet: one DES loop owns the elastic clock.
 ///
 /// # Panics
 /// Panics if the deployment fails or the episode exceeds its step budget
@@ -587,118 +574,11 @@ pub fn run_episode(
     config: ControllerConfig,
     workload: &Workload,
 ) -> EpisodeReport {
-    let mut cloud = GpCloud::deterministic(seed);
-    let id = cloud.create_instance(Topology::single_node(InstanceType::M1Small));
-    let ready = cloud
-        .start_instance(SimTime::ZERO, &id)
-        .expect("single-node deployment succeeds")
-        .ready_at;
-    let scaler = AutoScaler::new(policy, config.clone());
-    let policy_name = scaler.policy_name();
-
-    let mut sim = Sim::new(EpisodeWorld {
-        cloud,
-        scaler,
-        total_jobs: workload.len(),
-        submitted: 0,
-        end_at: None,
-    });
-    sim.fast_forward(ready);
-
-    // Arrivals: submit and negotiate immediately (job starts are not
-    // quantized to the control tick; completions settle each tick).
-    for a in &workload.arrivals {
-        let aid = id.clone();
-        let owner = a.owner.clone();
-        let work = a.work;
-        sim.schedule_at(ready + a.at, move |sim| {
-            let now = sim.now();
-            let w = &mut sim.world;
-            if let Ok(inst) = w.cloud.instance_mut(&aid) {
-                inst.pool.submit(cumulus_htc::Job::new(&owner, work), now);
-                inst.pool.settle(now);
-                inst.pool.negotiate(now);
-            }
-            w.submitted += 1;
-        });
-    }
-
-    // The control loop.
-    let tid = id.clone();
-    sim.schedule_every(ready, config.tick, move |sim| {
-        let now = sim.now();
-        let decision = {
-            let w = &mut sim.world;
-            if let Ok(inst) = w.cloud.instance_mut(&tid) {
-                inst.pool.settle(now);
-            }
-            w.scaler
-                .tick(now, &mut w.cloud, &tid)
-                .expect("controller tick against a running instance")
-        };
-
-        // Deferred join: freshly-launched workers leave the pool until
-        // their provisioning completes, then an event re-adds them. This
-        // must happen before the queue is renegotiated below — otherwise
-        // jobs match onto machines that are still provisioning.
-        if let (Action::ScaleOut { from, to }, Some(done)) = (&decision.action, decision.done_at) {
-            defer_worker_joins(sim, &tid, *from, *to, done);
-        }
-
-        // Match queued jobs onto whatever capacity is actually online.
-        let w = &mut sim.world;
-        if let Ok(inst) = w.cloud.instance_mut(&tid) {
-            inst.pool.negotiate(now);
-        }
-
-        // Episode end: everything submitted and drained → tear down.
-        let inst = w.cloud.instance(&tid).expect("instance exists");
-        let drained = w.submitted == w.total_jobs
-            && inst.pool.idle_count() == 0
-            && inst.pool.running_count() == 0;
-        if drained {
-            let wtype = w.scaler.config.worker_type;
-            let _ = w.cloud.scale_workers(now, &tid, 0, wtype);
-            w.end_at = Some(now);
-            false
-        } else {
-            true
-        }
-    });
-
-    let _ = sim.run(SimTime::MAX, 50_000_000);
-    let end_at = sim.world.end_at.expect("episode drains within budget");
-
-    let world = sim.world;
-    let pool = &world.cloud.instance(&id).expect("instance exists").pool;
-    let waits_mins: Vec<f64> = pool
-        .completed_waits()
-        .iter()
-        .map(|d| d.as_mins_f64())
-        .collect();
-    let makespan_mins = pool
-        .last_completion_at()
-        .map(|t| t.since(ready).as_mins_f64())
-        .unwrap_or(0.0);
-    let log = world.scaler.log;
-    EpisodeReport {
-        policy: policy_name,
-        workload: workload.name.clone(),
-        ready_at: ready,
-        end_at,
-        makespan_mins,
-        cost_usd: world.cloud.ec2.ledger.window_cost(ready, end_at),
-        wait_p50_mins: percentile(&waits_mins, 0.50),
-        wait_p95_mins: percentile(&waits_mins, 0.95),
-        jobs: waits_mins.len(),
-        peak_workers: log
-            .entries
-            .iter()
-            .map(|d| d.sample.workers)
-            .max()
-            .unwrap_or(0),
-        log,
-    }
+    let config = SpotEpisodeConfig {
+        controller: config,
+        ..SpotEpisodeConfig::default()
+    };
+    drive_episode(seed, policy, None, config, workload).base
 }
 
 /// Run `combos` independent policy episodes against the same workload and
@@ -733,6 +613,7 @@ mod tests {
     use super::*;
     use crate::policy::{Fixed, Hysteresis, HysteresisConfig, QueueStep};
     use cumulus_htc::{Job, JobState, WorkSpec};
+    use cumulus_provision::Topology;
 
     fn running_single(seed: u64) -> (GpCloud, GpInstanceId, SimTime) {
         let mut cloud = GpCloud::deterministic(seed);

@@ -179,8 +179,8 @@ impl CloudHost for SpotEpisodeWorld {
 /// under a spot/on-demand fleet mix while a seeded spot market reclaims
 /// spot workers. See the module docs for the reclaim lifecycle; apart
 /// from the market this is [`run_episode`][crate::controller::run_episode]
-/// — same deployment, same arrival wiring, same control loop — so a calm
-/// market with a zero spot fraction reproduces it number for number.
+/// — both run on the same DES episode loop — so a calm market with a zero
+/// spot fraction reproduces it number for number.
 ///
 /// # Panics
 /// Panics if the deployment fails or the episode exceeds its step budget
@@ -192,6 +192,20 @@ pub fn run_spot_episode<P: ScalingPolicy + 'static>(
     workload: &Workload,
 ) -> SpotEpisodeReport {
     let floor = policy.on_demand_floor();
+    drive_episode(seed, Box::new(policy), floor, config, workload)
+}
+
+/// The elastic DES episode every autoscale driver runs on: deploy, wire
+/// the arrivals, the market and the control tick as events, run to the
+/// drain, and assemble the report. Workers at index `>= floor` launch as
+/// spot capacity (`None` is an all-on-demand fleet).
+pub(crate) fn drive_episode(
+    seed: u64,
+    policy: Box<dyn ScalingPolicy>,
+    floor: Option<usize>,
+    config: SpotEpisodeConfig,
+    workload: &Workload,
+) -> SpotEpisodeReport {
     let mut cloud = GpCloud::deterministic(seed);
     cloud.set_spot_worker_floor(floor);
     let id = cloud.create_instance(Topology::single_node(InstanceType::M1Small));
@@ -199,7 +213,7 @@ pub fn run_spot_episode<P: ScalingPolicy + 'static>(
         .start_instance(SimTime::ZERO, &id)
         .expect("single-node deployment succeeds")
         .ready_at;
-    let scaler = AutoScaler::new(Box::new(policy), config.controller.clone());
+    let scaler = AutoScaler::new(policy, config.controller.clone());
     let policy_name = scaler.policy_name();
 
     // The market timeline covers deployment + trace + the drain tail.
@@ -230,7 +244,8 @@ pub fn run_spot_episode<P: ScalingPolicy + 'static>(
     });
     sim.fast_forward(ready);
 
-    // Arrivals: submit and negotiate immediately, exactly as run_episode.
+    // Arrivals: submit and negotiate immediately (job starts are not
+    // quantized to the control tick; completions settle each tick).
     for a in &workload.arrivals {
         let aid = id.clone();
         let owner = a.owner.clone();
@@ -300,7 +315,7 @@ pub fn run_spot_episode<P: ScalingPolicy + 'static>(
         });
     });
 
-    // The control loop — identical to run_episode's.
+    // The control loop.
     let tid = id.clone();
     let tick = config.controller.tick;
     sim.schedule_every(ready, tick, move |sim| {
@@ -315,15 +330,21 @@ pub fn run_spot_episode<P: ScalingPolicy + 'static>(
                 .expect("controller tick against a running instance")
         };
 
+        // Deferred join: freshly-launched workers leave the pool until
+        // their provisioning completes, then an event re-adds them. This
+        // must happen before the queue is renegotiated below — otherwise
+        // jobs match onto machines that are still provisioning.
         if let (Action::ScaleOut { from, to }, Some(done)) = (&decision.action, decision.done_at) {
             defer_worker_joins(sim, &tid, *from, *to, done);
         }
 
+        // Match queued jobs onto whatever capacity is actually online.
         let w = &mut sim.world;
         if let Ok(inst) = w.cloud.instance_mut(&tid) {
             inst.pool.negotiate(now);
         }
 
+        // Episode end: everything submitted and drained → tear down.
         let inst = w.cloud.instance(&tid).expect("instance exists");
         let drained = w.submitted == w.total_jobs
             && inst.pool.idle_count() == 0

@@ -16,12 +16,12 @@
 //! `bench-smoke` job checks (timing numbers are reported, never gated).
 //!
 //! Results land in `BENCH_simkit.json` at the repo root (events/sec per
-//! workload per engine, plus new-vs-old speedup).
+//! workload per engine, plus new-vs-old speedup; not in `--quick` mode,
+//! which leaves the committed full-size results alone).
 //!
 //! Usage: `cargo bench -p cumulus-bench --bench des_kernel [-- --quick]`
 
-use std::time::Instant;
-
+use cumulus_bench::kernel::{measure, workloads_json, WorkloadResult};
 use cumulus_provision::json::Json;
 use cumulus_simkit::prelude::*;
 
@@ -435,43 +435,6 @@ fn old_far(n: u64) -> u64 {
 // Harness
 // ---------------------------------------------------------------------------
 
-/// Median wall-time (seconds) of `samples` timed runs of `f`, after one
-/// warm-up call. Also returns the (checked-identical) result of `f`.
-fn measure<T: PartialEq + std::fmt::Debug>(samples: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let reference = f(); // warm-up; also the determinism reference
-    let mut times = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let start = Instant::now();
-        let out = std::hint::black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-        assert_eq!(
-            out, reference,
-            "nondeterministic workload result across repeated runs"
-        );
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[times.len() / 2], reference)
-}
-
-struct WorkloadResult {
-    name: &'static str,
-    events: u64,
-    old_secs: f64,
-    new_secs: f64,
-}
-
-impl WorkloadResult {
-    fn old_eps(&self) -> f64 {
-        self.events as f64 / self.old_secs
-    }
-    fn new_eps(&self) -> f64 {
-        self.events as f64 / self.new_secs
-    }
-    fn speedup(&self) -> f64 {
-        self.old_secs / self.new_secs
-    }
-}
-
 /// Run one workload on both engines, assert equal fire-counts, report.
 fn compare(
     name: &'static str,
@@ -509,25 +472,7 @@ fn compare(
 }
 
 fn write_json(results: &[WorkloadResult], quick: bool) {
-    let workloads = Json::Obj(
-        results
-            .iter()
-            .map(|r| {
-                (
-                    r.name.to_string(),
-                    Json::obj([
-                        ("events", Json::Num(r.events as f64)),
-                        ("old_events_per_sec", Json::Num(r.old_eps().round())),
-                        ("new_events_per_sec", Json::Num(r.new_eps().round())),
-                        (
-                            "speedup_vs_binaryheap",
-                            Json::Num((r.speedup() * 100.0).round() / 100.0),
-                        ),
-                    ]),
-                )
-            })
-            .collect(),
-    );
+    let workloads = workloads_json(results, "speedup_vs_binaryheap");
     let doc = Json::obj([
         ("bench", Json::str("des_kernel")),
         (
@@ -537,9 +482,7 @@ fn write_json(results: &[WorkloadResult], quick: bool) {
         ("mode", Json::str(if quick { "quick" } else { "full" })),
         ("workloads", workloads),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simkit.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_simkit.json");
-    println!("wrote {path}");
+    cumulus_bench::write_results("BENCH_simkit.json", &doc, quick);
 }
 
 fn main() {

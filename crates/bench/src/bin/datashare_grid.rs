@@ -9,8 +9,7 @@
 //!
 //! `--quick` trims the grid to the CI smoke shape (the two cells the
 //! ≥ 2× staging-reduction claim compares); the determinism assertion and
-//! the claim check still run.
-
+//! the claim check still run, but `BENCH_e13.json` is left as committed.
 //!
 //! `--report` appends the telemetry episode report: every job's walltime
 //! decomposed into queue/repair/staging/compute from its assembled
@@ -19,6 +18,7 @@
 use cumulus_bench::experiments::datashare;
 
 fn main() {
+    cumulus_bench::check_args(&["--quick", "--report"], None);
     let seed = cumulus_bench::seed_from_args(cumulus_bench::REPORT_SEED);
     let threads = cumulus_bench::threads_from_args(0);
     let quick = std::env::args().any(|a| a == "--quick");
@@ -59,7 +59,5 @@ fn main() {
         print!("\n{episode}");
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e13.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e13.json");
-    eprintln!("wrote {path}");
+    cumulus_bench::write_results("BENCH_e13.json", &doc, quick);
 }

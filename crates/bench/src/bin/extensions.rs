@@ -12,6 +12,7 @@ use cumulus_bench::experiments::extensions;
 use cumulus_provision::json::Json;
 
 fn main() {
+    cumulus_bench::check_args(&[], Some("fault replicas"));
     let seed = cumulus_bench::seed_from_args(cumulus_bench::REPORT_SEED);
     let replicas = cumulus_bench::positional_from_args(16);
     let threads = cumulus_bench::threads_from_args(0);
@@ -64,7 +65,5 @@ fn main() {
             Json::Num((serial_secs / parallel_secs * 100.0).round() / 100.0),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e9.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e9.json");
-    eprintln!("wrote {path}");
+    cumulus_bench::write_results("BENCH_e9.json", &doc, false);
 }

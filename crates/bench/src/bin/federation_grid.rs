@@ -9,7 +9,8 @@
 //!
 //! `--quick` trims the grid to the CI smoke shape (the claim cells:
 //! 3 sites, 50 Mbit/s WAN, cost-greedy vs data-gravity under both data
-//! scenarios); the determinism assertion and the claim checks still run.
+//! scenarios); the determinism assertion and the claim checks still run,
+//! but `BENCH_e15.json` is left as committed.
 //!
 //! `--report` appends the WAN decomposition: per cell, staged bytes
 //! split into intra-site rungs vs cross-site WAN pulls.
@@ -17,6 +18,7 @@
 use cumulus_bench::experiments::federation;
 
 fn main() {
+    cumulus_bench::check_args(&["--quick", "--report"], None);
     let seed = cumulus_bench::seed_from_args(cumulus_bench::REPORT_SEED);
     let threads = cumulus_bench::threads_from_args(0);
     let quick = std::env::args().any(|a| a == "--quick");
@@ -58,7 +60,5 @@ fn main() {
         }
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e15.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e15.json");
-    eprintln!("wrote {path}");
+    cumulus_bench::write_results("BENCH_e15.json", &doc, quick);
 }

@@ -8,11 +8,13 @@
 //! byte-identical at any thread count.
 //!
 //! `--quick` trims the grid to the E9e-trace cell (the CI smoke shape);
-//! the determinism assertion and the domination check still run.
+//! the determinism assertion and the domination check still run, but
+//! `BENCH_e12.json` is left as committed.
 
 use cumulus_bench::experiments::predictive;
 
 fn main() {
+    cumulus_bench::check_args(&["--quick"], None);
     let seed = cumulus_bench::seed_from_args(cumulus_bench::REPORT_SEED);
     let threads = cumulus_bench::threads_from_args(0);
     let quick = std::env::args().any(|a| a == "--quick");
@@ -34,7 +36,5 @@ fn main() {
 
     print!("{table}");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e12.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e12.json");
-    eprintln!("wrote {path}");
+    cumulus_bench::write_results("BENCH_e12.json", &doc, quick);
 }

@@ -11,10 +11,12 @@
 //! claim rate); the determinism assertion and the claim checks still run:
 //! no-recovery fails where retry+resume completes, and blind retry
 //! re-stages at least the claimed multiple of resume's repeat bytes.
+//! `BENCH_e14.json` is left as committed.
 
 use cumulus_bench::experiments::recovery;
 
 fn main() {
+    cumulus_bench::check_args(&["--quick"], None);
     let seed = cumulus_bench::seed_from_args(cumulus_bench::REPORT_SEED);
     let threads = cumulus_bench::threads_from_args(0);
     let quick = std::env::args().any(|a| a == "--quick");
@@ -58,7 +60,5 @@ fn main() {
 
     print!("{table}");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e14.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_e14.json");
-    eprintln!("wrote {path}");
+    cumulus_bench::write_results("BENCH_e14.json", &doc, quick);
 }

@@ -20,12 +20,12 @@
 //! stable. Those assertions panic on failure, which is what the CI
 //! `bench-smoke` job gates on (timing is reported, never gated).
 //!
-//! Results land in `BENCH_telemetry.json` at the repo root.
+//! Results land in `BENCH_telemetry.json` at the repo root (not in
+//! `--quick` mode, which leaves the committed full-size results alone).
 //!
 //! Usage: `cargo run --release -p cumulus-bench --bin telemetry [-- --quick]`
 
-use std::time::Instant;
-
+use cumulus_bench::kernel::{measure, workloads_json, Fnv, WorkloadResult};
 use cumulus_provision::json::Json;
 use cumulus_simkit::metrics::{MetricId, Metrics};
 use cumulus_simkit::telemetry::{Key, Payload, SpanKind, Telemetry};
@@ -179,25 +179,6 @@ const COUNTER_KEYS: [&str; 8] = [
 ];
 const GAUGE_KEYS: [&str; 2] = ["autoscale/workers", "store/fleet_bytes"];
 const SAMPLE_KEYS: [&str; 2] = ["staging/secs", "transfer/secs"];
-
-/// FNV-1a over the event stream: the determinism checksum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn push_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    fn push_u64(&mut self, x: u64) {
-        self.push_bytes(&x.to_le_bytes());
-    }
-}
 
 /// Scale knobs per workload; `--quick` shrinks everything.
 struct Scale {
@@ -455,43 +436,6 @@ fn determinism_gate() {
 // Harness
 // ---------------------------------------------------------------------------
 
-/// Median wall-time (seconds) of `samples` timed runs of `f`, after one
-/// warm-up call. Panics if repeated runs disagree (the determinism gate).
-fn measure<T: PartialEq + std::fmt::Debug>(samples: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let reference = f();
-    let mut times = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let start = Instant::now();
-        let out = std::hint::black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-        assert_eq!(
-            out, reference,
-            "nondeterministic workload result across repeated runs"
-        );
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[times.len() / 2], reference)
-}
-
-struct WorkloadResult {
-    name: &'static str,
-    events: u64,
-    old_secs: f64,
-    new_secs: f64,
-}
-
-impl WorkloadResult {
-    fn old_eps(&self) -> f64 {
-        self.events as f64 / self.old_secs
-    }
-    fn new_eps(&self) -> f64 {
-        self.events as f64 / self.new_secs
-    }
-    fn speedup(&self) -> f64 {
-        self.old_secs / self.new_secs
-    }
-}
-
 /// Run one workload on both stacks, assert identical (checksum, events),
 /// report.
 fn compare(
@@ -529,25 +473,7 @@ fn compare(
 }
 
 fn write_json(results: &[WorkloadResult], disabled_ns_per_op: f64, quick: bool) {
-    let workloads = Json::Obj(
-        results
-            .iter()
-            .map(|r| {
-                (
-                    r.name.to_string(),
-                    Json::obj([
-                        ("events", Json::Num(r.events as f64)),
-                        ("old_events_per_sec", Json::Num(r.old_eps().round())),
-                        ("new_events_per_sec", Json::Num(r.new_eps().round())),
-                        (
-                            "speedup_vs_baseline",
-                            Json::Num((r.speedup() * 100.0).round() / 100.0),
-                        ),
-                    ]),
-                )
-            })
-            .collect(),
-    );
+    let workloads = workloads_json(results, "speedup_vs_baseline");
     let doc = Json::obj([
         ("bench", Json::str("telemetry")),
         (
@@ -563,12 +489,11 @@ fn write_json(results: &[WorkloadResult], disabled_ns_per_op: f64, quick: bool) 
             Json::Num((disabled_ns_per_op * 100.0).round() / 100.0),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_telemetry.json");
-    eprintln!("wrote {path}");
+    cumulus_bench::write_results("BENCH_telemetry.json", &doc, quick);
 }
 
 fn main() {
+    cumulus_bench::check_args(&["--quick"], None);
     let quick = std::env::args().any(|a| a == "--quick");
     let s = Scale::new(quick);
 

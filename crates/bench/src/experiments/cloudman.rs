@@ -55,7 +55,7 @@ pub fn measure_gp(seed: u64) -> AblationOutcome {
         .submit(Job::new("user1", big_serial_job()), resized);
     let done = inst
         .pool
-        .try_run_until_drained(resized, 1000)
+        .try_run_until_drained(resized)
         .unwrap_or_else(|e| panic!("E8 GP workload must drain: {e}"));
 
     AblationOutcome {
@@ -81,7 +81,7 @@ pub fn measure_cloudman(seed: u64, extra_nodes: usize) -> AblationOutcome {
         .submit(Job::new("user1", big_serial_job()), scaled);
     let done = inst
         .pool
-        .try_run_until_drained(scaled, 1000)
+        .try_run_until_drained(scaled)
         .unwrap_or_else(|e| panic!("E8 CloudMan workload must drain: {e}"));
 
     AblationOutcome {

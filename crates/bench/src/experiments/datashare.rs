@@ -7,9 +7,10 @@
 //! factor** (every job a distinct dataset vs many jobs per dataset), all
 //! over one fixed job stream so cells are directly comparable.
 //!
-//! Every cell is one synchronous Condor episode on the same four-worker
-//! pool: jobs arrive on a seeded clock, negotiation runs on the standard
-//! 20 s cycle, and each match charges its staging plan (priced by
+//! Every cell is one fixed-tick Condor episode (the shared `episode`
+//! loop, on a 1-site federation) over the same four-worker pool: jobs
+//! arrive on a seeded clock, negotiation runs on the standard 20 s cycle,
+//! and each match charges its staging plan (priced by
 //! [`cumulus::store::DataPlane`]'s source ladder) before the job starts.
 //! Under the cached backend, jobs advertise input [`ContentId`]s and
 //! machines advertise cache contents, so the matchmaker's cache-affinity
@@ -22,33 +23,28 @@
 //! an object store win at high reuse — the claim line asserts a ≥ 2×
 //! staging-time reduction for the warm-cache cell.
 
-use std::collections::BTreeMap;
-
-use cumulus::htc::{
-    CondorPool, Job, JobId, Machine, Value, WorkSpec, JOB_INPUT_CIDS_ATTR, MACHINE_CACHE_CIDS_ATTR,
-    NEGOTIATION_INTERVAL,
-};
+use cumulus::cloud::InstanceType;
+use cumulus::federation::{Federation, SiteConfig, WanTopology};
+use cumulus::htc::WorkSpec;
 use cumulus::provision::json::Json;
-use cumulus::simkit::metrics::Metrics;
 use cumulus::simkit::rng::RngStream;
 use cumulus::simkit::runner::{run_replicas, ReplicaPlan};
 use cumulus::simkit::telemetry::{assemble, JobBreakdown, SpanKind, Telemetry};
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::store::staging::keys as staging_keys;
-use cumulus::store::{
-    ContentId, DataPlane, DataSize, EvictionPolicy, InputSpec, ObjectStoreConfig, SharingBackend,
-};
+use cumulus::store::{ContentId, DataSize, InputSpec, SharingBackend};
 
+use crate::experiments::episode::{self, Arrival};
 use crate::table::{mins, Table};
 
 /// Workers in the pool (the paper's four-node §V deployment).
-pub(crate) const WORKERS: usize = 4;
+const WORKERS: usize = 4;
 /// Jobs per episode.
 const JOBS: usize = 24;
 /// Every dataset in the sweep is this big (the four-CEL batch scale).
 const DATASET_MB: u64 = 200;
 /// NFS export bandwidth, Mbit/s (the E9 contention model's default).
-pub(crate) const NFS_BANDWIDTH_MBPS: f64 = 400.0;
+const NFS_BANDWIDTH_MBPS: f64 = 400.0;
 /// The warm-cache claim: staging time must drop at least this much vs
 /// the NFS baseline on the high-reuse column.
 pub const MIN_STAGING_REDUCTION: f64 = 2.0;
@@ -204,20 +200,8 @@ pub fn grid_combos(quick: bool) -> Vec<(BackendSpec, Reuse)> {
 
 /// The content id of dataset `idx` — a stable name, so every cell of the
 /// sweep sees the same contents.
-pub(crate) fn dataset_cid(idx: usize) -> ContentId {
+fn dataset_cid(idx: usize) -> ContentId {
     ContentId::of_str(&format!("e13-dataset-{idx}"))
-}
-
-/// Size of every E13 dataset.
-pub(crate) fn dataset_size() -> DataSize {
-    DataSize::from_mb(DATASET_MB)
-}
-
-/// One job of the fixed stream: arrival, work, dataset consumed.
-pub(crate) struct StreamJob {
-    pub(crate) submit_at: SimTime,
-    pub(crate) work: WorkSpec,
-    pub(crate) dataset: usize,
 }
 
 /// The job stream every cell replays: arrivals on a seeded clock
@@ -225,7 +209,7 @@ pub(crate) struct StreamJob {
 /// so reuse is spread across the episode. Derived from the master seed
 /// directly — **not** the per-replica seed — so all cells compare the
 /// same workload.
-pub(crate) fn job_stream(seed: u64, reuse: Reuse) -> Vec<StreamJob> {
+fn job_stream(seed: u64, reuse: Reuse) -> Vec<Arrival> {
     let mut arrivals = RngStream::derive(seed, "e13-arrivals");
     let mut work = RngStream::derive(seed, "e13-work");
     let datasets = reuse.dataset_count();
@@ -233,16 +217,20 @@ pub(crate) fn job_stream(seed: u64, reuse: Reuse) -> Vec<StreamJob> {
     (0..JOBS)
         .map(|j| {
             at += SimDuration::from_secs_f64(arrivals.uniform_range(10.0, 50.0));
-            StreamJob {
-                submit_at: at,
+            Arrival {
+                at,
+                user: "galaxy".to_string(),
                 work: WorkSpec::serial(90.0 + work.uniform_range(0.0, 60.0)),
-                dataset: j % datasets,
+                input: InputSpec {
+                    cid: dataset_cid(j % datasets),
+                    size: DataSize::from_mb(DATASET_MB),
+                },
             }
         })
         .collect()
 }
 
-/// Run one grid cell: a synchronous Condor episode over the fixed job
+/// Run one grid cell: a fixed-tick Condor episode over the fixed job
 /// stream with staging charged through the cell's data plane.
 pub fn run_cell(seed: u64, spec: BackendSpec, reuse: Reuse) -> CellReport {
     run_cell_on(seed, spec, reuse, Telemetry::disabled())
@@ -251,83 +239,35 @@ pub fn run_cell(seed: u64, spec: BackendSpec, reuse: Reuse) -> CellReport {
 /// [`run_cell`] with a caller-supplied telemetry handle; the pool's job
 /// lifecycle spans land on it (nothing is recorded through a disabled
 /// handle, so `run_cell` itself stays allocation-free).
+///
+/// The cell is a 1-site federation with the cell's backend: the
+/// cross-site rung never resolves, so staging is the bare data plane's.
 pub fn run_cell_on(seed: u64, spec: BackendSpec, reuse: Reuse, telemetry: Telemetry) -> CellReport {
-    let stream = job_stream(seed, reuse);
-
-    let metrics = Metrics::new();
-    let mut plane = DataPlane::new(
-        spec.backend(),
-        NFS_BANDWIDTH_MBPS,
-        ObjectStoreConfig::default(),
-        spec.cache_capacity(),
-        EvictionPolicy::Lru,
-    );
-    plane.set_metrics(metrics.clone());
+    let mut config = SiteConfig::new("e13", WORKERS, InstanceType::M1Small)
+        .with_backend(spec.backend())
+        .with_cache_capacity(spec.cache_capacity());
+    config.nfs_bandwidth_mbps = NFS_BANDWIDTH_MBPS;
+    let mut fed = Federation::provision(vec![config], WanTopology::new(), SimTime::ZERO);
+    fed.set_telemetry(telemetry);
     for idx in 0..reuse.dataset_count() {
-        plane.seed_dataset(dataset_cid(idx), DataSize::from_mb(DATASET_MB));
+        fed.seed_dataset(0, dataset_cid(idx), DataSize::from_mb(DATASET_MB));
     }
 
-    let mut pool = CondorPool::new();
-    pool.set_telemetry(telemetry);
-    for w in 0..WORKERS {
-        pool.add_machine(Machine::new(&format!("worker-{w}"), 5.0, 1700, 1))
-            .expect("worker names are distinct");
-    }
+    struct Solo;
+    impl episode::Hooks for Solo {}
+    let stream = job_stream(seed, reuse);
+    let staging = episode::run(&mut fed, &stream, &mut Solo)
+        .unwrap_or_else(|stuck| panic!("E13 cell {}: {stuck}", spec.label()));
 
-    let mut inputs_of: BTreeMap<JobId, InputSpec> = BTreeMap::new();
-    let mut now = SimTime::ZERO;
-    let mut submitted = 0;
-    let mut completed = 0;
-    let mut staging = SimDuration::ZERO;
-    let mut cycles = 0u32;
-    while completed < stream.len() {
-        cycles += 1;
-        assert!(cycles < 100_000, "E13 episode failed to drain");
-        completed += pool.settle(now).len();
-
-        while submitted < stream.len() && stream[submitted].submit_at <= now {
-            let job = &stream[submitted];
-            let cid = dataset_cid(job.dataset);
-            let builder =
-                Job::new("galaxy", job.work).attr(JOB_INPUT_CIDS_ATTR, Value::Str(cid.hex()));
-            let id = pool.submit(builder, now);
-            inputs_of.insert(
-                id,
-                InputSpec {
-                    cid,
-                    size: DataSize::from_mb(DATASET_MB),
-                },
-            );
-            submitted += 1;
-        }
-
-        let matches = pool.negotiate(now);
-        let concurrent = matches.len() as u32;
-        for m in &matches {
-            let input = inputs_of[&m.job];
-            let plan = plane.stage_job(&m.machine.0, &[input], concurrent);
-            staging += plan.total;
-            pool.extend_job(m.job, plan.total)
-                .expect("freshly matched job is running");
-            if spec.backend() == SharingBackend::CachedObjectStore {
-                let machine = pool.machine_mut(&m.machine.0).expect("matched machine");
-                machine.ad.set(
-                    MACHINE_CACHE_CIDS_ATTR,
-                    Value::Str(plane.fleet.attr_string(&m.machine.0)),
-                );
-            }
-        }
-
-        now += NEGOTIATION_INTERVAL;
-    }
-
-    let makespan = pool
+    let makespan = fed
         .last_completion_at()
         .expect("episode completed jobs")
         .since(SimTime::ZERO);
-    let (cache_hits, cache_misses, _evictions) = plane.fleet.totals();
+    let site = fed.site(0);
+    let metrics = &site.metrics;
+    let (cache_hits, cache_misses, _evictions) = site.plane.fleet.totals();
     CellReport {
-        jobs: completed,
+        jobs: stream.len(),
         makespan_mins: makespan.as_mins_f64(),
         staging_secs: staging.as_secs_f64(),
         bytes_local: metrics.counter(staging_keys::BYTES_LOCAL),
@@ -335,7 +275,7 @@ pub fn run_cell_on(seed: u64, spec: BackendSpec, reuse: Reuse, telemetry: Teleme
         bytes_object: metrics.counter(staging_keys::BYTES_OBJECT),
         bytes_nfs: metrics.counter(staging_keys::BYTES_NFS),
         bytes_ingest: metrics.counter(staging_keys::BYTES_INGEST),
-        object_cost_usd: plane.object.cost_usd(),
+        object_cost_usd: site.plane.object.cost_usd(),
         cache_hits,
         cache_misses,
     }

@@ -10,24 +10,23 @@
 //! concentrated on the most expensive site vs spread one-per-site) over
 //! one fixed multi-user invocation stream.
 //!
-//! Every cell is a synchronous multi-site Condor episode: invocations
-//! arrive on a seeded clock, a [`Placer`] routes each to a site *before*
-//! it hits that site's pool, per-site negotiation runs on the standard
-//! 20 s cycle, staging climbs the site ladder with the cross-site WAN
-//! rung spliced in (replicating on first pull), and per-site `QueueStep`
-//! autoscalers resize the pools underneath — billing worker tenures per
-//! second and WAN bytes per GB. Cells fan out over the replica runner
+//! Every cell is a fixed-tick multi-site Condor episode (the shared
+//! `episode` loop): invocations arrive on a seeded clock, a [`Placer`]
+//! routes each to a site *before* it hits that site's pool, per-site
+//! negotiation runs on the standard 20 s cycle, staging climbs the site
+//! ladder with the cross-site WAN rung spliced in (replicating on first
+//! pull), and per-site `QueueStep` autoscalers resize the pools
+//! underneath — billing worker tenures per second and WAN bytes per GB. Cells fan out over the replica runner
 //! and the report is byte-identical at any thread count.
 //!
 //! Expected shape, and the claim lines assert it: when inputs are
 //! **concentrated**, data-gravity follows the bytes (no crossings, no
 //! egress) and beats cost-greedy on makespan at ≥ 50 % lower egress
 //! spend; when inputs are **spread** everywhere, gravity scatters work
-//! onto expensive sites and cost-greedy wins on total dollars. A 1-site
-//! federation reproduces the single-region E13 cells byte-for-byte (the
-//! regression test below).
-
-use std::collections::BTreeMap;
+//! onto expensive sites and cost-greedy wins on total dollars. E13 runs
+//! its single-region cells on a 1-site federation through the same
+//! episode loop; the federation crate's equivalence test holds that
+//! 1-site staging equal to the bare data plane's.
 
 use cumulus::autoscale::policy::QueueStep;
 use cumulus::cloud::InstanceType;
@@ -35,9 +34,7 @@ use cumulus::federation::{
     Federation, PlacementPolicy, Placer, SiteConfig, SiteScaler, WanLink, WanTopology,
 };
 use cumulus::galaxy::routing::InvocationRequest;
-use cumulus::htc::{
-    Job, JobId, Value, WorkSpec, JOB_INPUT_CIDS_ATTR, MACHINE_CACHE_CIDS_ATTR, NEGOTIATION_INTERVAL,
-};
+use cumulus::htc::WorkSpec;
 use cumulus::provision::json::Json;
 use cumulus::simkit::rng::RngStream;
 use cumulus::simkit::runner::{run_replicas, ReplicaPlan};
@@ -46,7 +43,7 @@ use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::store::staging::keys as staging_keys;
 use cumulus::store::{ContentId, DataSize, InputSpec};
 
-use crate::experiments::datashare::{self, BackendSpec, CellReport, Reuse};
+use crate::experiments::episode::{self, Arrival};
 use crate::table::{mins, Table};
 
 /// Users submitting workflow invocations.
@@ -189,14 +186,6 @@ fn dataset_cid(idx: usize) -> ContentId {
     ContentId::of_str(&format!("e15-dataset-{idx}"))
 }
 
-/// One invocation of the fixed stream.
-struct Invocation {
-    submit_at: SimTime,
-    user: usize,
-    work: WorkSpec,
-    dataset: usize,
-}
-
 /// The invocation stream every cell replays: users round-robin on a
 /// seeded arrival clock (5–20 s gaps — brisk enough that a single site
 /// saturates its worker cap, so staging delays land on the critical path
@@ -204,7 +193,7 @@ struct Invocation {
 /// each user alternating between their two datasets. Derived from the
 /// master seed directly — **not** the per-replica seed — so all cells
 /// compare the same workload.
-fn invocation_stream(seed: u64) -> Vec<Invocation> {
+fn invocation_stream(seed: u64) -> Vec<Arrival> {
     let mut arrivals = RngStream::derive(seed, "e15-arrivals");
     let mut work = RngStream::derive(seed, "e15-work");
     let mut at = SimTime::ZERO;
@@ -212,18 +201,65 @@ fn invocation_stream(seed: u64) -> Vec<Invocation> {
         .map(|j| {
             at += SimDuration::from_secs_f64(arrivals.uniform_range(5.0, 20.0));
             let user = j % USERS;
-            Invocation {
-                submit_at: at,
-                user,
+            Arrival {
+                at,
+                user: format!("user-{user}"),
                 work: WorkSpec::serial(90.0 + work.uniform_range(0.0, 60.0)),
-                dataset: user * DATASETS_PER_USER + (j / USERS) % DATASETS_PER_USER,
+                input: InputSpec {
+                    cid: dataset_cid(user * DATASETS_PER_USER + (j / USERS) % DATASETS_PER_USER),
+                    size: DataSize::from_mb(DATASET_MB),
+                },
             }
         })
         .collect()
 }
 
+/// The E15 episode hooks: a placer routes each invocation to a site, and
+/// per-site `QueueStep` scalers resize the pools every tick.
+struct Elastic {
+    placer: Placer,
+    scalers: Vec<SiteScaler>,
+    placements: Vec<usize>,
+}
+
+impl episode::Hooks for Elastic {
+    fn route(&mut self, fed: &Federation, n: usize, arrival: &Arrival) -> usize {
+        let request = InvocationRequest {
+            id: n as u64,
+            user: arrival.user.clone(),
+            workflow: "rna-seq".to_string(),
+            inputs: vec![arrival.input],
+        };
+        let site = fed.route(&mut self.placer, &request);
+        self.placements[site] += 1;
+        site
+    }
+
+    /// Resize every site to its scaler's desired count. Pending while any
+    /// site resized: the policy reads only the pool, so a tick that moves
+    /// no site leaves the next one unmoved too.
+    fn tick(&mut self, fed: &mut Federation, now: SimTime) -> bool {
+        let mut resized = false;
+        for (s, scaler) in self.scalers.iter_mut().enumerate() {
+            let site = fed.site_mut(s);
+            let workers = site.worker_count();
+            let desired = scaler.desired(now, &site.pool, workers);
+            while site.worker_count() < desired {
+                site.add_worker(now);
+            }
+            while site.worker_count() > desired {
+                if !site.remove_idle_worker(now) {
+                    break;
+                }
+            }
+            resized |= site.worker_count() != workers;
+        }
+        resized
+    }
+}
+
 /// Run one grid cell: provision the federation, seed the scenario's
-/// dataset placement, and drive the synchronous multi-site episode.
+/// dataset placement, and drive the fixed-tick multi-site episode.
 pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
     let stream = invocation_stream(seed);
     let size = DataSize::from_mb(DATASET_MB);
@@ -246,83 +282,15 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
         fed.seed_dataset(at, dataset_cid(idx), size);
     }
 
-    let mut placer = Placer::new(spec.policy);
-    let mut scalers: Vec<SiteScaler> = (0..spec.sites)
-        .map(|_| SiteScaler::new(Box::new(QueueStep::new(2)), 3, MIN_WORKERS, MAX_WORKERS))
-        .collect();
-    let mut placements = vec![0usize; spec.sites];
-    let mut inputs_of: Vec<BTreeMap<JobId, InputSpec>> = vec![BTreeMap::new(); spec.sites];
-
-    let mut now = SimTime::ZERO;
-    let mut submitted = 0;
-    let mut completed = 0;
-    let mut staging = SimDuration::ZERO;
-    let mut cycles = 0u32;
-    while completed < stream.len() {
-        cycles += 1;
-        assert!(cycles < 100_000, "E15 episode failed to drain");
-        for s in 0..spec.sites {
-            completed += fed.site_mut(s).pool.settle(now).len();
-        }
-
-        while submitted < stream.len() && stream[submitted].submit_at <= now {
-            let inv = &stream[submitted];
-            let cid = dataset_cid(inv.dataset);
-            let input = InputSpec { cid, size };
-            let request = InvocationRequest {
-                id: submitted as u64,
-                user: format!("user-{}", inv.user),
-                workflow: "rna-seq".to_string(),
-                inputs: vec![input],
-            };
-            let site = fed.route(&mut placer, &request);
-            placements[site] += 1;
-            let id = fed.site_mut(site).pool.submit(
-                Job::new(&request.user, inv.work).attr(JOB_INPUT_CIDS_ATTR, Value::Str(cid.hex())),
-                now,
-            );
-            inputs_of[site].insert(id, input);
-            submitted += 1;
-        }
-
-        for (s, inputs) in inputs_of.iter().enumerate() {
-            let matches = fed.site_mut(s).pool.negotiate(now);
-            let concurrent = matches.len() as u32;
-            for m in &matches {
-                let input = inputs[&m.job];
-                let plan = fed.stage_job(s, &m.machine.0, &[input], concurrent, now);
-                staging += plan.total;
-                let cache_ad = fed.site(s).plane.fleet.attr_string(&m.machine.0);
-                let site = fed.site_mut(s);
-                site.pool
-                    .extend_job(m.job, plan.total)
-                    .expect("freshly matched job is running");
-                let machine = site
-                    .pool
-                    .machine_mut(&m.machine.0)
-                    .expect("matched machine");
-                machine
-                    .ad
-                    .set(MACHINE_CACHE_CIDS_ATTR, Value::Str(cache_ad));
-            }
-        }
-
-        for (s, scaler) in scalers.iter_mut().enumerate() {
-            let site = fed.site_mut(s);
-            let workers = site.worker_count();
-            let desired = scaler.desired(now, &site.pool, workers);
-            while site.worker_count() < desired {
-                site.add_worker(now);
-            }
-            while site.worker_count() > desired {
-                if !site.remove_idle_worker(now) {
-                    break;
-                }
-            }
-        }
-
-        now += NEGOTIATION_INTERVAL;
-    }
+    let mut hooks = Elastic {
+        placer: Placer::new(spec.policy),
+        scalers: (0..spec.sites)
+            .map(|_| SiteScaler::new(Box::new(QueueStep::new(2)), 3, MIN_WORKERS, MAX_WORKERS))
+            .collect(),
+        placements: vec![0; spec.sites],
+    };
+    let staging = episode::run(&mut fed, &stream, &mut hooks)
+        .unwrap_or_else(|stuck| panic!("E15 cell {spec:?}: {stuck}"));
 
     let end = fed.last_completion_at().expect("episode completed jobs");
     fed.close_billing(end);
@@ -337,7 +305,7 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
             + m.counter(staging_keys::BYTES_INGEST);
     }
     FedCellReport {
-        jobs: completed,
+        jobs: stream.len(),
         makespan_mins: end.since(SimTime::ZERO).as_mins_f64(),
         staging_secs: staging.as_secs_f64(),
         bytes_intra,
@@ -345,7 +313,7 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
         crossings: fed.wan_metrics().counter(wan_keys::CROSSINGS),
         egress_usd: fed.egress_cost_usd(end),
         compute_usd: fed.compute_cost_usd(end),
-        placements,
+        placements: hooks.placements,
     }
 }
 
@@ -544,95 +512,6 @@ fn round4(x: f64) -> f64 {
     (x * 1e4).round() / 1e4
 }
 
-/// Run one E13 cell **through a 1-site federation**: same backend, same
-/// workload, same episode protocol as [`datashare::run_cell`], but with
-/// every plane call routed through [`Federation::stage_job`]. The
-/// regression test asserts the resulting [`CellReport`] is equal field
-/// for field — the federated rung must be invisible when there is no one
-/// to federate with.
-pub fn run_e13_cell_federated(seed: u64, spec: BackendSpec, reuse: Reuse) -> CellReport {
-    let stream = datashare::job_stream(seed, reuse);
-    let size = datashare::dataset_size();
-
-    let mut config = SiteConfig::new("solo", datashare::WORKERS, InstanceType::M1Small)
-        .with_backend(spec.backend())
-        .with_cache_capacity(spec.cache_capacity());
-    config.nfs_bandwidth_mbps = datashare::NFS_BANDWIDTH_MBPS;
-    let mut fed = Federation::provision(vec![config], WanTopology::new(), SimTime::ZERO);
-    for idx in 0..reuse.dataset_count() {
-        fed.seed_dataset(0, datashare::dataset_cid(idx), size);
-    }
-
-    let mut inputs_of: BTreeMap<JobId, InputSpec> = BTreeMap::new();
-    let mut now = SimTime::ZERO;
-    let mut submitted = 0;
-    let mut completed = 0;
-    let mut staging = SimDuration::ZERO;
-    let mut cycles = 0u32;
-    while completed < stream.len() {
-        cycles += 1;
-        assert!(cycles < 100_000, "federated E13 episode failed to drain");
-        completed += fed.site_mut(0).pool.settle(now).len();
-
-        while submitted < stream.len() && stream[submitted].submit_at <= now {
-            let job = &stream[submitted];
-            let cid = datashare::dataset_cid(job.dataset);
-            let id = fed.site_mut(0).pool.submit(
-                Job::new("galaxy", job.work).attr(JOB_INPUT_CIDS_ATTR, Value::Str(cid.hex())),
-                now,
-            );
-            inputs_of.insert(id, InputSpec { cid, size });
-            submitted += 1;
-        }
-
-        let matches = fed.site_mut(0).pool.negotiate(now);
-        let concurrent = matches.len() as u32;
-        for m in &matches {
-            let input = inputs_of[&m.job];
-            let plan = fed.stage_job(0, &m.machine.0, &[input], concurrent, now);
-            staging += plan.total;
-            let cache_ad = fed.site(0).plane.fleet.attr_string(&m.machine.0);
-            let site = fed.site_mut(0);
-            site.pool
-                .extend_job(m.job, plan.total)
-                .expect("freshly matched job is running");
-            if spec.backend() == cumulus::store::SharingBackend::CachedObjectStore {
-                let machine = site
-                    .pool
-                    .machine_mut(&m.machine.0)
-                    .expect("matched machine");
-                machine
-                    .ad
-                    .set(MACHINE_CACHE_CIDS_ATTR, Value::Str(cache_ad));
-            }
-        }
-
-        now += NEGOTIATION_INTERVAL;
-    }
-
-    assert_eq!(
-        fed.wan_metrics().counter(wan_keys::CROSSINGS),
-        0,
-        "a 1-site federation must never cross the WAN"
-    );
-    let end = fed.last_completion_at().expect("episode completed jobs");
-    let site = fed.site(0);
-    let (cache_hits, cache_misses, _evictions) = site.plane.fleet.totals();
-    CellReport {
-        jobs: completed,
-        makespan_mins: end.since(SimTime::ZERO).as_mins_f64(),
-        staging_secs: staging.as_secs_f64(),
-        bytes_local: site.metrics.counter(staging_keys::BYTES_LOCAL),
-        bytes_peer: site.metrics.counter(staging_keys::BYTES_PEER),
-        bytes_object: site.metrics.counter(staging_keys::BYTES_OBJECT),
-        bytes_nfs: site.metrics.counter(staging_keys::BYTES_NFS),
-        bytes_ingest: site.metrics.counter(staging_keys::BYTES_INGEST),
-        object_cost_usd: site.plane.object.cost_usd(),
-        cache_hits,
-        cache_misses,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,30 +558,6 @@ mod tests {
             let expected =
                 r.report.bytes_cross as f64 / 1e9 * cumulus::cloud::INTER_REGION_EGRESS_USD_PER_GB;
             assert!((r.report.egress_usd - expected).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn one_site_federation_reproduces_the_e13_grid() {
-        let seed = crate::REPORT_SEED;
-        for (spec, reuse) in [
-            (BackendSpec::Nfs, Reuse::High),
-            (BackendSpec::Object, Reuse::Low),
-            (BackendSpec::Cached(2048), Reuse::High),
-        ] {
-            let single = datashare::run_cell(seed, spec, reuse);
-            let federated = run_e13_cell_federated(seed, spec, reuse);
-            assert_eq!(single.jobs, federated.jobs);
-            assert_eq!(single.makespan_mins, federated.makespan_mins);
-            assert_eq!(single.staging_secs, federated.staging_secs);
-            assert_eq!(single.bytes_local, federated.bytes_local);
-            assert_eq!(single.bytes_peer, federated.bytes_peer);
-            assert_eq!(single.bytes_object, federated.bytes_object);
-            assert_eq!(single.bytes_nfs, federated.bytes_nfs);
-            assert_eq!(single.bytes_ingest, federated.bytes_ingest);
-            assert_eq!(single.object_cost_usd, federated.object_cost_usd);
-            assert_eq!(single.cache_hits, federated.cache_hits);
-            assert_eq!(single.cache_misses, federated.cache_misses);
         }
     }
 

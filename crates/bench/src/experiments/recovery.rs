@@ -7,7 +7,7 @@
 //! four-step CRData chain and the same seeded preemption schedule, so
 //! cells within a rate are directly comparable.
 //!
-//! Every cell is one synchronous episode: steps are submitted through a
+//! Every cell is one fixed-tick episode: steps are submitted through a
 //! real [`cumulus::galaxy::GalaxyServer`] (provenance and all), staging is
 //! charged through the content-addressed data plane, completed outputs
 //! are published to the worker's cache plus the object store, and a
@@ -16,6 +16,10 @@
 //! workflow after a [`cumulus::simkit::retry`] backoff; `retry+resume`
 //! consults the [`cumulus::galaxy::WorkflowCheckpoint`] recovery plan and
 //! re-stages recovered outputs instead of recomputing them.
+//!
+//! The tick keeps its own body rather than the shared `episode` loop:
+//! preemptions settle mid-tick, and only the chain's one in-flight step
+//! is staged. It stops by the same rule, though (`episode::starved`).
 //!
 //! Expected shape: no recovery fails once disruptions are frequent enough
 //! to land mid-step; both retry policies complete; and resume re-stages
@@ -43,6 +47,7 @@ use cumulus::store::{
     StagingSource,
 };
 
+use crate::experiments::episode;
 use crate::table::{mins, Table};
 
 /// Spot workers in the pool at any moment (replacements keep it level).
@@ -192,7 +197,7 @@ const TOOLS: [&str; 4] = ["e14_normalize", "e14_de", "e14_correct", "e14_plot"];
 /// Step ids along the chain, in step order.
 const STEPS: [&str; 4] = ["normalize", "de", "correct", "plot"];
 
-/// Run one grid cell: a synchronous episode of the chain under the
+/// Run one grid cell: a fixed-tick episode of the chain under the
 /// rate's preemption schedule with the cell's recovery policy.
 pub fn run_cell(seed: u64, rate_per_hour: u32, policy: Policy) -> CellReport {
     let schedule = disruption_schedule(seed, rate_per_hour);
@@ -273,7 +278,6 @@ pub fn run_cell(seed: u64, rate_per_hour: u32, policy: Policy) -> CellReport {
     let mut sched_idx = 0usize;
 
     let mut now = SimTime::ZERO;
-    let mut cycles = 0u32;
 
     // Charge one staging plan and split its bytes into fresh vs re-staged.
     let charge = |plane: &mut DataPlane,
@@ -299,9 +303,6 @@ pub fn run_cell(seed: u64, rate_per_hour: u32, policy: Policy) -> CellReport {
     };
 
     while step_idx < STEPS.len() && !failed {
-        cycles += 1;
-        assert!(cycles < 100_000, "E14 episode failed to drain");
-
         // Replacement instances that have spun up by now.
         pending_joins.retain(|(at, name)| {
             if *at <= now {
@@ -481,6 +482,13 @@ pub fn run_cell(seed: u64, rate_per_hour: u32, policy: Policy) -> CellReport {
             let ad = plane.fleet.attr_string(&m.machine.0);
             let mach = pool.machine_mut(&m.machine.0).expect("matched machine");
             mach.ad.set(MACHINE_CACHE_CIDS_ATTR, Value::Str(ad));
+        }
+
+        // The shared stopping rule: an idle step with nothing running and
+        // no replacement on its way can never run.
+        let step_due = inflight.is_none();
+        if let Some(stuck) = episode::starved(now, [&pool], step_due, !pending_joins.is_empty()) {
+            panic!("E14 cell {rate_per_hour}/h {}: {stuck}", policy.label());
         }
 
         now += NEGOTIATION_INTERVAL;

@@ -30,8 +30,8 @@
 //! `BTreeMap` order, replica sources resolve to the lowest holding site
 //! index, placement ties break to the lowest site index, and the WAN
 //! model is a pure function of (size, link, source cap). A 1-site
-//! federation reproduces the single-region data-sharing grid
-//! byte-for-byte (asserted by the E15 equivalence suite).
+//! federation stages exactly like the bare single-region data plane
+//! (asserted by `tests/single_site_equivalence.rs`).
 
 #![warn(missing_docs)]
 

@@ -12,6 +12,7 @@
 //! outputs, and writes provenance records.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 use cumulus_htc::{
     CondorPool, Job as CondorJob, JobId as CondorJobId, Value as AdValue, JOB_INPUT_CIDS_ATTR,
@@ -700,33 +701,16 @@ impl GalaxyServer {
 
     /// Drive the pool until every queued Galaxy job finishes; returns the
     /// time the last one completed (or `None` if jobs are starved with no
-    /// capacity).
-    pub fn drive_jobs(
-        &mut self,
-        start: SimTime,
-        pool: &mut CondorPool,
-        max_cycles: u32,
-    ) -> Option<SimTime> {
-        let mut now = start;
-        for _ in 0..max_cycles {
-            pool.negotiate(now);
-            match pool.next_completion_at() {
-                Some(next) => {
-                    now = next;
-                    for condor_id in pool.settle(now) {
-                        self.on_condor_completion(now, condor_id);
-                    }
-                }
-                None => {
-                    return if pool.idle_count() == 0 {
-                        Some(now)
-                    } else {
-                        None
-                    };
-                }
+    /// capacity). Runs on the pool's [`drain`](CondorPool::drain) loop,
+    /// completing each Galaxy job as its Condor job settles.
+    pub fn drive_jobs(&mut self, start: SimTime, pool: &mut CondorPool) -> Option<SimTime> {
+        pool.drain(start, |_, now, done| {
+            for condor_id in done {
+                self.on_condor_completion(now, condor_id);
             }
-        }
-        None
+            ControlFlow::Continue(())
+        })
+        .ok()
     }
 }
 
@@ -853,7 +837,7 @@ mod tests {
             f.server.dataset(out_id).unwrap().state,
             DatasetState::Pending
         );
-        let done = f.server.drive_jobs(t(10), &mut f.pool, 100).unwrap();
+        let done = f.server.drive_jobs(t(10), &mut f.pool).unwrap();
         assert!(done > t(10));
         let out = f.server.dataset(out_id).unwrap();
         assert_eq!(out.state, DatasetState::Ok);
@@ -877,7 +861,7 @@ mod tests {
                 &mut f.pool,
             )
             .unwrap();
-        f.server.drive_jobs(t(0), &mut f.pool, 100).unwrap();
+        f.server.drive_jobs(t(0), &mut f.pool).unwrap();
         let out_id = f.server.job(job).unwrap().outputs[0];
         let rec = f.server.provenance.of(out_id).expect("provenance exists");
         assert_eq!(rec.tool.0, "wordcount");
@@ -900,7 +884,7 @@ mod tests {
                 &mut f.pool,
             )
             .unwrap();
-        f.server.drive_jobs(t(0), &mut f.pool, 100).unwrap();
+        f.server.drive_jobs(t(0), &mut f.pool).unwrap();
         let j = f.server.job(job).unwrap();
         assert_eq!(j.state, GalaxyJobState::Error);
         assert_eq!(j.error.as_deref(), Some("R script crashed"));
@@ -988,7 +972,7 @@ mod tests {
         let panel = f.server.history_panel(f.history).unwrap();
         assert!(panel.contains("notes.txt"));
         assert!(panel.contains("[…]"), "pending output visible: {panel}");
-        f.server.drive_jobs(t(0), &mut f.pool, 100).unwrap();
+        f.server.drive_jobs(t(0), &mut f.pool).unwrap();
         let panel = f.server.history_panel(f.history).unwrap();
         assert!(panel.contains("word counts"));
         assert!(panel.contains("[ok]"));
@@ -1105,6 +1089,6 @@ mod tests {
                 &mut empty_pool,
             )
             .unwrap();
-        assert_eq!(f.server.drive_jobs(t(0), &mut empty_pool, 10), None);
+        assert_eq!(f.server.drive_jobs(t(0), &mut empty_pool), None);
     }
 }

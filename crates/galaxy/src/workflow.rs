@@ -8,6 +8,7 @@
 //! complete, reusing `cumulus-htc`'s DAG bookkeeping.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 use cumulus_htc::{CondorPool, DagRun};
 use cumulus_simkit::telemetry::{span::keys as span_keys, SpanKind};
@@ -286,15 +287,36 @@ pub(crate) fn drive_workflow(
         }
     }
 
-    // Submit whatever is ready.
-    let submit_ready = |server: &mut GalaxyServer,
-                        pool: &mut CondorPool,
-                        dag: &mut DagRun,
-                        condor_to_step: &mut BTreeMap<cumulus_htc::JobId, String>,
-                        step_jobs: &mut BTreeMap<String, GalaxyJobId>,
-                        step_outputs: &BTreeMap<String, Vec<DatasetId>>,
-                        at: SimTime|
-     -> Result<(), GalaxyError> {
+    // One step of the run: complete the steps whose Condor jobs just
+    // settled, then submit every step they unblocked. Returns whether the
+    // whole DAG is done.
+    let mut advance = |pool: &mut CondorPool,
+                       at: SimTime,
+                       settled: Vec<cumulus_htc::JobId>|
+     -> Result<bool, GalaxyError> {
+        for condor_id in settled {
+            server.on_condor_completion(at, condor_id);
+            let Some(step_id) = condor_to_step.remove(&condor_id) else {
+                continue;
+            };
+            let job = server.job(step_jobs[&step_id])?;
+            if job.state == GalaxyJobState::Error {
+                return Err(GalaxyError::Tool(crate::tool::ToolError(format!(
+                    "workflow step {step_id:?} failed: {}",
+                    job.error.clone().unwrap_or_default()
+                ))));
+            }
+            step_outputs.insert(step_id, job.outputs.clone());
+            telemetry.span_phase(
+                at,
+                "workflow",
+                span_keys::WORKFLOW_STEP,
+                SpanKind::Workflow,
+                wf_id,
+                SimDuration::ZERO,
+            );
+            dag.on_job_completed(condor_id);
+        }
         for node in dag.ready_nodes() {
             let step = step_by_id[node.as_str()];
             let mut params = step.params.clone();
@@ -327,67 +349,29 @@ pub(crate) fn drive_workflow(
             condor_to_step.insert(condor_id, node.clone());
             step_jobs.insert(node.clone(), job_id);
         }
-        Ok(())
+        Ok(dag.is_complete())
     };
 
-    submit_ready(
-        server,
-        pool,
-        &mut dag,
-        &mut condor_to_step,
-        &mut step_jobs,
-        &step_outputs,
-        clock,
-    )?;
-
-    // Drive to completion.
-    let mut guard = 0u32;
-    while !dag.is_complete() {
-        guard += 1;
-        if guard > 10_000 {
-            return Err(GalaxyError::Tool(crate::tool::ToolError(
-                "workflow did not converge".to_string(),
-            )));
-        }
-        pool.negotiate(clock);
-        let Some(next) = pool.next_completion_at() else {
-            return Err(GalaxyError::Tool(crate::tool::ToolError(
-                "workflow starved: no machines can run the remaining steps".to_string(),
-            )));
-        };
-        clock = next;
-        for condor_id in pool.settle(clock) {
-            server.on_condor_completion(clock, condor_id);
-            if let Some(step_id) = condor_to_step.remove(&condor_id) {
-                let job_id = step_jobs[&step_id];
-                let job = server.job(job_id)?;
-                if job.state == GalaxyJobState::Error {
-                    return Err(GalaxyError::Tool(crate::tool::ToolError(format!(
-                        "workflow step {step_id:?} failed: {}",
-                        job.error.clone().unwrap_or_default()
-                    ))));
-                }
-                step_outputs.insert(step_id.clone(), job.outputs.clone());
-                telemetry.span_phase(
-                    clock,
-                    "workflow",
-                    span_keys::WORKFLOW_STEP,
-                    SpanKind::Workflow,
-                    wf_id,
-                    cumulus_simkit::time::SimDuration::ZERO,
-                );
-                dag.on_job_completed(condor_id);
+    // Submit the ready steps, then drive the rest on the pool's drain
+    // loop until the DAG is done or a step fails.
+    if !advance(pool, clock, Vec::new())? {
+        let mut outcome = Ok(false);
+        let drained = pool.drain(clock, |pool, at, settled| {
+            outcome = advance(pool, at, settled);
+            match outcome {
+                Ok(false) => ControlFlow::Continue(()),
+                _ => ControlFlow::Break(()),
+            }
+        });
+        match (drained, outcome) {
+            (_, Err(e)) => return Err(e),
+            (Ok(at), Ok(true)) => clock = at,
+            _ => {
+                return Err(GalaxyError::Tool(crate::tool::ToolError(
+                    "workflow starved: no machines can run the remaining steps".to_string(),
+                )))
             }
         }
-        submit_ready(
-            server,
-            pool,
-            &mut dag,
-            &mut condor_to_step,
-            &mut step_jobs,
-            &step_outputs,
-            clock,
-        )?;
     }
 
     telemetry.span_close(

@@ -13,19 +13,18 @@
 //! * [`machine`] — execute nodes with slots and standard ads;
 //! * [`pool`] — the central manager: queue, fair-share negotiation cycles,
 //!   dynamic machine membership with draining (the mechanism behind
-//!   elastic scale-up/down), and eviction on abrupt host loss;
+//!   elastic scale-up/down), eviction on abrupt host loss, and the
+//!   synchronous drain loop ([`CondorPool::drain`]) every batch caller
+//!   runs on;
 //! * [`retry`] — job-level retry over the pool: a `Held(reason)`-aware
 //!   resubmit loop with per-job attempt counters and dead-lettering,
 //!   consuming the shared `cumulus_simkit::retry` plane;
-//! * [`dag`] — DAGMan-lite dependency bookkeeping for workflow DAGs;
-//! * [`driver`] — an event-driven central manager running periodic
-//!   negotiation cycles inside the DES engine.
+//! * [`dag`] — DAGMan-lite dependency bookkeeping for workflow DAGs.
 
 #![warn(missing_docs)]
 
 pub mod classad;
 pub mod dag;
-pub mod driver;
 pub mod job;
 pub mod machine;
 pub mod pool;
@@ -33,7 +32,6 @@ pub mod retry;
 
 pub use classad::{ClassAd, CompiledExpr, Expr, ParseError, Symbol, Value};
 pub use dag::{DagError, DagRun, NodeStatus};
-pub use driver::{drive_pool, DriveReport};
 pub use job::{Job, JobBuilder, JobId, JobState, WorkSpec};
 pub use machine::{Machine, MachineName};
 pub use pool::{

@@ -9,6 +9,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
 use cumulus_simkit::disrupt::{Disruptable, DisruptionKind};
@@ -65,8 +66,8 @@ pub enum PoolError {
     DuplicateMachine(String),
     /// The job exists but is not currently running.
     NotRunning(JobId),
-    /// The queue failed to drain within the cycle budget: either idle jobs
-    /// are unmatchable (no capacity) or the budget was too small.
+    /// The queue failed to drain: idle jobs remain that no machine can
+    /// match, and nothing is running that could free a slot.
     NotDrained {
         /// Idle jobs left in the queue.
         idle: usize,
@@ -982,45 +983,55 @@ impl CondorPool {
         self.usage.get(user).copied().unwrap_or(0.0)
     }
 
-    /// Run negotiate/settle to completion from `start`, returning the time
-    /// when the queue drains. Useful for synchronous "run this batch"
-    /// callers; event-driven callers should use `negotiate`/`settle`/
-    /// `next_completion_at` directly.
-    pub fn run_until_drained(&mut self, start: SimTime, max_cycles: u32) -> Option<SimTime> {
+    /// The synchronous drain: negotiate, jump to the next completion,
+    /// settle — from `start` until the queue drains. `on_settle` sees each
+    /// settle's completed ids at their settle time; it may submit
+    /// follow-on jobs into the pool, and returning `ControlFlow::Break`
+    /// stops the drain there. Returns the time the drain stopped, or a
+    /// typed [`PoolError::NotDrained`] when idle jobs remain with nothing
+    /// running (no machine can match them).
+    ///
+    /// Termination needs no cycle budget: every iteration settles at least
+    /// one job and `settle` never requeues, so the loop runs at most once
+    /// per job submitted (the callback's follow-on jobs included).
+    pub fn drain(
+        &mut self,
+        start: SimTime,
+        mut on_settle: impl FnMut(&mut CondorPool, SimTime, Vec<JobId>) -> ControlFlow<()>,
+    ) -> Result<SimTime, PoolError> {
         let mut now = start;
-        for _ in 0..max_cycles {
+        loop {
             self.negotiate(now);
-            match self.next_completion_at() {
-                Some(next) => {
-                    now = next;
-                    self.settle(now);
-                }
-                None => {
-                    return if self.idle_count() == 0 {
-                        Some(now)
-                    } else {
-                        None // unmatched idle jobs remain (no capacity)
-                    };
-                }
+            let Some(next) = self.next_completion_at() else {
+                return if self.idle_count() == 0 {
+                    Ok(now)
+                } else {
+                    Err(PoolError::NotDrained {
+                        idle: self.idle_count(),
+                        running: self.running_count(),
+                    })
+                };
+            };
+            now = next;
+            let done = self.settle(now);
+            if on_settle(self, now, done).is_break() {
+                return Ok(now);
             }
         }
-        None
+    }
+
+    /// [`drain`](CondorPool::drain) with nothing to do per settle: the
+    /// time the queue drains, or `None` when idle jobs are unmatchable.
+    pub fn run_until_drained(&mut self, start: SimTime) -> Option<SimTime> {
+        self.try_run_until_drained(start).ok()
     }
 
     /// Like [`run_until_drained`](CondorPool::run_until_drained), but a
     /// failure to drain is a typed [`PoolError::NotDrained`] carrying the
     /// leftover queue state instead of a bare `None` the caller has to
     /// `.expect()` on.
-    pub fn try_run_until_drained(
-        &mut self,
-        start: SimTime,
-        max_cycles: u32,
-    ) -> Result<SimTime, PoolError> {
-        self.run_until_drained(start, max_cycles)
-            .ok_or(PoolError::NotDrained {
-                idle: self.idle_count(),
-                running: self.running_count(),
-            })
+    pub fn try_run_until_drained(&mut self, start: SimTime) -> Result<SimTime, PoolError> {
+        self.drain(start, |_, _, _| ControlFlow::Continue(()))
     }
 }
 
@@ -1260,7 +1271,7 @@ mod tests {
         for _ in 0..5 {
             pool.submit(Job::new("u", WorkSpec::serial(10.0)), t(0));
         }
-        let done = pool.run_until_drained(t(0), 100).expect("drains");
+        let done = pool.run_until_drained(t(0)).expect("drains");
         assert_eq!(done, t(50), "serialized on one slot");
     }
 
@@ -1268,7 +1279,7 @@ mod tests {
     fn run_until_drained_reports_starvation() {
         let mut pool = CondorPool::new();
         pool.submit(Job::new("u", WorkSpec::serial(10.0)), t(0));
-        assert_eq!(pool.run_until_drained(t(0), 10), None, "no machines");
+        assert_eq!(pool.run_until_drained(t(0)), None, "no machines");
     }
 
     #[test]
@@ -1320,7 +1331,7 @@ mod tests {
         let mut pool = CondorPool::new();
         pool.submit(Job::new("u", WorkSpec::serial(10.0)), t(0));
         pool.submit(Job::new("u", WorkSpec::serial(10.0)), t(0));
-        let err = pool.try_run_until_drained(t(0), 10).unwrap_err();
+        let err = pool.try_run_until_drained(t(0)).unwrap_err();
         assert_eq!(
             err,
             PoolError::NotDrained {
@@ -1330,7 +1341,7 @@ mod tests {
         );
         // With a machine it succeeds like the untyped variant.
         pool.add_machine(small_machine("w")).unwrap();
-        assert_eq!(pool.try_run_until_drained(t(0), 100), Ok(t(20)));
+        assert_eq!(pool.try_run_until_drained(t(0)), Ok(t(20)));
     }
 
     #[test]

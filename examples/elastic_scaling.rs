@@ -67,7 +67,7 @@ fn main() {
     // pool ever stalls, instead of a bare "didn't drain" panic.
     let drained = {
         let pool = &mut world.instance_mut(&id).unwrap().pool;
-        pool.try_run_until_drained(now, 10_000)
+        pool.try_run_until_drained(now)
             .unwrap_or_else(|e| panic!("burst must drain: {e}"))
     };
     println!(

@@ -225,7 +225,7 @@ impl UseCaseScenario {
         )?;
         let done = self
             .galaxy
-            .drive_jobs(now, pool, 10_000)
+            .drive_jobs(now, pool)
             .ok_or(ScenarioError::Galaxy(GalaxyError::UnknownJob(job)))?;
         Ok((job, done))
     }

@@ -65,7 +65,7 @@ fn worker_loss_evicts_and_reruns_the_job() {
     let pool = &mut s.world.instance_mut(&s.instance).unwrap().pool;
     let done = s
         .galaxy
-        .drive_jobs(crash_at, pool, 10_000)
+        .drive_jobs(crash_at, pool)
         .expect("job reruns on the head");
     assert!(done > crash_at);
     assert_eq!(s.galaxy.job(job).unwrap().state, GalaxyJobState::Ok);

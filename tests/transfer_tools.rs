@@ -203,7 +203,7 @@ fn receipt_tools_run_through_the_pool_like_any_tool() {
                 pool,
             )
             .unwrap();
-        s.galaxy.drive_jobs(report.ready_at, pool, 100).unwrap();
+        s.galaxy.drive_jobs(report.ready_at, pool).unwrap();
         job
     };
     let out = s.galaxy.job(job).unwrap().outputs[0];
