@@ -5,31 +5,66 @@
 //! the jobs currently queued. A [`SignalWindow`] keeps the last N samples
 //! so policies can react to smoothed values instead of chasing every
 //! single-tick spike (the classic cause of scaling flap).
+//!
+//! Wait percentiles are order statistics taken by selection, not by
+//! sorting: a reading fills one buffer with the queued jobs' waits, picks
+//! the p95 rank with `select_nth_unstable_by`, then the p50 rank from the
+//! partition below it — O(queued jobs) per tick however deep the queue.
+//! Under `f64::total_cmp` the k-th smallest value is unique bit for bit,
+//! so selection reports exactly what a full sort would.
 
 use std::collections::VecDeque;
 
 use cumulus_htc::CondorPool;
 use cumulus_simkit::time::SimTime;
 
+/// The 0-based index of the nearest-rank `q` percentile among `len > 0`
+/// sorted values (`q` clamped to `[0, 1]`; a NaN `q` reads as 0).
+fn nearest_rank(len: usize, q: f64) -> usize {
+    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
+    ((q * len as f64).ceil() as usize).clamp(1, len) - 1
+}
+
+/// The value at 0-based rank `k` of `values` under `f64::total_cmp`,
+/// leaving the `k` below it (in some order) in `values[..k]`.
+fn select(values: &mut [f64], k: usize) -> f64 {
+    *values.select_nth_unstable_by(k, f64::total_cmp).1
+}
+
 /// Nearest-rank percentile of an unsorted sample set. `q` is in `[0, 1]`
 /// (clamped; a NaN `q` reads as the minimum). Empty input reports 0
 /// (there is nothing waiting).
 ///
 /// Total on any input: NaN samples are filtered out rather than poisoning
-/// the sort — simulated wait durations flow through arithmetic a bad
+/// the selection — simulated wait durations flow through arithmetic a bad
 /// `WorkSpec` can turn into NaN, and a monitoring-path helper must not
 /// take the controller down over one bad sample. All-NaN input reports 0
 /// like empty input.
 pub fn percentile(values: &[f64], q: f64) -> f64 {
-    let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-    if sorted.is_empty() {
+    let mut clean: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+    if clean.is_empty() {
         return 0.0;
     }
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    debug_assert!((1..=sorted.len()).contains(&rank), "rank out of range");
-    sorted[rank - 1]
+    let k = nearest_rank(clean.len(), q);
+    select(&mut clean, k)
+}
+
+/// The p50 and p95 of `waits` (durations, never NaN), as [`percentile`]
+/// reports them, from one selection pass each: p95 first, then p50 among
+/// the values below it. Reorders `waits`.
+fn wait_percentiles(waits: &mut [f64]) -> (f64, f64) {
+    if waits.is_empty() {
+        return (0.0, 0.0);
+    }
+    let k95 = nearest_rank(waits.len(), 0.95);
+    let k50 = nearest_rank(waits.len(), 0.50);
+    let p95 = select(waits, k95);
+    let p50 = if k50 == k95 {
+        p95
+    } else {
+        select(&mut waits[..k95], k50)
+    };
+    (p50, p95)
 }
 
 /// One reading of the pool, taken at a control tick.
@@ -58,11 +93,8 @@ impl SignalSample {
     /// Read the pool at `now`. `workers` is the current topology worker
     /// count — the pool itself cannot distinguish head from worker slots.
     pub fn observe(now: SimTime, pool: &CondorPool, workers: usize) -> SignalSample {
-        let waits: Vec<f64> = pool
-            .idle_waits(now)
-            .iter()
-            .map(|d| d.as_secs_f64())
-            .collect();
+        let mut waits: Vec<f64> = pool.idle_waits(now).map(|d| d.as_secs_f64()).collect();
+        let (wait_p50_secs, wait_p95_secs) = wait_percentiles(&mut waits);
         SignalSample {
             at: now,
             queue_depth: pool.idle_count(),
@@ -70,8 +102,8 @@ impl SignalSample {
             workers,
             free_slots: pool.free_slots(),
             utilization: pool.utilization(),
-            wait_p50_secs: percentile(&waits, 0.50),
-            wait_p95_secs: percentile(&waits, 0.95),
+            wait_p50_secs,
+            wait_p95_secs,
         }
     }
 

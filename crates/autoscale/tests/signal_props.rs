@@ -1,12 +1,16 @@
 //! Property-style tests of the `percentile` helper: whatever sample set
-//! it is fed — NaN-poisoned, infinite, duplicated, unsorted — it must be
-//! total (never panic) and agree with the textbook sorted-rank reference
-//! on the non-NaN values. Cases come from deterministic seeded streams
-//! (the offline build ships no proptest), in the style of
-//! `crates/net/tests/fault_props.rs`.
+//! it is fed — NaN-poisoned, infinite, duplicated, signed-zero, unsorted —
+//! it must be total (never panic) and agree with the textbook sorted-rank
+//! reference on the non-NaN values, bit for bit (`==` would let `-0.0`
+//! pass for `0.0`). `SignalSample::observe`'s wait percentiles must equal
+//! `percentile` over the pool's idle waits the same way. Cases come from
+//! deterministic seeded streams (the offline build ships no proptest), in
+//! the style of `crates/net/tests/fault_props.rs`.
 
-use cumulus_autoscale::percentile;
+use cumulus_autoscale::{percentile, SignalSample};
+use cumulus_htc::{CondorPool, Job, Machine, WorkSpec};
 use cumulus_simkit::rng::RngStream;
+use cumulus_simkit::time::{SimDuration, SimTime};
 
 const CASES: u64 = 128;
 
@@ -20,7 +24,7 @@ fn gen_values(rng: &mut RngStream) -> Vec<f64> {
             0 => f64::NAN,
             1 => f64::INFINITY,
             2 => f64::NEG_INFINITY,
-            3 => 0.0,
+            3 => *rng.choose(&[0.0, -0.0]),
             4 => -rng.uniform_range(0.0, 100.0),
             _ => rng.uniform_range(0.0, 10_000.0),
         })
@@ -55,8 +59,9 @@ fn percentile_matches_the_sorted_rank_reference_on_any_input() {
             };
             let got = percentile(&values, q);
             let want = reference(&values, q);
-            assert!(
-                got == want || (got.is_nan() && want.is_nan()),
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
                 "case {case}: percentile({values:?}, {q}) = {got}, reference = {want}"
             );
         }
@@ -92,8 +97,8 @@ fn nan_samples_are_ignored_not_propagated() {
         }
         for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
             assert_eq!(
-                percentile(&poisoned, q),
-                percentile(&clean, q),
+                percentile(&poisoned, q).to_bits(),
+                percentile(&clean, q).to_bits(),
                 "case {case}: NaN splice changed the percentile at q={q}"
             );
         }
@@ -119,7 +124,65 @@ fn percentile_is_monotone_in_q() {
 
 #[test]
 fn all_nan_input_reports_zero_like_empty() {
-    assert_eq!(percentile(&[], 0.5), 0.0);
-    assert_eq!(percentile(&[f64::NAN], 0.5), 0.0);
-    assert_eq!(percentile(&[f64::NAN, f64::NAN], 0.95), 0.0);
+    assert_eq!(percentile(&[], 0.5).to_bits(), 0.0f64.to_bits());
+    assert_eq!(percentile(&[f64::NAN], 0.5).to_bits(), 0.0f64.to_bits());
+    assert_eq!(
+        percentile(&[f64::NAN, f64::NAN], 0.95).to_bits(),
+        0.0f64.to_bits()
+    );
+}
+
+/// A seeded pool at `now`: a few machines, a stream of submissions at
+/// millisecond-resolution times (many equal, so waits tie), and some
+/// negotiation cycles along the way, so part of the stream is running.
+fn random_pool(rng: &mut RngStream) -> (CondorPool, SimTime) {
+    let mut pool = CondorPool::new();
+    for m in 0..rng.uniform_int(0, 4) {
+        let machine = Machine::new(&format!("m{m}"), 1.0, 1700, 1);
+        pool.add_machine(machine).unwrap();
+    }
+    let mut now = SimTime::ZERO;
+    for _ in 0..rng.uniform_int(0, 300) {
+        if rng.chance(0.6) {
+            now += SimDuration::from_millis(rng.uniform_int(0, 90_000));
+        }
+        let work = WorkSpec::serial(rng.uniform_int(1, 600) as f64);
+        pool.submit(Job::new("u", work), now);
+        if rng.chance(0.05) {
+            pool.settle(now);
+            pool.negotiate(now);
+        }
+    }
+    (
+        pool,
+        now + SimDuration::from_millis(rng.uniform_int(0, 5_000)),
+    )
+}
+
+#[test]
+fn observed_wait_percentiles_equal_percentile_over_idle_waits() {
+    for case in 0..CASES {
+        let mut rng = RngStream::derive(case, "signal-prop/observe");
+        let (pool, now) = random_pool(&mut rng);
+        let waits: Vec<f64> = pool.idle_waits(now).map(|d| d.as_secs_f64()).collect();
+        let sample = SignalSample::observe(now, &pool, 0);
+        assert_eq!(sample.queue_depth, waits.len(), "case {case}");
+        assert_eq!(
+            sample.wait_p50_secs.to_bits(),
+            percentile(&waits, 0.50).to_bits(),
+            "case {case}: p50 over {} waits",
+            waits.len()
+        );
+        assert_eq!(
+            sample.wait_p95_secs.to_bits(),
+            percentile(&waits, 0.95).to_bits(),
+            "case {case}: p95 over {} waits",
+            waits.len()
+        );
+        assert_eq!(
+            sample.wait_p95_secs.to_bits(),
+            reference(&waits, 0.95).to_bits(),
+            "case {case}: p95 against the sorted reference"
+        );
+    }
 }

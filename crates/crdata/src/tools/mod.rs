@@ -54,18 +54,37 @@ pub fn register_all(registry: &mut ToolRegistry) -> Result<(), RegistryError> {
 
 // ----- shared input/output plumbing --------------------------------------
 
-/// Extract a matrix input.
+/// Extract a matrix input. A dataset is user data, so a value count that
+/// disagrees with the labels, or a non-finite cell the statistics cannot
+/// order, is a tool error rather than a panic in the job's completion.
 pub(crate) fn matrix_input(inv: &ToolInvocation, name: &str) -> Result<LabelledMatrix, ToolError> {
     match inv.input(name) {
         Some(Content::Matrix {
             row_names,
             col_names,
             values,
-        }) => Ok(LabelledMatrix::new(
-            row_names.clone(),
-            col_names.clone(),
-            values.clone(),
-        )),
+        }) => {
+            let (rows, cols) = (row_names.len(), col_names.len());
+            if values.len() != rows * cols {
+                return Err(ToolError(format!(
+                    "{name}: {} values for a {rows} x {cols} matrix",
+                    values.len()
+                )));
+            }
+            if let Some(at) = values.iter().position(|v| !v.is_finite()) {
+                return Err(ToolError(format!(
+                    "{name}: non-finite value {} at row {:?}, column {:?}",
+                    values[at],
+                    row_names[at / cols],
+                    col_names[at % cols]
+                )));
+            }
+            Ok(LabelledMatrix::new(
+                row_names.clone(),
+                col_names.clone(),
+                values.clone(),
+            ))
+        }
         Some(other) => Err(ToolError(format!(
             "{name}: expected an expression matrix, got {}",
             content_kind(other)

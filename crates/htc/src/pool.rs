@@ -169,6 +169,63 @@ impl MachineSlot {
 /// the orphaned entry is skipped when popped.
 type FinishEntry = Reverse<(SimTime, JobId, u64)>;
 
+/// A (cluster, machine) verdict not yet evaluated this cycle.
+const UNSEEN: u8 = 0;
+/// The machine fails the cluster's requirements.
+const NO_MATCH: u8 = 1;
+/// The machine satisfies them; the score is the rank plus cache bonus.
+const SCORED: u8 = 2;
+
+/// The negotiator's autocluster memo, indexed `[row][slab index]`: a
+/// job's verdict and score against a machine depend only on its cluster
+/// (bitwise-identical requirements/rank/ad) and the machine's ad, and
+/// neither changes mid-cycle — so each (cluster, machine) pair is
+/// evaluated at most once per cycle however many cluster-mates queue.
+///
+/// Rows are handed out per cycle, only to clusters a job of the cycle is
+/// examined for: `stamp[cluster]` is `(cycle, row)`, and a stamp from an
+/// earlier cycle is as good as none, so no verdict outlives its cycle.
+/// A cycle therefore costs O(jobs examined), not O(autoclusters ever
+/// interned) — which grow with every fresh input set a job advertises.
+#[derive(Debug, Default)]
+struct NegotiationMemo {
+    /// Cycles begun so far (the current cycle's stamp; 0 = never).
+    cycle: u64,
+    /// Per autocluster: the cycle it last got a row in, and that row.
+    stamp: Vec<(u64, u32)>,
+    /// Row storage, reused across cycles; the first `used` are live.
+    rows: Vec<Vec<(u8, f64)>>,
+    /// Rows handed out this cycle.
+    used: usize,
+}
+
+impl NegotiationMemo {
+    /// Start a cycle over `clusters` interned autoclusters.
+    fn begin_cycle(&mut self, clusters: usize) {
+        self.cycle += 1;
+        self.used = 0;
+        self.stamp.resize(clusters, (0, 0));
+    }
+
+    /// The cluster's row for this cycle, every verdict [`UNSEEN`] on first
+    /// use, sized for a slab of `machines` slots.
+    fn row(&mut self, cluster: u32, machines: usize) -> &mut [(u8, f64)] {
+        let (cycle, row) = &mut self.stamp[cluster as usize];
+        if *cycle != self.cycle {
+            *cycle = self.cycle;
+            *row = self.used as u32;
+            if self.used == self.rows.len() {
+                self.rows.push(Vec::new());
+            }
+            let fresh = &mut self.rows[self.used];
+            fresh.clear();
+            fresh.resize(machines, (UNSEEN, 0.0));
+            self.used += 1;
+        }
+        &mut self.rows[*row as usize]
+    }
+}
+
 /// The central manager's state.
 ///
 /// Internally the pool is fully indexed so a negotiation cycle never
@@ -221,9 +278,13 @@ pub struct CondorPool {
     draining_count: usize,
     /// Autocluster interning table: fingerprint of a job's (requirements,
     /// rank, ad) → cluster id. Append-only; bounded by the number of
-    /// distinct job shapes ever submitted, which real workloads keep
-    /// small (Condor's autoclusters exploit the same redundancy).
+    /// distinct job shapes ever submitted (Condor's autoclusters exploit
+    /// the same redundancy), which grows with every fresh input set, so
+    /// no per-cycle cost may scale with it.
     clusters: HashMap<Vec<u8>, u32>,
+    /// Per-cycle (cluster, machine) verdicts, stamped so none outlives
+    /// the cycle that computed it.
+    memo: NegotiationMemo,
     /// Job-lifecycle telemetry (submit → match → stage → complete spans).
     /// Disabled by default; attach a shared handle with
     /// [`set_telemetry`](CondorPool::set_telemetry).
@@ -505,12 +566,11 @@ impl CondorPool {
     /// How long each idle job has been waiting as of `now`, in submission
     /// order. The distribution an autoscaler turns into wait-time
     /// percentiles.
-    pub fn idle_waits(&self, now: SimTime) -> Vec<SimDuration> {
+    pub fn idle_waits(&self, now: SimTime) -> impl Iterator<Item = SimDuration> + '_ {
         self.jobs
             .values()
             .filter(|j| j.state == JobState::Idle)
-            .map(|j| now.since(j.submitted_at))
-            .collect()
+            .map(move |j| now.since(j.submitted_at))
     }
 
     /// Queue latency (submission to most recent start) of every completed
@@ -753,35 +813,28 @@ impl CondorPool {
             }
         }
 
-        // Fair-share user ordering. The per-owner index keys are already
-        // name-sorted and unique, so one stable sort by usage suffices
-        // (the old path sorted, deduped, then sorted again).
-        let mut users: Vec<String> = self.idle_by_owner.keys().cloned().collect();
-        users.sort_by(|a, b| {
-            let ua = self.usage.get(a).copied().unwrap_or(0.0);
-            let ub = self.usage.get(b).copied().unwrap_or(0.0);
-            ua.partial_cmp(&ub).unwrap().then_with(|| a.cmp(b))
+        // Fair-share user ordering: least usage first, ties by name. Each
+        // owner's usage is looked up once, outside the comparator; names
+        // are unique, so the order is total and the sort's stability moot.
+        let mut users: Vec<(f64, String)> = self
+            .idle_by_owner
+            .keys()
+            .map(|user| (self.user_usage(user), user.clone()))
+            .collect();
+        users.sort_unstable_by(|(ua, a), (ub, b)| {
+            ua.partial_cmp(ub).unwrap().then_with(|| a.cmp(b))
         });
 
         let mut stack: Vec<Value> = Vec::with_capacity(8);
+        // Taken out of the pool for the cycle so slab reads can borrow it.
+        let mut memo = std::mem::take(&mut self.memo);
+        memo.begin_cycle(self.clusters.len());
 
-        // Per-cycle autocluster memo, indexed `[cluster][slab index]`:
-        // a job's verdict and score against a machine depend only on its
-        // cluster (bitwise-identical requirements/rank/ad) and the
-        // machine's ad, and neither changes mid-cycle — so each
-        // (cluster, machine) pair is evaluated at most once per cycle no
-        // matter how many cluster-mates are queued. Inner vecs allocate
-        // lazily, only for clusters that actually negotiate this cycle.
-        const UNSEEN: u8 = 0;
-        const NO_MATCH: u8 = 1;
-        const SCORED: u8 = 2;
-        let mut memo: Vec<Vec<(u8, f64)>> = vec![Vec::new(); self.clusters.len()];
-
-        for user in users {
+        'users: for (_, user) in users {
             // The pool can fill mid-cycle; the remaining idle jobs would
             // all scan an empty accepting list, so stop early.
             if self.accepting.is_empty() {
-                return matches;
+                break;
             }
             // Snapshot the owner's queue: ascending JobId = submission
             // order, matching the old full-table scan.
@@ -791,13 +844,10 @@ impl CondorPool {
             };
             for id in job_ids {
                 if self.accepting.is_empty() {
-                    return matches;
+                    break 'users;
                 }
                 let job = &self.jobs[&id];
-                let cluster_memo = &mut memo[job.cluster as usize];
-                if cluster_memo.is_empty() {
-                    cluster_memo.resize(self.machines.len(), (UNSEEN, 0.0));
-                }
+                let cluster_memo = memo.row(job.cluster, self.machines.len());
                 // Pick the best accepting machine. The accepting list is
                 // name-sorted, so keeping the first strict maximum
                 // reproduces the old name-order tie-break exactly.
@@ -875,6 +925,7 @@ impl CondorPool {
                 });
             }
         }
+        self.memo = memo;
         matches
     }
 
@@ -1310,9 +1361,8 @@ mod tests {
         assert!(pool.machine_busy("a"));
         assert!(!pool.machine_busy("nonexistent"));
         // One job still idle, waiting since t(0).
-        let waits = pool.idle_waits(t(10));
-        assert_eq!(waits.len(), 1);
-        assert_eq!(waits[0], SimDuration::from_secs(10));
+        let waits: Vec<SimDuration> = pool.idle_waits(t(10)).collect();
+        assert_eq!(waits, vec![SimDuration::from_secs(10)]);
         pool.settle(t(30));
         assert_eq!(pool.completed_waits().len(), 3);
         assert_eq!(pool.last_completion_at(), Some(t(30)));
@@ -1438,5 +1488,44 @@ mod tests {
         pool.submit(Job::new("u", WorkSpec::serial(10.0)), t(0));
         pool.negotiate(t(0));
         assert_eq!(pool.next_completion_at(), Some(t(10)));
+    }
+
+    #[test]
+    fn memo_verdicts_do_not_outlive_their_cycle() {
+        let big = || {
+            Job::new("u", WorkSpec::serial(60.0))
+                .requirements("Memory >= 4000")
+                .rank("ComputeUnits")
+        };
+        let mut pool = CondorPool::new();
+        pool.add_machine(small_machine("w1")).unwrap();
+        pool.add_machine(Machine::new("w2", 2.0, 1700, 1)).unwrap();
+        // Cycle k: the big job's cluster is examined and fits nowhere.
+        let a = pool.submit(big(), t(0));
+        assert!(pool.negotiate(t(0)).is_empty());
+        // Cycle k+1: the cluster is absent (held); another cluster takes
+        // the cycle's first memo row and runs to completion.
+        pool.hold(a).unwrap();
+        let b = pool.submit(Job::new("v", WorkSpec::serial(10.0)), t(20));
+        assert_eq!(pool.negotiate(t(20)).len(), 1);
+        assert_eq!(pool.settle(t(40)), vec![b]);
+        // Before cycle k+2 the slow machine's ad grows enough memory.
+        pool.machine_mut("w1")
+            .unwrap()
+            .ad
+            .set("Memory", Value::Int(8000));
+        pool.release(a).unwrap();
+        let matched = pool.negotiate(t(60));
+
+        // A fresh pool that starts from the changed ads agrees.
+        let mut fresh = CondorPool::new();
+        let mut w1 = small_machine("w1");
+        w1.ad.set("Memory", Value::Int(8000));
+        fresh.add_machine(w1).unwrap();
+        fresh.add_machine(Machine::new("w2", 2.0, 1700, 1)).unwrap();
+        fresh.submit(big(), t(0));
+        assert_eq!(matched, fresh.negotiate(t(60)));
+        assert_eq!(matched.len(), 1, "the changed ad was re-evaluated");
+        assert_eq!(matched[0].machine.0, "w1");
     }
 }

@@ -486,7 +486,7 @@ fn compare_observables(pool: &CondorPool, model: &RefPool, now: SimTime, step: u
         "next completion @{step}"
     );
     assert_eq!(
-        pool.idle_waits(now),
+        pool.idle_waits(now).collect::<Vec<_>>(),
         model.idle_waits(now),
         "idle waits @{step}"
     );
@@ -547,6 +547,54 @@ fn compare_observables(pool: &CondorPool, model: &RefPool, now: SimTime, step: u
     }
 }
 
+/// Submit one job with random owner / work / expressions / cids to both
+/// sides. A `tag` becomes a job-ad attribute, so tagged jobs each get an
+/// autocluster of their own.
+fn submit_random(
+    rng: &mut RngStream,
+    pool: &mut CondorPool,
+    model: &mut RefPool,
+    now: SimTime,
+    tag: Option<i64>,
+    step: usize,
+) {
+    let owner = *rng.choose(OWNERS);
+    let work = WorkSpec {
+        serial_secs: rng.uniform_int(1, 300) as f64,
+        cu_work: rng.uniform_int(0, 400) as f64,
+    };
+    let req_src = *rng.choose(REQS);
+    let rank_src = if rng.chance(0.4) {
+        None
+    } else {
+        Some(*rng.choose(RANKS))
+    };
+    let request_memory = Value::Int(rng.uniform_int(512, 4096) as i64);
+    let input_cids = rng.chance(0.3).then(|| random_cid_list(rng));
+    let mut ad = ClassAd::new();
+    ad.set("RequestMemory", request_memory.clone());
+    let mut builder = Job::new(owner, work)
+        .try_requirements(req_src)
+        .expect("template parses")
+        .attr("RequestMemory", request_memory);
+    if let Some(r) = rank_src {
+        builder = builder.try_rank(r).expect("template parses");
+    }
+    if let Some(cids) = input_cids {
+        ad.set(JOB_INPUT_CIDS_ATTR, Value::Str(cids.clone()));
+        builder = builder.attr(JOB_INPUT_CIDS_ATTR, Value::Str(cids));
+    }
+    if let Some(tag) = tag {
+        ad.set("Tag", Value::Int(tag));
+        builder = builder.attr("Tag", Value::Int(tag));
+    }
+    let real_id = pool.submit(builder, now);
+    let req = Expr::parse(req_src).unwrap();
+    let rank = Expr::parse(rank_src.unwrap_or("ComputeUnits")).unwrap();
+    let model_id = model.submit(owner, work, req, rank, ad, now);
+    assert_eq!(real_id, model_id, "job id at step {step}");
+}
+
 fn run_differential_episode(seed: u64, steps: usize) {
     let mut rng = RngStream::derive(seed, "matchmaker-differential");
     let mut pool = CondorPool::new();
@@ -558,39 +606,7 @@ fn run_differential_episode(seed: u64, steps: usize) {
     for step in 0..steps {
         match rng.uniform_int(0, 99) {
             // Submit a job with random owner / work / expressions / cids.
-            0..=27 => {
-                let owner = *rng.choose(OWNERS);
-                let work = WorkSpec {
-                    serial_secs: rng.uniform_int(1, 300) as f64,
-                    cu_work: rng.uniform_int(0, 400) as f64,
-                };
-                let req_src = *rng.choose(REQS);
-                let rank_src = if rng.chance(0.4) {
-                    None
-                } else {
-                    Some(*rng.choose(RANKS))
-                };
-                let request_memory = Value::Int(rng.uniform_int(512, 4096) as i64);
-                let input_cids = rng.chance(0.3).then(|| random_cid_list(&mut rng));
-                let mut ad = ClassAd::new();
-                ad.set("RequestMemory", request_memory.clone());
-                let mut builder = Job::new(owner, work)
-                    .try_requirements(req_src)
-                    .expect("template parses")
-                    .attr("RequestMemory", request_memory);
-                if let Some(r) = rank_src {
-                    builder = builder.try_rank(r).expect("template parses");
-                }
-                if let Some(cids) = input_cids {
-                    ad.set(JOB_INPUT_CIDS_ATTR, Value::Str(cids.clone()));
-                    builder = builder.attr(JOB_INPUT_CIDS_ATTR, Value::Str(cids));
-                }
-                let real_id = pool.submit(builder, now);
-                let req = Expr::parse(req_src).unwrap();
-                let rank = Expr::parse(rank_src.unwrap_or("ComputeUnits")).unwrap();
-                let model_id = model.submit(owner, work, req, rank, ad, now);
-                assert_eq!(real_id, model_id, "job id at step {step}");
-            }
+            0..=27 => submit_random(&mut rng, &mut pool, &mut model, now, None, step),
             // Add a machine (sometimes a duplicate, to compare errors).
             28..=38 => {
                 let dup = rng.chance(0.1) && !live_names.is_empty();
@@ -736,6 +752,73 @@ fn random_interleavings_match_the_reference_model() {
 #[test]
 fn long_episode_matches_the_reference_model() {
     run_differential_episode(0xBEEF, 2500);
+}
+
+/// Every job an autocluster of its own, cycle after cycle, against a pool
+/// kept nearly full: the negotiator's memo hands rows to a stream of
+/// fresh clusters while machine ads change between cycles, and no verdict
+/// may survive into a later cycle.
+fn run_churn_episode(seed: u64, cycles: usize) {
+    let mut rng = RngStream::derive(seed, "matchmaker-differential/churn");
+    let mut pool = CondorPool::new();
+    let mut model = RefPool::new();
+    let mut now = SimTime::ZERO;
+    let names: Vec<String> = (1..=6).map(|i| format!("m{i}")).collect();
+    for name in &names {
+        let cu = *rng.choose(&[1.0, 2.2, 4.0, 8.0]);
+        let mem = *rng.choose(&[613i64, 1700, 4000, 7500]);
+        let slots = rng.uniform_int(1, 2) as u32;
+        let m = Machine::new(name, cu, mem, slots);
+        assert_eq!(pool.add_machine(m.clone()), model.add_machine(&m));
+    }
+    let mut tag = 0;
+    for cycle in 0..cycles {
+        for _ in 0..rng.uniform_int(1, 3) {
+            tag += 1;
+            submit_random(&mut rng, &mut pool, &mut model, now, Some(tag), cycle);
+        }
+        // Re-advertise a machine: its cache (moves scores) or its memory
+        // (moves requirement verdicts).
+        if rng.chance(0.3) {
+            let name = rng.choose(&names).clone();
+            let (key, value) = if rng.chance(0.5) {
+                (
+                    MACHINE_CACHE_CIDS_ATTR,
+                    Value::Str(random_cid_list(&mut rng)),
+                )
+            } else {
+                (
+                    "Memory",
+                    Value::Int(*rng.choose(&[613i64, 1700, 4000, 7500])),
+                )
+            };
+            if let Some(m) = pool.machine_mut(&name) {
+                m.ad.set(key, value.clone());
+            }
+            if let Some(m) = model.machines.get_mut(&name) {
+                m.ad.set(key, value);
+            }
+        }
+        compare_matches(&pool.negotiate(now), &model.negotiate(now), cycle);
+        now += SimDuration::from_secs(20);
+        assert_eq!(
+            pool.settle(now),
+            model.settle(now),
+            "settle at cycle {cycle}"
+        );
+        if cycle % 25 == 0 {
+            compare_observables(&pool, &model, now, cycle);
+        }
+    }
+    assert!(pool.running_count() > 0, "the pool stayed busy");
+    compare_observables(&pool, &model, now, cycles);
+}
+
+#[test]
+fn fresh_cluster_churn_matches_the_reference_model() {
+    for seed in 0..4 {
+        run_churn_episode(0xC1u64 + seed, 400);
+    }
 }
 
 // ---------------------------------------------------------------------------
