@@ -23,19 +23,49 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
     variance(xs).map(f64::sqrt)
 }
 
-/// Quantile with linear interpolation, `q ∈ [0, 1]`.
+/// Quantile with linear interpolation, `q ∈ [0, 1]`. Panics on NaN.
+///
+/// The two order statistics around rank `q (n − 1)` are found by
+/// selection rather than by sorting: the upper one by
+/// `select_nth_unstable_by`, the lower one as the largest value left of
+/// it. A k-th order statistic is unique, so the result is the one a full
+/// sort gives, with one exception: which of several tied signed zeros a
+/// stable sort puts at rank k, which is looked up in input order.
 pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    let rank = q * (sorted.len() as f64 - 1.0);
+    let rank = q * (xs.len() as f64 - 1.0);
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite values");
+    let mut buf = xs.to_vec();
+    let (left, &mut at_hi, _) = buf.select_nth_unstable_by(hi, cmp);
+    let at_lo = if lo == hi {
+        at_hi
+    } else {
+        *left.iter().max_by(|a, b| cmp(a, b)).expect("lo < hi")
+    };
+    let (at_lo, at_hi) = (stable_zero(xs, at_lo, lo), stable_zero(xs, at_hi, hi));
+    Some(at_lo * (1.0 - frac) + at_hi * frac)
+}
+
+/// The value a stable sort of `xs` puts at rank `k`, given that `v` is the
+/// k-th order statistic. Only a zero needs the answer: `-0.0` and `0.0`
+/// compare equal, so the stable sort keeps them in input order and rank
+/// `k` holds the `(k − #negatives)`-th zero of the input.
+fn stable_zero(xs: &[f64], v: f64, k: usize) -> f64 {
+    if v != 0.0 {
+        return v;
+    }
+    let negatives = xs.iter().filter(|&&x| x < 0.0).count();
+    xs.iter()
+        .copied()
+        .filter(|&x| x == 0.0)
+        .nth(k - negatives)
+        .expect("rank k holds a zero")
 }
 
 /// Median.
@@ -92,6 +122,59 @@ pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::order::tests::tricky_values;
+    use cumulus_simkit::rng::RngStream;
+
+    /// The quantile before selection: a full stable sort.
+    fn reference_quantile(xs: &[f64], q: f64) -> Option<f64> {
+        if xs.is_empty() {
+            return None;
+        }
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        let rank = q * (sorted.len() as f64 - 1.0);
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        let frac = rank - lo as f64;
+        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    }
+
+    #[test]
+    fn selection_quantile_is_bitwise_the_sorted_one() {
+        let qs = [0.0, 0.02, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 0.9, 0.98, 1.0];
+        for seed in 0..300 {
+            let mut rng = RngStream::derive(seed, "quantile-selection");
+            let n = rng.uniform_int(1, 60) as usize;
+            let mut xs = tricky_values(&mut rng, n);
+            if seed % 3 == 0 {
+                // Finite inputs too, so the interpolation is exercised
+                // without infinities swamping it.
+                xs.retain(|x| x.is_finite());
+            }
+            for &q in &qs {
+                let got = quantile(&xs, q).map(f64::to_bits);
+                let want = reference_quantile(&xs, q).map(f64::to_bits);
+                assert_eq!(got, want, "seed {seed} q {q} xs {xs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tied_zeros_keep_their_input_order() {
+        // A stable sort puts the zeros at ranks 1..=3 as -0, 0, -0.
+        let xs = [-0.0, 5.0, 0.0, -1.0, -0.0];
+        for (q, want) in [(0.25, -0.0f64), (0.5, 0.0), (0.75, -0.0)] {
+            let got = quantile(&xs, q).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "q {q}");
+            assert_eq!(got.to_bits(), reference_quantile(&xs, q).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite values")]
+    fn nan_still_panics() {
+        quantile(&[1.0, f64::NAN, 3.0], 0.5);
+    }
 
     const XS: [f64; 8] = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
 

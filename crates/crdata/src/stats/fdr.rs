@@ -4,6 +4,8 @@
 //! is ranked by adjusted p-values; Benjamini–Hochberg is the default, with
 //! Bonferroni and Holm available as alternatives.
 
+use super::order::ascending_order;
+
 /// The available correction methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Adjustment {
@@ -31,7 +33,8 @@ impl Adjustment {
 }
 
 /// Adjust a vector of p-values; the result is positionally aligned with
-/// the input.
+/// the input. Holm and Benjamini–Hochberg walk the p-values in
+/// [`ascending_order`] (ties in input order) and panic on a NaN p.
 pub fn adjust(pvalues: &[f64], method: Adjustment) -> Vec<f64> {
     let n = pvalues.len();
     if n == 0 {
@@ -41,8 +44,7 @@ pub fn adjust(pvalues: &[f64], method: Adjustment) -> Vec<f64> {
         Adjustment::None => pvalues.to_vec(),
         Adjustment::Bonferroni => pvalues.iter().map(|p| (p * n as f64).min(1.0)).collect(),
         Adjustment::Holm => {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| pvalues[a].partial_cmp(&pvalues[b]).expect("finite p"));
+            let order = ascending_order(pvalues.iter().copied()).expect("finite p");
             let mut out = vec![0.0; n];
             let mut running_max: f64 = 0.0;
             for (rank, &idx) in order.iter().enumerate() {
@@ -54,8 +56,7 @@ pub fn adjust(pvalues: &[f64], method: Adjustment) -> Vec<f64> {
             out
         }
         Adjustment::BenjaminiHochberg => {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| pvalues[a].partial_cmp(&pvalues[b]).expect("finite p"));
+            let order = ascending_order(pvalues.iter().copied()).expect("finite p");
             let mut out = vec![0.0; n];
             let mut running_min = 1.0f64;
             // Walk from the largest p down, taking the cumulative minimum.
@@ -81,6 +82,76 @@ pub fn discoveries(pvalues: &[f64], method: Adjustment, alpha: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::order::tests::reference_order;
+    use cumulus_simkit::rng::RngStream;
+
+    /// Holm and BH before keyed order: the same walks over a stable
+    /// index sort.
+    fn reference_adjust(pvalues: &[f64], method: Adjustment) -> Vec<f64> {
+        let n = pvalues.len();
+        match method {
+            Adjustment::None | Adjustment::Bonferroni => adjust(pvalues, method),
+            Adjustment::Holm => {
+                let order = reference_order(pvalues).expect("finite p");
+                let mut out = vec![0.0; n];
+                let mut running_max: f64 = 0.0;
+                for (rank, &idx) in order.iter().enumerate() {
+                    let adj = (pvalues[idx] * (n - rank) as f64).min(1.0);
+                    running_max = running_max.max(adj);
+                    out[idx] = running_max;
+                }
+                out
+            }
+            Adjustment::BenjaminiHochberg => {
+                let order = reference_order(pvalues).expect("finite p");
+                let mut out = vec![0.0; n];
+                let mut running_min = 1.0f64;
+                for rank in (0..n).rev() {
+                    let idx = order[rank];
+                    let adj = pvalues[idx] * n as f64 / (rank + 1) as f64;
+                    running_min = running_min.min(adj).min(1.0);
+                    out[idx] = running_min;
+                }
+                out
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_adjustment_is_bitwise_the_sorted_one() {
+        for seed in 0..200 {
+            let mut rng = RngStream::derive(seed, "fdr-keyed");
+            let n = rng.uniform_int(0, 120) as usize;
+            // Coarse p-values tie often; zeros of both signs included.
+            let p: Vec<f64> = (0..n)
+                .map(|_| match rng.uniform_int(0, 5) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1.0,
+                    _ => (rng.uniform() * 40.0).round() / 40.0,
+                })
+                .collect();
+            for method in [
+                Adjustment::BenjaminiHochberg,
+                Adjustment::Bonferroni,
+                Adjustment::Holm,
+                Adjustment::None,
+            ] {
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(adjust(&p, method)),
+                    bits(reference_adjust(&p, method)),
+                    "seed {seed} {method:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite p")]
+    fn nan_p_still_panics() {
+        adjust(&[0.1, f64::NAN], Adjustment::BenjaminiHochberg);
+    }
 
     #[test]
     fn bh_matches_r_reference() {

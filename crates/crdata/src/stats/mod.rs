@@ -13,6 +13,7 @@ pub mod describe;
 pub mod distance;
 pub mod fdr;
 pub mod norm;
+pub mod order;
 pub mod regress;
 pub mod special;
 pub mod survival;

@@ -5,6 +5,7 @@
 use crate::matrix::LabelledMatrix;
 
 use super::describe::median;
+use super::order::ascending_order;
 
 /// log₂-transform all values (values are clamped to ≥ 1 first, as raw
 /// intensities are positive).
@@ -16,19 +17,24 @@ pub fn log2_transform(m: &mut LabelledMatrix) {
 /// background (the 2nd percentile) and clamp at a small positive floor.
 pub fn background_correct(m: &mut LabelledMatrix) {
     let ncols = m.ncols();
+    let mut col = Vec::with_capacity(m.nrows());
     for c in 0..ncols {
-        let col = m.col(c);
+        col.clear();
+        col.extend(m.values.iter().skip(c).step_by(ncols));
         let bg = super::describe::quantile(&col, 0.02).unwrap_or(0.0);
-        for r in 0..m.nrows() {
-            let v = (m.get(r, c) - bg).max(1.0);
-            m.set(r, c, v);
+        for v in m.values.iter_mut().skip(c).step_by(ncols) {
+            *v = (*v - bg).max(1.0);
         }
     }
 }
 
 /// Quantile normalization: force every column to share the same empirical
 /// distribution (the mean of the per-rank values), the standard Affymetrix
-/// between-array normalization.
+/// between-array normalization. Panics on NaN.
+///
+/// Each column is ranked by [`ascending_order`] (ties in row order), and
+/// the rank means are summed column by column, so every sum adds the same
+/// values in the same order whatever ranks the columns.
 pub fn quantile_normalize(m: &mut LabelledMatrix) {
     let nrows = m.nrows();
     let ncols = m.ncols();
@@ -36,18 +42,16 @@ pub fn quantile_normalize(m: &mut LabelledMatrix) {
         return;
     }
     // Rank each column.
-    let mut orders: Vec<Vec<usize>> = Vec::with_capacity(ncols);
-    for c in 0..ncols {
-        let col = m.col(c);
-        let mut idx: Vec<usize> = (0..nrows).collect();
-        idx.sort_by(|&a, &b| col[a].partial_cmp(&col[b]).expect("finite values"));
-        orders.push(idx);
-    }
+    let orders: Vec<Vec<usize>> = (0..ncols)
+        .map(|c| {
+            ascending_order(m.values.iter().skip(c).step_by(ncols).copied()).expect("finite values")
+        })
+        .collect();
     // Mean of each rank across columns.
     let mut rank_means = vec![0.0; nrows];
     for (c, order) in orders.iter().enumerate() {
         for (rank, &row) in order.iter().enumerate() {
-            rank_means[rank] += m.get(row, c);
+            rank_means[rank] += m.values[row * ncols + c];
         }
     }
     for v in &mut rank_means {
@@ -56,7 +60,7 @@ pub fn quantile_normalize(m: &mut LabelledMatrix) {
     // Assign rank means back.
     for (c, order) in orders.iter().enumerate() {
         for (rank, &row) in order.iter().enumerate() {
-            m.set(row, c, rank_means[rank]);
+            m.values[row * ncols + c] = rank_means[rank];
         }
     }
 }
@@ -104,8 +108,73 @@ pub fn rma_like(m: &mut LabelledMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::order::tests::reference_order;
+    use cumulus_simkit::rng::RngStream;
 
-    fn matrix(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> LabelledMatrix {
+    /// Quantile normalization before keyed ranks: stable index sorts.
+    fn reference_quantile_normalize(m: &mut LabelledMatrix) {
+        let nrows = m.nrows();
+        let ncols = m.ncols();
+        if nrows == 0 || ncols < 2 {
+            return;
+        }
+        let orders: Vec<Vec<usize>> = (0..ncols)
+            .map(|c| reference_order(&m.col(c)).expect("finite values"))
+            .collect();
+        let mut rank_means = vec![0.0; nrows];
+        for (c, order) in orders.iter().enumerate() {
+            for (rank, &row) in order.iter().enumerate() {
+                rank_means[rank] += m.get(row, c);
+            }
+        }
+        for v in &mut rank_means {
+            *v /= ncols as f64;
+        }
+        for (c, order) in orders.iter().enumerate() {
+            for (rank, &row) in order.iter().enumerate() {
+                m.set(row, c, rank_means[rank]);
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_quantile_normalization_is_bitwise_the_sorted_one() {
+        for seed in 0..100 {
+            let mut rng = RngStream::derive(seed, "quantile-normalize");
+            let rows = rng.uniform_int(0, 80) as usize;
+            let cols = rng.uniform_int(1, 6) as usize;
+            // Few distinct values, so most cells tie with another.
+            let mut m = matrix(rows, cols, |_, _| match rng.uniform_int(0, 7) {
+                0 => 0.0,
+                1 => -0.0,
+                k => (k as f64 - 4.0) * 1.5 + rng.uniform_int(0, 2) as f64 * 0.1,
+            });
+            let mut want = m.clone();
+            quantile_normalize(&mut m);
+            reference_quantile_normalize(&mut want);
+            let bits =
+                |m: &LabelledMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&m), bits(&want), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn column_background_correction_matches_cellwise() {
+        let mut rng = RngStream::derive(3, "background");
+        let mut m = matrix(257, 5, |_, _| rng.normal(200.0, 80.0).round());
+        let mut want = m.clone();
+        background_correct(&mut m);
+        for c in 0..want.ncols() {
+            let bg = crate::stats::describe::quantile(&want.col(c), 0.02).unwrap();
+            for r in 0..want.nrows() {
+                let v = (want.get(r, c) - bg).max(1.0);
+                want.set(r, c, v);
+            }
+        }
+        assert_eq!(m, want);
+    }
+
+    fn matrix(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> LabelledMatrix {
         let row_names = (0..rows).map(|r| format!("g{r}")).collect();
         let col_names = (0..cols).map(|c| format!("s_{c}")).collect();
         let mut values = Vec::with_capacity(rows * cols);

@@ -11,6 +11,7 @@ use crate::stats::describe;
 use crate::stats::distance::Metric;
 use crate::stats::fdr::{adjust, Adjustment};
 use crate::stats::norm;
+use crate::stats::order::ascending_order;
 use crate::stats::regress::{pca_scores, principal_components};
 use crate::stats::ttest::welch_t_test;
 use crate::svg::{self, PlotPoint};
@@ -77,27 +78,29 @@ fn differential_expression(inv: &ToolInvocation) -> Result<DiffExpr, ToolError> 
     }
     let method = Adjustment::parse(inv.param("adjust").unwrap_or("BH"))
         .ok_or_else(|| ToolError("unknown adjustment method".to_string()))?;
-    let mut probes = Vec::with_capacity(m.nrows());
     let mut log_fc = Vec::with_capacity(m.nrows());
     let mut t_stats = Vec::with_capacity(m.nrows());
     let mut p_values = Vec::with_capacity(m.nrows());
+    let mut g1 = Vec::with_capacity(groups[0].len());
+    let mut g2 = Vec::with_capacity(groups[1].len());
     for r in 0..m.nrows() {
         let row = m.row(r);
-        let g1: Vec<f64> = groups[0].iter().map(|&c| row[c]).collect();
-        let g2: Vec<f64> = groups[1].iter().map(|&c| row[c]).collect();
+        g1.clear();
+        g1.extend(groups[0].iter().map(|&c| row[c]));
+        g2.clear();
+        g2.extend(groups[1].iter().map(|&c| row[c]));
         let result = welch_t_test(&g2, &g1);
         let (t, p, diff) = match result {
             Some(r) => (r.t, r.p, r.mean_diff),
             None => (0.0, 1.0, describe::mean(&g2) - describe::mean(&g1)),
         };
-        probes.push(m.row_names[r].clone());
         log_fc.push(diff); // already log2 scale
         t_stats.push(t);
         p_values.push(p);
     }
     let adj_p = adjust(&p_values, method);
     Ok(DiffExpr {
-        probes,
+        probes: m.row_names,
         log_fc,
         t: t_stats,
         p: p_values,
@@ -130,9 +133,8 @@ fn affy_differential_expression() -> ToolDefinition {
         behavior: Arc::new(|inv: &ToolInvocation| {
             let de = differential_expression(inv)?;
             let top = int_param(inv, "top")? as usize;
-            // Rank by adjusted p.
-            let mut order: Vec<usize> = (0..de.probes.len()).collect();
-            order.sort_by(|&a, &b| de.adj_p[a].partial_cmp(&de.adj_p[b]).expect("finite p"));
+            // Rank by adjusted p (ties in probe order).
+            let mut order = ascending_order(de.adj_p.iter().copied()).expect("finite p");
             order.truncate(top);
             let rows: Vec<Vec<String>> = order
                 .iter()
@@ -751,14 +753,19 @@ fn affy_kmeans_genes() -> ToolDefinition {
 mod tests {
     use super::*;
     use crate::datagen::{generate_cel_bundle, CelBundleSpec};
+    use cumulus_galaxy::Content;
     use cumulus_net::DataSize;
     use cumulus_simkit::rng::RngStream;
     use std::collections::BTreeMap;
 
-    fn invocation_for(bundle_spec: &CelBundleSpec, extra: &[(&str, &str)]) -> ToolInvocation {
+    fn bundle(bundle_spec: &CelBundleSpec) -> Content {
         let bundle = generate_cel_bundle(bundle_spec, &mut RngStream::derive(5, "affy-test"));
+        matrix_content(bundle.matrix)
+    }
+
+    fn invocation_for<'a>(input: &'a Content, extra: &[(&str, &str)]) -> ToolInvocation<'a> {
         let mut inputs = BTreeMap::new();
-        inputs.insert("input".to_string(), matrix_content(bundle.matrix));
+        inputs.insert("input".to_string(), input);
         let mut params: BTreeMap<String, String> = extra
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -773,7 +780,7 @@ mod tests {
         ToolInvocation {
             params,
             inputs,
-            input_size: bundle_spec.archive_size,
+            input_size: spec().archive_size,
         }
     }
 
@@ -789,7 +796,8 @@ mod tests {
 
     #[test]
     fn differential_expression_recovers_planted_probes() {
-        let inv = invocation_for(&spec(), &[("top", "25")]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[("top", "25")]);
         let outputs = affy_differential_expression().behavior.run(&inv).unwrap();
         assert_eq!(outputs.len(), 2);
         let (cols, rows) = match &outputs[0].content {
@@ -827,7 +835,8 @@ mod tests {
 
     #[test]
     fn classify_separates_groups_perfectly_with_strong_effect() {
-        let inv = invocation_for(&spec(), &[("method", "centroid"), ("k", "3")]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[("method", "centroid"), ("k", "3")]);
         let outputs = affy_classify().behavior.run(&inv).unwrap();
         let rows = match &outputs[0].content {
             cumulus_galaxy::Content::Table { rows, .. } => rows,
@@ -843,8 +852,9 @@ mod tests {
 
     #[test]
     fn heatmap_and_order_outputs() {
+        let input = bundle(&spec());
         let inv = invocation_for(
-            &spec(),
+            &input,
             &[("by", "genes"), ("linkage", "average"), ("top", "30")],
         );
         let outputs = heatmap_plot_demo().behavior.run(&inv).unwrap();
@@ -861,7 +871,8 @@ mod tests {
 
     #[test]
     fn pca_separates_the_groups_on_pc1() {
-        let inv = invocation_for(&spec(), &[]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[]);
         let outputs = affy_pca().behavior.run(&inv).unwrap();
         let rows = match &outputs[0].content {
             cumulus_galaxy::Content::Table { rows, .. } => rows,
@@ -875,7 +886,8 @@ mod tests {
 
     #[test]
     fn qc_boxplot_and_correlation_tools_run() {
-        let inv = invocation_for(&spec(), &[]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[]);
         assert_eq!(affy_qc().behavior.run(&inv).unwrap().len(), 1);
         assert_eq!(affy_boxplot().behavior.run(&inv).unwrap().len(), 1);
         let corr = affy_correlation_matrix().behavior.run(&inv).unwrap();
@@ -893,7 +905,8 @@ mod tests {
 
     #[test]
     fn gene_filter_shrinks_matrix() {
-        let inv = invocation_for(&spec(), &[("min_mean", "7.0"), ("min_var", "0.0")]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[("min_mean", "7.0"), ("min_var", "0.0")]);
         let outputs = affy_gene_filter().behavior.run(&inv).unwrap();
         let (rows, _cols) = match &outputs[0].content {
             cumulus_galaxy::Content::Matrix {
@@ -909,7 +922,8 @@ mod tests {
 
     #[test]
     fn cluster_tools_produce_assignments() {
-        let inv = invocation_for(&spec(), &[("k", "2"), ("linkage", "complete")]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[("k", "2"), ("linkage", "complete")]);
         let outputs = affy_cluster_samples().behavior.run(&inv).unwrap();
         let rows = match &outputs[0].content {
             cumulus_galaxy::Content::Table { rows, .. } => rows,
@@ -920,7 +934,8 @@ mod tests {
         assert_eq!(rows[0][1], rows[1][1]);
         assert_ne!(rows[0][1], rows[7][1]);
 
-        let inv = invocation_for(&spec(), &[("k", "3")]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[("k", "3")]);
         let outputs = affy_kmeans_genes().behavior.run(&inv).unwrap();
         let rows = match &outputs[0].content {
             cumulus_galaxy::Content::Table { rows, .. } => rows,
@@ -931,7 +946,8 @@ mod tests {
 
     #[test]
     fn ma_and_volcano_plots_render() {
-        let inv = invocation_for(&spec(), &[("alpha", "0.05")]);
+        let input = bundle(&spec());
+        let inv = invocation_for(&input, &[("alpha", "0.05")]);
         for tool in [affy_ma_plot(), affy_volcano_plot()] {
             let outputs = tool.behavior.run(&inv).unwrap();
             match &outputs[0].content {
@@ -945,11 +961,9 @@ mod tests {
 
     #[test]
     fn wrong_input_kind_is_a_tool_error() {
+        let text = Content::Text("hi".to_string());
         let mut inputs = BTreeMap::new();
-        inputs.insert(
-            "input".to_string(),
-            cumulus_galaxy::Content::Text("hi".to_string()),
-        );
+        inputs.insert("input".to_string(), &text);
         let inv = ToolInvocation {
             params: [("normalize", "yes"), ("adjust", "BH"), ("top", "10")]
                 .iter()
@@ -968,9 +982,9 @@ mod tests {
     #[test]
     fn single_group_input_is_rejected() {
         let bundle = generate_cel_bundle(&spec(), &mut RngStream::derive(5, "x"));
-        let only_g1 = bundle.matrix.select_cols(&[0, 1, 2, 3]);
+        let only_g1 = matrix_content(bundle.matrix.select_cols(&[0, 1, 2, 3]));
         let mut inputs = BTreeMap::new();
-        inputs.insert("input".to_string(), matrix_content(only_g1));
+        inputs.insert("input".to_string(), &only_g1);
         let inv = ToolInvocation {
             params: [("normalize", "yes"), ("adjust", "BH"), ("top", "10")]
                 .iter()

@@ -45,7 +45,9 @@ fn out(name: &str, dtype: &str) -> OutputSpec {
     }
 }
 
-/// Find a numeric column in a table by name.
+/// Find a numeric column in a table by name. A cell that parses to NaN or
+/// an infinity is a tool error naming the column and the (1-based) row:
+/// the statistics downstream can neither order nor sum it.
 fn numeric_column(
     columns: &[String],
     rows: &[Vec<String>],
@@ -56,13 +58,28 @@ fn numeric_column(
         .position(|c| c == name)
         .ok_or_else(|| ToolError(format!("table has no column {name:?}")))?;
     rows.iter()
-        .map(|r| {
-            r.get(idx)
+        .enumerate()
+        .map(|(i, r)| {
+            let v: f64 = r
+                .get(idx)
                 .ok_or_else(|| ToolError("ragged table".to_string()))?
                 .parse()
-                .map_err(|_| ToolError(format!("{name}: {:?} is not numeric", r[idx])))
+                .map_err(|_| ToolError(format!("{name}: {:?} is not numeric", r[idx])))?;
+            finite_cell(name, i, v)
         })
         .collect()
+}
+
+/// `v` if finite, else the error for row `i` of column `name`.
+fn finite_cell(name: &str, i: usize, v: f64) -> Result<f64, ToolError> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(ToolError(format!(
+            "{name}: non-finite value {v} at row {}",
+            i + 1
+        )))
+    }
 }
 
 /// Generic two-column t-test on a table.
@@ -87,8 +104,8 @@ fn two_group_t_test() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let a = numeric_column(&cols, &rows, inv.param("column1").unwrap_or("group1"))?;
-            let b = numeric_column(&cols, &rows, inv.param("column2").unwrap_or("group2"))?;
+            let a = numeric_column(cols, rows, inv.param("column1").unwrap_or("group1"))?;
+            let b = numeric_column(cols, rows, inv.param("column2").unwrap_or("group2"))?;
             let result = if inv.param("variance") == Some("pooled") {
                 pooled_t_test(&a, &b)
             } else {
@@ -131,8 +148,8 @@ fn paired_t_test_tool() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let a = numeric_column(&cols, &rows, inv.param("column1").unwrap_or("before"))?;
-            let b = numeric_column(&cols, &rows, inv.param("column2").unwrap_or("after"))?;
+            let a = numeric_column(cols, rows, inv.param("column1").unwrap_or("before"))?;
+            let b = numeric_column(cols, rows, inv.param("column2").unwrap_or("after"))?;
             if a.len() != b.len() {
                 return Err(ToolError("columns have different lengths".to_string()));
             }
@@ -172,7 +189,7 @@ fn one_sample_t_test_tool() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let xs = numeric_column(&cols, &rows, inv.param("column").unwrap_or("value"))?;
+            let xs = numeric_column(cols, rows, inv.param("column").unwrap_or("value"))?;
             let mu = float_param(inv, "mu")?;
             let result = one_sample_t_test(&xs, mu)
                 .ok_or_else(|| ToolError("degenerate input".to_string()))?;
@@ -209,20 +226,22 @@ fn multiple_testing_correction() -> ToolDefinition {
         outputs: vec![out("adjusted", "tabular")],
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
-            let (mut cols, rows) = table_input(inv, "input")?;
+            let (cols, rows) = table_input(inv, "input")?;
             let pcol = inv.param("column").unwrap_or("P.Value").to_string();
-            let p = numeric_column(&cols, &rows, &pcol)?;
+            let p = numeric_column(cols, rows, &pcol)?;
             if p.iter().any(|x| !(0.0..=1.0).contains(x)) {
                 return Err(ToolError("p-values must lie in [0,1]".to_string()));
             }
             let method = Adjustment::parse(inv.param("method").unwrap_or("BH"))
                 .ok_or_else(|| ToolError("unknown method".to_string()))?;
             let adj = adjust(&p, method);
+            let mut cols = cols.to_vec();
             cols.push("adj.P.Val".to_string());
             let new_rows: Vec<Vec<String>> = rows
-                .into_iter()
+                .iter()
                 .zip(adj)
-                .map(|(mut r, a)| {
+                .map(|(r, a)| {
+                    let mut r = r.clone();
                     r.push(fmt(a));
                     r
                 })
@@ -332,13 +351,18 @@ fn descriptive_statistics() -> ToolDefinition {
             let (cols, rows) = table_input(inv, "input")?;
             let mut out_rows = Vec::new();
             for (i, name) in cols.iter().enumerate() {
-                let values: Vec<f64> = rows
+                let cells: Vec<(usize, f64)> = rows
                     .iter()
-                    .filter_map(|r| r.get(i).and_then(|v| v.parse().ok()))
+                    .enumerate()
+                    .filter_map(|(r, row)| Some((r, row.get(i)?.parse().ok()?)))
                     .collect();
-                if values.len() < rows.len().max(1) / 2 {
+                if cells.len() < rows.len().max(1) / 2 {
                     continue; // mostly non-numeric column
                 }
+                let values = cells
+                    .into_iter()
+                    .map(|(r, v)| finite_cell(name, r, v))
+                    .collect::<Result<Vec<f64>, _>>()?;
                 let q = |p: f64| describe::quantile(&values, p).unwrap_or(0.0);
                 out_rows.push(vec![
                     name.clone(),
@@ -386,8 +410,8 @@ fn correlation_test() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let xs = numeric_column(&cols, &rows, inv.param("column1").unwrap_or("x"))?;
-            let ys = numeric_column(&cols, &rows, inv.param("column2").unwrap_or("y"))?;
+            let xs = numeric_column(cols, rows, inv.param("column1").unwrap_or("x"))?;
+            let ys = numeric_column(cols, rows, inv.param("column2").unwrap_or("y"))?;
             if xs.len() != ys.len() || xs.len() < 3 {
                 return Err(ToolError("need ≥3 matched observations".to_string()));
             }
@@ -425,8 +449,8 @@ fn linear_regression_tool() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let xs = numeric_column(&cols, &rows, inv.param("column1").unwrap_or("x"))?;
-            let ys = numeric_column(&cols, &rows, inv.param("column2").unwrap_or("y"))?;
+            let xs = numeric_column(cols, rows, inv.param("column1").unwrap_or("x"))?;
+            let ys = numeric_column(cols, rows, inv.param("column2").unwrap_or("y"))?;
             if xs.len() != ys.len() {
                 return Err(ToolError("columns have different lengths".to_string()));
             }
@@ -482,7 +506,7 @@ fn histogram_plot() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let xs = numeric_column(&cols, &rows, inv.param("column").unwrap_or("value"))?;
+            let xs = numeric_column(cols, rows, inv.param("column").unwrap_or("value"))?;
             let bins = int_param(inv, "bins")? as usize;
             let (lo, hi) =
                 describe::min_max(&xs).ok_or_else(|| ToolError("empty column".to_string()))?;
@@ -532,8 +556,8 @@ fn scatter_plot_tool() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let xs = numeric_column(&cols, &rows, inv.param("column1").unwrap_or("x"))?;
-            let ys = numeric_column(&cols, &rows, inv.param("column2").unwrap_or("y"))?;
+            let xs = numeric_column(cols, rows, inv.param("column1").unwrap_or("x"))?;
+            let ys = numeric_column(cols, rows, inv.param("column2").unwrap_or("y"))?;
             let points: Vec<PlotPoint> = xs
                 .iter()
                 .zip(&ys)
@@ -568,8 +592,8 @@ fn survival_kaplan_meier() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "input")?;
-            let times = numeric_column(&cols, &rows, inv.param("time").unwrap_or("time"))?;
-            let events = numeric_column(&cols, &rows, inv.param("event").unwrap_or("event"))?;
+            let times = numeric_column(cols, rows, inv.param("time").unwrap_or("time"))?;
+            let events = numeric_column(cols, rows, inv.param("event").unwrap_or("event"))?;
             if times.len() != events.len() {
                 return Err(ToolError("time/event length mismatch".to_string()));
             }
@@ -642,7 +666,7 @@ fn random_sample_table() -> ToolDefinition {
             Ok(vec![table_output(
                 "sample",
                 &format!("random sample ({} rows)", sampled.len()),
-                cols,
+                cols.to_vec(),
                 sampled,
             )])
         }),
@@ -665,7 +689,7 @@ mod tests {
         }
     }
 
-    fn inv(content: Content, params: &[(&str, &str)]) -> ToolInvocation {
+    fn inv<'a>(content: &'a Content, params: &[(&str, &str)]) -> ToolInvocation<'a> {
         ToolInvocation {
             params: params
                 .iter()
@@ -698,7 +722,7 @@ mod tests {
         );
         let outputs = two_group_t_test()
             .behavior
-            .run(&inv(t, &[("variance", "pooled")]))
+            .run(&inv(&t, &[("variance", "pooled")]))
             .unwrap();
         let (_, rows) = first_table(&outputs);
         let t_stat: f64 = rows[0][0].parse().unwrap();
@@ -719,7 +743,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let outputs = paired_t_test_tool().behavior.run(&inv(t, &[])).unwrap();
+        let outputs = paired_t_test_tool().behavior.run(&inv(&t, &[])).unwrap();
         let (_, rows) = first_table(&outputs);
         let p: f64 = rows[0][2].parse().unwrap();
         assert!(p < 0.001);
@@ -736,7 +760,7 @@ mod tests {
         );
         let outputs = one_sample_t_test_tool()
             .behavior
-            .run(&inv(t, &[("mu", "5.0")]))
+            .run(&inv(&t, &[("mu", "5.0")]))
             .unwrap();
         let (_, rows) = first_table(&outputs);
         let p: f64 = rows[0][2].parse().unwrap();
@@ -751,7 +775,7 @@ mod tests {
         );
         let outputs = multiple_testing_correction()
             .behavior
-            .run(&inv(t, &[("method", "bonferroni")]))
+            .run(&inv(&t, &[("method", "bonferroni")]))
             .unwrap();
         let (cols, rows) = first_table(&outputs);
         assert_eq!(cols.last().map(String::as_str), Some("adj.P.Val"));
@@ -760,7 +784,7 @@ mod tests {
         let bad = table(&["P.Value"], vec![vec!["1.5"]]);
         assert!(multiple_testing_correction()
             .behavior
-            .run(&inv(bad, &[("method", "BH")]))
+            .run(&inv(&bad, &[("method", "BH")]))
             .is_err());
     }
 
@@ -775,7 +799,10 @@ mod tests {
                 vec!["d", "40"],
             ],
         );
-        let outputs = descriptive_statistics().behavior.run(&inv(t, &[])).unwrap();
+        let outputs = descriptive_statistics()
+            .behavior
+            .run(&inv(&t, &[]))
+            .unwrap();
         let (_, rows) = first_table(&outputs);
         // Only "weight" qualifies as numeric.
         assert_eq!(rows.len(), 1);
@@ -795,7 +822,7 @@ mod tests {
         };
         let outputs = correlation_test()
             .behavior
-            .run(&inv(content.clone(), &[]))
+            .run(&inv(&content, &[]))
             .unwrap();
         let (_, rows) = first_table(&outputs);
         let r: f64 = rows[0][0].parse().unwrap();
@@ -803,7 +830,7 @@ mod tests {
 
         let outputs = linear_regression_tool()
             .behavior
-            .run(&inv(content, &[]))
+            .run(&inv(&content, &[]))
             .unwrap();
         let (_, rows) = first_table(&outputs);
         let intercept: f64 = rows[0][0].parse().unwrap();
@@ -822,7 +849,7 @@ mod tests {
         };
         let outputs = histogram_plot()
             .behavior
-            .run(&inv(content, &[("bins", "10")]))
+            .run(&inv(&content, &[("bins", "10")]))
             .unwrap();
         let (_, rows) = first_table(&outputs);
         assert_eq!(rows.len(), 10);
@@ -847,7 +874,7 @@ mod tests {
                 vec!["13", "1"],
             ],
         );
-        let outputs = survival_kaplan_meier().behavior.run(&inv(t, &[])).unwrap();
+        let outputs = survival_kaplan_meier().behavior.run(&inv(&t, &[])).unwrap();
         let (_, rows) = first_table(&outputs);
         // First event time 6: S = 0.7.
         assert_eq!(rows[0][0], "6.0000");
@@ -865,7 +892,7 @@ mod tests {
         let run = |seed: &str| {
             let outputs = random_sample_table()
                 .behavior
-                .run(&inv(content.clone(), &[("n", "10"), ("seed", seed)]))
+                .run(&inv(&content, &[("n", "10"), ("seed", seed)]))
                 .unwrap();
             match &outputs[0].content {
                 Content::Table { rows, .. } => rows.clone(),
@@ -884,10 +911,7 @@ mod tests {
             col_names: vec!["a_1".to_string(), "b_1".to_string()],
             values: vec![1.0, 5.0, 2.0, 10.0],
         };
-        let outputs = zscore_normalize()
-            .behavior
-            .run(&inv(m.clone(), &[]))
-            .unwrap();
+        let outputs = zscore_normalize().behavior.run(&inv(&m, &[])).unwrap();
         match &outputs[0].content {
             Content::Matrix { values, .. } => {
                 assert!((values[0] + values[1]).abs() < 1e-12, "row sums to zero");
@@ -896,7 +920,7 @@ mod tests {
         }
         let outputs = quantile_normalize_tool()
             .behavior
-            .run(&inv(m, &[]))
+            .run(&inv(&m, &[]))
             .unwrap();
         assert!(matches!(outputs[0].content, Content::Matrix { .. }));
     }
@@ -917,7 +941,7 @@ mod tests {
                 4.0, 4.0, 8.0, 8.0, // g2: doubled in group b
             ],
         };
-        let outputs = fold_change_tool().behavior.run(&inv(m, &[])).unwrap();
+        let outputs = fold_change_tool().behavior.run(&inv(&m, &[])).unwrap();
         let (_, rows) = first_table(&outputs);
         let fc_g1: f64 = rows[0][1].parse().unwrap();
         let fc_g2: f64 = rows[1][1].parse().unwrap();
@@ -930,7 +954,7 @@ mod tests {
             col_names: vec!["a_1".to_string(), "a_2".to_string()],
             values: vec![1.0, 2.0],
         };
-        assert!(fold_change_tool().behavior.run(&inv(single, &[])).is_err());
+        assert!(fold_change_tool().behavior.run(&inv(&single, &[])).is_err());
     }
 
     #[test]
@@ -944,7 +968,7 @@ mod tests {
         };
         let outputs = scatter_plot_tool()
             .behavior
-            .run(&inv(content, &[]))
+            .run(&inv(&content, &[]))
             .unwrap();
         match &outputs[0].content {
             Content::Svg(svg) => {
@@ -957,7 +981,7 @@ mod tests {
     #[test]
     fn missing_columns_error() {
         let t = table(&["a"], vec![vec!["1"]]);
-        let err = two_group_t_test().behavior.run(&inv(t, &[])).unwrap_err();
+        let err = two_group_t_test().behavior.run(&inv(&t, &[])).unwrap_err();
         assert!(err.0.contains("no column"));
     }
 }

@@ -93,13 +93,13 @@ pub(crate) fn matrix_input(inv: &ToolInvocation, name: &str) -> Result<LabelledM
     }
 }
 
-/// Extract a table input.
-pub(crate) fn table_input(
-    inv: &ToolInvocation,
+/// Borrow a table input's columns and rows.
+pub(crate) fn table_input<'a>(
+    inv: &ToolInvocation<'a>,
     name: &str,
-) -> Result<(Vec<String>, Vec<Vec<String>>), ToolError> {
+) -> Result<(&'a [String], &'a [Vec<String>]), ToolError> {
     match inv.input(name) {
-        Some(Content::Table { columns, rows }) => Ok((columns.clone(), rows.clone())),
+        Some(Content::Table { columns, rows }) => Ok((columns, rows)),
         Some(other) => Err(ToolError(format!(
             "{name}: expected a table, got {}",
             content_kind(other)

@@ -199,8 +199,8 @@ fn sequence_counts_per_transcript() -> ToolDefinition {
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (rc, rr) = table_input(inv, "reads")?;
             let (fc, fr) = table_input(inv, "features")?;
-            let reads = parse_reads(&rc, &rr)?;
-            let features = parse_features(&fc, &fr)?;
+            let reads = parse_reads(rc, rr)?;
+            let features = parse_features(fc, fr)?;
             let index = FeatureIndex::build(features);
             let counts = index.count_reads(&reads);
             let rows: Vec<Vec<String>> = counts
@@ -239,7 +239,7 @@ fn sequence_differential_expression() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "counts")?;
-            let (features, c1, c2) = parse_two_lib_counts(&cols, &rows)?;
+            let (features, c1, c2) = parse_two_lib_counts(cols, rows)?;
             let n1: u64 = c1.iter().sum();
             let n2: u64 = c2.iter().sum();
             if n1 == 0 || n2 == 0 {
@@ -307,8 +307,8 @@ fn sequence_coverage() -> ToolDefinition {
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (rc, rr) = table_input(inv, "reads")?;
             let (fc, fr) = table_input(inv, "features")?;
-            let reads = parse_reads(&rc, &rr)?;
-            let features = parse_features(&fc, &fr)?;
+            let reads = parse_reads(rc, rr)?;
+            let features = parse_features(fc, fr)?;
             let mean_read_len = if reads.is_empty() {
                 0.0
             } else {
@@ -354,7 +354,7 @@ fn sequence_library_stats() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (rc, rr) = table_input(inv, "reads")?;
-            let reads = parse_reads(&rc, &rr)?;
+            let reads = parse_reads(rc, rr)?;
             let n = reads.len();
             let mean_len = if n == 0 {
                 0.0
@@ -403,7 +403,7 @@ fn sequence_normalize_counts() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "counts")?;
-            let (features, c1, c2) = parse_two_lib_counts(&cols, &rows)?;
+            let (features, c1, c2) = parse_two_lib_counts(cols, rows)?;
             let n1: u64 = c1.iter().sum::<u64>().max(1);
             let n2: u64 = c2.iter().sum::<u64>().max(1);
             let out_rows: Vec<Vec<String>> = features
@@ -447,7 +447,7 @@ fn sequence_filter_low_counts() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "counts")?;
-            let (features, c1, c2) = parse_two_lib_counts(&cols, &rows)?;
+            let (features, c1, c2) = parse_two_lib_counts(cols, rows)?;
             let min_cpm = float_param(inv, "min_cpm")?;
             let min_samples = int_param(inv, "min_samples")? as usize;
             let libs = [c1.iter().sum::<u64>().max(1), c2.iter().sum::<u64>().max(1)];
@@ -465,7 +465,7 @@ fn sequence_filter_low_counts() -> ToolDefinition {
                     kept.len(),
                     features.len()
                 ),
-                cols,
+                cols.to_vec(),
                 out_rows,
             )])
         }),
@@ -484,7 +484,7 @@ fn sequence_ma_plot() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "counts")?;
-            let (_features, c1, c2) = parse_two_lib_counts(&cols, &rows)?;
+            let (_features, c1, c2) = parse_two_lib_counts(cols, rows)?;
             let n1: u64 = c1.iter().sum::<u64>().max(1);
             let n2: u64 = c2.iter().sum::<u64>().max(1);
             let points: Vec<PlotPoint> = c1
@@ -526,7 +526,7 @@ fn sequence_fold_change() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (cols, rows) = table_input(inv, "counts")?;
-            let (features, c1, c2) = parse_two_lib_counts(&cols, &rows)?;
+            let (features, c1, c2) = parse_two_lib_counts(cols, rows)?;
             let n1: u64 = c1.iter().sum::<u64>().max(1);
             let n2: u64 = c2.iter().sum::<u64>().max(1);
             let out_rows: Vec<Vec<String>> = features
@@ -582,7 +582,7 @@ mod tests {
         )
     }
 
-    fn inv(inputs: Vec<(&str, Content)>, params: &[(&str, &str)]) -> ToolInvocation {
+    fn inv<'a>(inputs: Vec<(&str, &'a Content)>, params: &[(&str, &str)]) -> ToolInvocation<'a> {
         ToolInvocation {
             params: params
                 .iter()
@@ -601,10 +601,8 @@ mod tests {
         let rs = read_set();
         let (rc, rr) = reads_to_table(&rs.library1);
         let (fc, fr) = annotation_to_table(&rs.annotation);
-        let invocation = inv(
-            vec![("reads", table(rc, rr)), ("features", table(fc, fr))],
-            &[],
-        );
+        let (reads, features) = (table(rc, rr), table(fc, fr));
+        let invocation = inv(vec![("reads", &reads), ("features", &features)], &[]);
         let outputs = sequence_counts_per_transcript()
             .behavior
             .run(&invocation)
@@ -623,7 +621,8 @@ mod tests {
     #[test]
     fn differential_expression_finds_planted_transcripts() {
         let rs = read_set();
-        let invocation = inv(vec![("counts", counts_table(&rs))], &[("adjust", "BH")]);
+        let counts = counts_table(&rs);
+        let invocation = inv(vec![("counts", &counts)], &[("adjust", "BH")]);
         let outputs = sequence_differential_expression()
             .behavior
             .run(&invocation)
@@ -657,13 +656,8 @@ mod tests {
         let rs = read_set();
         let (rc, rr) = reads_to_table(&rs.library1);
         let (fc, fr) = annotation_to_table(&rs.annotation);
-        let invocation = inv(
-            vec![
-                ("reads", table(rc.clone(), rr.clone())),
-                ("features", table(fc, fr)),
-            ],
-            &[],
-        );
+        let (reads, features) = (table(rc, rr), table(fc, fr));
+        let invocation = inv(vec![("reads", &reads), ("features", &features)], &[]);
         let cov = sequence_coverage().behavior.run(&invocation).unwrap();
         let rows = match &cov[0].content {
             Content::Table { rows, .. } => rows,
@@ -671,7 +665,7 @@ mod tests {
         };
         assert_eq!(rows.len(), rs.annotation.len());
 
-        let invocation = inv(vec![("reads", table(rc, rr))], &[]);
+        let invocation = inv(vec![("reads", &reads)], &[]);
         let stats = sequence_library_stats().behavior.run(&invocation).unwrap();
         let rows = match &stats[0].content {
             Content::Table { rows, .. } => rows,
@@ -689,7 +683,7 @@ mod tests {
         let counts = counts_table(&rs);
         let norm = sequence_normalize_counts()
             .behavior
-            .run(&inv(vec![("counts", counts.clone())], &[]))
+            .run(&inv(vec![("counts", &counts)], &[]))
             .unwrap();
         let rows = match &norm[0].content {
             Content::Table { rows, .. } => rows,
@@ -702,7 +696,7 @@ mod tests {
         let filtered = sequence_filter_low_counts()
             .behavior
             .run(&inv(
-                vec![("counts", counts.clone())],
+                vec![("counts", &counts)],
                 &[("min_cpm", "8000.0"), ("min_samples", "2")],
             ))
             .unwrap();
@@ -715,7 +709,7 @@ mod tests {
 
         let fc = sequence_fold_change()
             .behavior
-            .run(&inv(vec![("counts", counts.clone())], &[]))
+            .run(&inv(vec![("counts", &counts)], &[]))
             .unwrap();
         let fc_rows = match &fc[0].content {
             Content::Table { rows, .. } => rows,
@@ -729,7 +723,7 @@ mod tests {
 
         let ma = sequence_ma_plot()
             .behavior
-            .run(&inv(vec![("counts", counts)], &[]))
+            .run(&inv(vec![("counts", &counts)], &[]))
             .unwrap();
         assert!(matches!(&ma[0].content, Content::Svg(s) if s.contains("<circle")));
     }
@@ -741,7 +735,8 @@ mod tests {
             vec![vec!["chr1".to_string(), "10".to_string()]],
         );
         let (fc, fr) = annotation_to_table(&read_set().annotation);
-        let invocation = inv(vec![("reads", bad_reads), ("features", table(fc, fr))], &[]);
+        let features = table(fc, fr);
+        let invocation = inv(vec![("reads", &bad_reads), ("features", &features)], &[]);
         let err = sequence_counts_per_transcript()
             .behavior
             .run(&invocation)
@@ -754,7 +749,7 @@ mod tests {
         );
         let err = sequence_differential_expression()
             .behavior
-            .run(&inv(vec![("counts", empty_counts)], &[("adjust", "BH")]))
+            .run(&inv(vec![("counts", &empty_counts)], &[("adjust", "BH")]))
             .unwrap_err();
         assert!(err.0.contains("zero total counts"));
     }

@@ -76,7 +76,7 @@ fn run_all(label: &str, tool: &ToolDefinition, input: &Content, out: &mut Vec<(S
         let params = tool.resolve_params(&provided).unwrap();
         let inv = ToolInvocation {
             params,
-            inputs: [("input".to_string(), input.clone())].into_iter().collect(),
+            inputs: [("input".to_string(), input)].into_iter().collect(),
             input_size: DataSize::from_kb(10),
         };
         let outputs = tool

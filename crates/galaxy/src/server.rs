@@ -616,7 +616,7 @@ impl GalaxyServer {
         condor_id: CondorJobId,
     ) -> Option<GalaxyJobId> {
         let job_id = self.condor_to_galaxy.remove(&condor_id)?;
-        let (tool_id, params, input_ids, output_ids, started) = {
+        let (tool_id, params, input_ids, output_ids, started, history) = {
             let job = self.jobs.get(&job_id)?;
             (
                 job.tool_id.clone(),
@@ -624,30 +624,36 @@ impl GalaxyServer {
                 job.inputs.clone(),
                 job.outputs.clone(),
                 job.submitted_at,
+                job.history,
             )
         };
-        let tool = match self.registry.tool(&tool_id) {
-            Ok(t) => t.clone(),
-            Err(_) => return Some(job_id),
+        let Ok(tool) = self.registry.tool(&tool_id) else {
+            return Some(job_id);
         };
 
-        // Build the invocation from real input contents.
+        // Build the invocation from the real input contents, lent by the
+        // datasets that hold them.
         let mut inputs = BTreeMap::new();
         let mut input_size = DataSize::ZERO;
         for (name, ds_id) in &input_ids {
             if let Some(ds) = self.datasets.get(ds_id) {
-                inputs.insert(name.clone(), ds.content.clone());
+                inputs.insert(name.clone(), &ds.content);
                 input_size += ds.size;
             }
         }
         let invocation = ToolInvocation {
-            params: params.clone(),
+            params,
             inputs,
             input_size,
         };
+        let result = tool.behavior.run(&invocation);
+        let ToolInvocation { params, .. } = invocation;
 
-        match tool.behavior.run(&invocation) {
+        match result {
             Ok(outputs) => {
+                // Outputs were inserted into the job's history, and a
+                // dataset enters exactly one history, so its owner pays.
+                let owner = self.histories.get(&history).map(|h| h.owner.as_str());
                 for (i, out) in outputs.into_iter().enumerate() {
                     let Some(ds_id) = output_ids.get(i) else {
                         break;
@@ -659,15 +665,8 @@ impl GalaxyServer {
                         ds.size = size;
                         ds.state = DatasetState::Ok;
                     }
-                    if let Some(owner) = self
-                        .histories
-                        .values()
-                        .find(|h| h.items.contains(ds_id))
-                        .map(|h| h.owner.clone())
-                    {
-                        if let Some(user) = self.users.get_mut(&owner) {
-                            user.charge(size);
-                        }
+                    if let Some(user) = owner.and_then(|o| self.users.get_mut(o)) {
+                        user.charge(size);
                     }
                     self.provenance.record(ProvenanceRecord {
                         dataset: *ds_id,
@@ -867,6 +866,51 @@ mod tests {
         assert_eq!(rec.tool.0, "wordcount");
         assert_eq!(rec.inputs.get("input"), Some(&f.input));
         assert_eq!(f.server.provenance.lineage(out_id).unwrap(), vec![f.input]);
+    }
+
+    #[test]
+    fn outputs_are_charged_to_the_job_history_owner_once() {
+        let mut f = fixture();
+        // A second history of the same user, created after the first, and
+        // another user's history: only the job's history owner pays.
+        let second = f.server.create_history(t(0), "boliu", "second").unwrap();
+        f.server.register_user("other");
+        f.server.create_history(t(0), "other", "theirs").unwrap();
+        let input = f
+            .server
+            .add_dataset(
+                t(0),
+                second,
+                "more.txt",
+                "txt",
+                DataSize::from_kb(2),
+                Content::Text("five six".to_string()),
+            )
+            .unwrap();
+        let before = f.server.user("boliu").unwrap().usage;
+        let input_ref = format!("{}", input.0);
+        let job = f
+            .server
+            .run_tool(
+                t(0),
+                "boliu",
+                second,
+                "wordcount",
+                &params(&[("input", &input_ref)]),
+                &mut f.pool,
+            )
+            .unwrap();
+        f.server.drive_jobs(t(0), &mut f.pool).unwrap();
+        let out = f
+            .server
+            .dataset(f.server.job(job).unwrap().outputs[0])
+            .unwrap();
+        assert_eq!(out.state, DatasetState::Ok);
+        let natural = out.content.natural_size();
+        assert!(natural > DataSize::ZERO);
+        assert_eq!(out.size, natural);
+        assert_eq!(f.server.user("boliu").unwrap().usage, before + natural);
+        assert_eq!(f.server.user("other").unwrap().usage, DataSize::ZERO);
     }
 
     #[test]

@@ -204,25 +204,30 @@ impl CostModel {
 }
 
 /// Everything a behavior gets to see when it runs.
+///
+/// The inputs are borrowed from the server's datasets for the length of
+/// the run: a behavior reads them and builds its outputs, so the server
+/// never copies an input's content to invoke a tool.
 #[derive(Debug, Clone)]
-pub struct ToolInvocation {
+pub struct ToolInvocation<'a> {
     /// Resolved parameter values (defaults filled in).
     pub params: BTreeMap<String, String>,
-    /// Input dataset contents, keyed by parameter name.
-    pub inputs: BTreeMap<String, Content>,
+    /// Input dataset contents, keyed by parameter name, borrowed from the
+    /// datasets they belong to.
+    pub inputs: BTreeMap<String, &'a Content>,
     /// Total input size (drives the cost model).
     pub input_size: DataSize,
 }
 
-impl ToolInvocation {
+impl<'a> ToolInvocation<'a> {
     /// Fetch a parameter (validated + defaulted by the server).
     pub fn param(&self, name: &str) -> Option<&str> {
         self.params.get(name).map(String::as_str)
     }
 
     /// Fetch an input's content.
-    pub fn input(&self, name: &str) -> Option<&Content> {
-        self.inputs.get(name)
+    pub fn input(&self, name: &str) -> Option<&'a Content> {
+        self.inputs.get(name).copied()
     }
 }
 
