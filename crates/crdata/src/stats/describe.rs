@@ -125,7 +125,7 @@ mod tests {
     use crate::stats::order::tests::tricky_values;
     use cumulus_simkit::rng::RngStream;
 
-    /// The quantile before selection: a full stable sort.
+    /// Reference: the quantile read off a full stable sort.
     fn reference_quantile(xs: &[f64], q: f64) -> Option<f64> {
         if xs.is_empty() {
             return None;

@@ -85,8 +85,7 @@ mod tests {
     use crate::stats::order::tests::reference_order;
     use cumulus_simkit::rng::RngStream;
 
-    /// Holm and BH before keyed order: the same walks over a stable
-    /// index sort.
+    /// Reference: Holm and BH walking a stable index sort.
     fn reference_adjust(pvalues: &[f64], method: Adjustment) -> Vec<f64> {
         let n = pvalues.len();
         match method {

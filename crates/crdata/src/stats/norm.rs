@@ -111,7 +111,8 @@ mod tests {
     use crate::stats::order::tests::reference_order;
     use cumulus_simkit::rng::RngStream;
 
-    /// Quantile normalization before keyed ranks: stable index sorts.
+    /// Reference: quantile normalization ranking columns by stable index
+    /// sorts.
     fn reference_quantile_normalize(m: &mut LabelledMatrix) {
         let nrows = m.nrows();
         let ncols = m.ncols();

@@ -1,15 +1,15 @@
 //! Ascending order of `f64` values by integer key.
 //!
-//! Ranking a column or a p-value vector used to be a stable index sort
-//! through a `partial_cmp` closure. The same order comes from sorting
-//! packed `u128` keys `(order key of v) << 64 | index` with an unstable
-//! integer sort: the key is monotone in `v`, `-0.0` and `0.0` share one
-//! key (as they compare equal), and the index in the low half breaks ties
-//! in input order, exactly as the stable sort kept them.
+//! [`ascending_order`] gives the order of a stable index sort by
+//! `partial_cmp` without a comparator: it sorts packed `u128` keys
+//! `(order key of v) << 64 | index` with an unstable integer sort. The key
+//! is monotone in `v`, `-0.0` and `0.0` share one key (they compare
+//! equal), and the index in the low half breaks ties in input order, as
+//! the stable sort does.
 
 /// A `u64` whose unsigned order is the numeric order of `v` (NaN aside).
 /// `-0.0` is folded onto `0.0` first, so the two zeros tie.
-pub fn order_key(v: f64) -> u64 {
+fn order_key(v: f64) -> u64 {
     let bits = (v + 0.0).to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -38,8 +38,7 @@ pub(crate) mod tests {
     use super::*;
     use cumulus_simkit::rng::RngStream;
 
-    /// The order the rankers used before: a stable index sort by
-    /// `partial_cmp`.
+    /// Reference: a stable index sort by `partial_cmp`.
     pub(crate) fn reference_order(values: &[f64]) -> Option<Vec<usize>> {
         if values.iter().any(|v| v.is_nan()) {
             return None;

@@ -337,7 +337,7 @@ mod tests {
             })
             .collect();
         let svg = scatter_plot("t", "x", "y", &points);
-        // The per-point `format!` the writer replaced.
+        // Reference: one `format!` per point.
         let (xmin, xmax, ymin, ymax) = scale(&points);
         let sx = |x: f64| MARGIN + (x - xmin) / (xmax - xmin) * (WIDTH - 2.0 * MARGIN);
         let sy = |y: f64| HEIGHT - MARGIN - (y - ymin) / (ymax - ymin) * (HEIGHT - 2.0 * MARGIN);
