@@ -17,11 +17,8 @@ pub fn log2_transform(m: &mut LabelledMatrix) {
 /// background (the 2nd percentile) and clamp at a small positive floor.
 pub fn background_correct(m: &mut LabelledMatrix) {
     let ncols = m.ncols();
-    let mut col = Vec::with_capacity(m.nrows());
     for c in 0..ncols {
-        col.clear();
-        col.extend(m.values.iter().skip(c).step_by(ncols));
-        let bg = super::describe::quantile(&col, 0.02).unwrap_or(0.0);
+        let bg = super::describe::quantile(&m.col(c), 0.02).unwrap_or(0.0);
         for v in m.values.iter_mut().skip(c).step_by(ncols) {
             *v = (*v - bg).max(1.0);
         }

@@ -16,6 +16,7 @@ use cumulus_galaxy::{CostModel, OutputSpec, ParamSpec, ToolDefinition, ToolError
 use crate::genomics::{FeatureIndex, Interval, Read, Transcript};
 use crate::stats::counts::{cpm, filter_low_counts, log2_fold_change, two_sample_count_test};
 use crate::stats::fdr::{adjust, Adjustment};
+use crate::stats::order::ascending_order;
 use crate::svg::{self, PlotPoint};
 
 use super::{float_param, fmt, int_param, svg_output, table_input, table_output};
@@ -254,8 +255,7 @@ fn sequence_differential_expression() -> ToolDefinition {
                 .collect();
             let pvals: Vec<f64> = results.iter().map(|r| r.p).collect();
             let adj = adjust(&pvals, method);
-            let mut order: Vec<usize> = (0..features.len()).collect();
-            order.sort_by(|&a, &b| adj[a].partial_cmp(&adj[b]).expect("finite"));
+            let order = ascending_order(adj.iter().copied()).expect("finite p");
             let table_rows: Vec<Vec<String>> = order
                 .iter()
                 .map(|&i| {

@@ -3,7 +3,9 @@
 //! Every expression tool runs on seeded `four_cel_samples` and
 //! `affy_cel_samples` bundles (seeds 0–3) over each declared `adjust` ×
 //! `normalize` combination, and the table and matrix tools whose kernels
-//! share code with them run on seeded tables and matrices. Each output's
+//! share code with them run on seeded tables and matrices, as does
+//! `sequenceDifferentialExpression`, whose top table shares the p-value
+//! order, on seeded counts tables. Each output's
 //! [`Content::content_id`] must equal the digest recorded in [`GOLDEN`],
 //! so a rewrite of a statistics kernel, the SVG writer or the tool
 //! plumbing has to leave every byte of every output alone.
@@ -64,19 +66,24 @@ fn sweeps(tool: &ToolDefinition) -> Vec<Vec<(String, String)>> {
     combos
 }
 
-/// Run `tool` on `input` once per sweep and record `(case, digest)` for
-/// every output.
+/// Run `tool` on `input` (bound to its dataset parameter) once per sweep
+/// and record `(case, digest)` for every output.
 fn run_all(label: &str, tool: &ToolDefinition, input: &Content, out: &mut Vec<(String, String)>) {
+    let dataset = tool
+        .params
+        .iter()
+        .find(|p| matches!(p.kind, ParamKind::DatasetInput))
+        .map_or("input", |p| p.name.as_str());
     for sweep in sweeps(tool) {
         let provided: BTreeMap<String, String> = sweep
             .iter()
             .cloned()
-            .chain([("input".to_string(), "golden".to_string())])
+            .chain([(dataset.to_string(), "golden".to_string())])
             .collect();
         let params = tool.resolve_params(&provided).unwrap();
         let inv = ToolInvocation {
             params,
-            inputs: [("input".to_string(), input)].into_iter().collect(),
+            inputs: [(dataset.to_string(), input)].into_iter().collect(),
             input_size: DataSize::from_kb(10),
         };
         let outputs = tool
@@ -149,6 +156,28 @@ fn tied_matrix(seed: u64) -> Content {
             .collect(),
         values,
     ))
+}
+
+/// A seeded two-library counts table. Every ninth feature has the same
+/// counts in both libraries, so p-values and adjusted p-values tie.
+fn counts(seed: u64) -> Content {
+    let mut rng = RngStream::derive(seed, "golden-counts");
+    let rows = (0..400)
+        .map(|r| {
+            let (c1, c2) = if r % 9 == 0 {
+                (40, 40)
+            } else {
+                let base = (rng.uniform() * 200.0).floor() as u64;
+                let fold = if r % 17 == 0 { 6 } else { 1 };
+                (base * fold, (rng.uniform() * 200.0).floor() as u64)
+            };
+            vec![format!("f{r}"), c1.to_string(), c2.to_string()]
+        })
+        .collect();
+    Content::Table {
+        columns: ["feature", "lib1", "lib2"].map(String::from).to_vec(),
+        rows,
+    }
 }
 
 /// Every expression tool but `affyPCA` on seeded bundles of one shape.
@@ -251,6 +280,20 @@ fn table_and_matrix_tool_outputs_match_their_digests() {
     }
     check("table", tables);
     check("matrix", matrices);
+}
+
+#[test]
+fn counts_tool_outputs_match_their_digests() {
+    let mut out = Vec::new();
+    for seed in SEEDS {
+        run_all(
+            &format!("counts{seed}"),
+            &tool("crdata_sequenceDifferentialExpression"),
+            &counts(seed),
+            &mut out,
+        );
+    }
+    check("counts", out);
 }
 
 /// `<case> <content-id hex>`, one output a line, recorded before the
@@ -524,4 +567,20 @@ matrix0/crdata_quantileNormalize[]/normalized 722f3255dad21b6e
 matrix1/crdata_quantileNormalize[]/normalized c77a4a10bfe27c62
 matrix2/crdata_quantileNormalize[]/normalized 5ccb854e13526d32
 matrix3/crdata_quantileNormalize[]/normalized 6e2a66205b58b8ce
+counts0/crdata_sequenceDifferentialExpression[adjust=BH]/toptable 96eb6c4de886eaca
+counts0/crdata_sequenceDifferentialExpression[adjust=holm]/toptable 61dd4979ab6399ee
+counts0/crdata_sequenceDifferentialExpression[adjust=bonferroni]/toptable 8ba3abe6be7f9218
+counts0/crdata_sequenceDifferentialExpression[adjust=none]/toptable 5557f82401cb477c
+counts1/crdata_sequenceDifferentialExpression[adjust=BH]/toptable ee5dc87e2acf46ce
+counts1/crdata_sequenceDifferentialExpression[adjust=holm]/toptable 6ce83d3d0c41c9c7
+counts1/crdata_sequenceDifferentialExpression[adjust=bonferroni]/toptable 1da272700ef90ce4
+counts1/crdata_sequenceDifferentialExpression[adjust=none]/toptable 8ce71182c717c1c1
+counts2/crdata_sequenceDifferentialExpression[adjust=BH]/toptable d66895ccaa6f15ba
+counts2/crdata_sequenceDifferentialExpression[adjust=holm]/toptable 1dbe934f71e05834
+counts2/crdata_sequenceDifferentialExpression[adjust=bonferroni]/toptable f2b67907b4202292
+counts2/crdata_sequenceDifferentialExpression[adjust=none]/toptable 5c7955142afe5bf4
+counts3/crdata_sequenceDifferentialExpression[adjust=BH]/toptable 30eacfd52891842b
+counts3/crdata_sequenceDifferentialExpression[adjust=holm]/toptable a9e0d82d0bbbd2c6
+counts3/crdata_sequenceDifferentialExpression[adjust=bonferroni]/toptable 8783522f728d4294
+counts3/crdata_sequenceDifferentialExpression[adjust=none]/toptable 8fae719c48ac7f63
 ";
