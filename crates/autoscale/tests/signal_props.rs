@@ -5,7 +5,7 @@
 //! pass for `0.0`). `SignalSample::observe`'s wait percentiles must equal
 //! `percentile` over the pool's idle waits the same way. Cases come from
 //! deterministic seeded streams (the offline build ships no proptest), in
-//! the style of `crates/net/tests/fault_props.rs`.
+//! the style of `crates/simkit/tests/disrupt_props.rs`.
 
 use cumulus_autoscale::{percentile, SignalSample};
 use cumulus_htc::{CondorPool, Job, Machine, WorkSpec};

@@ -3,22 +3,21 @@
 //! Every workload runs on **two** observability stacks:
 //!
 //! * the current `cumulus-simkit` plane: pre-registered [`MetricId`]
-//!   handles indexing dense vectors, interned-[`Key`] typed
-//!   [`Event`](cumulus_simkit::telemetry::Event) records, and the
-//!   streaming `TraceLog` digest;
+//!   handles indexing dense vectors, and interned-[`Key`] typed
+//!   [`Event`](cumulus_simkit::telemetry::Event) records;
 //! * [`baseline`], a faithful copy of the pre-telemetry code compiled
 //!   into this binary: the string-keyed `Metrics` registry that allocates
-//!   a `String` per `incr`/`set_gauge`/`record`, and the `TraceLog` whose
-//!   digest materializes the whole rendered log before hashing.
+//!   a `String` per `incr`/`set_gauge`/`record`, and the `TraceLog` that
+//!   stores one pre-formatted `String` per record.
 //!
 //! Beyond timing, the harness asserts semantic preservation: each
 //! workload must produce the same (checksum, event-count) on both stacks
-//! — metric reports byte-identical, trace digest values unchanged — and
-//! the same result on repeated runs. A final determinism gate checks that
-//! recording telemetry does not perturb the instrumented computation
-//! (enabled-vs-disabled output equality) and that event digests are
-//! stable. Those assertions panic on failure, which is what the CI
-//! `bench-smoke` job gates on (timing is reported, never gated).
+//! — metric reports byte-identical — and the same result on repeated
+//! runs. A final determinism gate checks that recording telemetry does
+//! not perturb the instrumented computation (enabled-vs-disabled output
+//! equality) and that event digests are stable. Those assertions panic
+//! on failure, which is what the CI `bench-smoke` job gates on (timing is
+//! reported, never gated).
 //!
 //! Results land in `BENCH_telemetry.json` at the repo root (not in
 //! `--quick` mode, which leaves the committed full-size results alone).
@@ -30,7 +29,6 @@ use cumulus_provision::json::Json;
 use cumulus_simkit::metrics::{MetricId, Metrics};
 use cumulus_simkit::telemetry::{Key, Payload, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
-use cumulus_simkit::trace::TraceLog;
 
 /// The pre-telemetry observability code, kept verbatim as the measured
 /// baseline.
@@ -111,7 +109,7 @@ mod baseline {
         }
     }
 
-    /// The old vector-backed trace log with the render-then-hash digest.
+    /// The old vector-backed trace log.
     #[derive(Debug, Clone, Default)]
     pub struct TraceLog {
         records: Vec<TraceRecord>,
@@ -144,20 +142,6 @@ mod baseline {
             }
             out
         }
-
-        /// The old digest: FNV-1a seeded with the record count over the
-        /// bytes of one big materialized `render()` string.
-        pub fn digest(&self) -> u64 {
-            const FNV_PRIME: u64 = 0x1000_0000_01b3;
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            h ^= self.records.len() as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-            for b in self.render().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
     }
 }
 
@@ -184,7 +168,6 @@ const SAMPLE_KEYS: [&str; 2] = ["staging/secs", "transfer/secs"];
 struct Scale {
     samples: u32,
     metric_rounds: usize,
-    trace_records: usize,
     typed_events: usize,
 }
 
@@ -194,14 +177,12 @@ impl Scale {
             Scale {
                 samples: 2,
                 metric_rounds: 20_000,
-                trace_records: 20_000,
                 typed_events: 50_000,
             }
         } else {
             Scale {
                 samples: 5,
                 metric_rounds: 400_000,
-                trace_records: 200_000,
                 typed_events: 1_000_000,
             }
         }
@@ -263,39 +244,6 @@ mod metrics_hot {
         let mut sum = Fnv::new();
         sum.push_bytes(m.report().as_bytes());
         (sum.0, events(s))
-    }
-}
-
-/// trace_digest: emit a realistic trace then digest it. The checksum IS
-/// the digest value, so the streaming implementation must reproduce the
-/// old render-then-hash value bit for bit (the satellite assertion).
-mod trace_digest {
-    use super::*;
-
-    const CATEGORIES: [&str; 4] = ["cloud", "chef", "transfer", "htc"];
-
-    fn at(i: usize) -> SimTime {
-        SimTime::ZERO + SimDuration::from_micros(i as u64 * 250_000)
-    }
-
-    fn message(i: usize) -> String {
-        format!("instance i-{:05x} event #{i} bytes={}", i * 7, i * 4096)
-    }
-
-    pub fn new_stack(s: &Scale) -> (u64, u64) {
-        let mut log = TraceLog::enabled();
-        for i in 0..s.trace_records {
-            log.emit(at(i), CATEGORIES[i % CATEGORIES.len()], message(i));
-        }
-        (log.digest(), s.trace_records as u64)
-    }
-
-    pub fn old_stack(s: &Scale) -> (u64, u64) {
-        let mut log = baseline::TraceLog::enabled();
-        for i in 0..s.trace_records {
-            log.emit(at(i), CATEGORIES[i % CATEGORIES.len()], message(i));
-        }
-        (log.digest(), s.trace_records as u64)
     }
 }
 
@@ -479,7 +427,7 @@ fn write_json(results: &[WorkloadResult], disabled_ns_per_op: f64, quick: bool) 
         (
             "baseline",
             Json::str(
-                "pre-telemetry string-keyed Metrics + render-then-hash TraceLog (in-bench copy)",
+                "pre-telemetry string-keyed Metrics + String-message TraceLog (in-bench copy)",
             ),
         ),
         ("mode", Json::str(if quick { "quick" } else { "full" })),
@@ -507,13 +455,6 @@ fn main() {
             s.samples,
             || metrics_hot::old_stack(&s),
             || metrics_hot::new_stack(&s),
-            true,
-        ),
-        compare(
-            "trace_digest",
-            s.samples,
-            || trace_digest::old_stack(&s),
-            || trace_digest::new_stack(&s),
             true,
         ),
         compare(

@@ -13,7 +13,8 @@ use cumulus::autoscale::{
     OneShot, QueueStep, ScalingPolicy, Workload,
 };
 use cumulus::htc::WorkSpec;
-use cumulus::net::{DataSize, FaultPlan, Network};
+use cumulus::net::{DataSize, Network};
+use cumulus::simkit::disrupt::DisruptionPlan;
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::simkit::{run_replicas, ReplicaPlan, Samples};
 use cumulus::transfer::{
@@ -95,7 +96,7 @@ pub fn fault_sensitivity(
                 service.set_fault_plan(
                     "u#laptop",
                     "g#server",
-                    FaultPlan::poisson(
+                    DisruptionPlan::poisson_outages(
                         &mut rng,
                         SimDuration::from_hours(24),
                         SimDuration::from_secs_f64(mean_fault_interval_s),

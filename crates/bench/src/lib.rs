@@ -49,10 +49,10 @@ pub const REPORT_SEED: u64 = 20120512;
 
 /// Parse `--seed N` (or `--seed=N`) from the process arguments, falling
 /// back to `default`. Every report binary accepts this flag so a sweep
-/// over seeds is a shell loop away. Panics with a usage message on a
-/// malformed value rather than silently benchmarking the wrong thing.
+/// over seeds is a shell loop away. Exits with a usage error (status 2)
+/// on a malformed value rather than silently benchmarking the wrong thing.
 pub fn seed_from_args(default: u64) -> u64 {
-    flag_value("--seed").unwrap_or(default)
+    or_usage(flag_value(&cli_args(), "--seed")).unwrap_or(default)
 }
 
 /// Parse `--threads N` (or `--threads=N`) from the process arguments,
@@ -60,23 +60,33 @@ pub fn seed_from_args(default: u64) -> u64 {
 /// serial sweep. Thread count never changes the report — parallel sweeps
 /// merge in replica order — only how fast it is produced.
 pub fn threads_from_args(default: usize) -> usize {
-    flag_value("--threads").unwrap_or(default)
+    or_usage(flag_value(&cli_args(), "--threads")).unwrap_or(default)
 }
 
-/// The unsigned value of the first `name N` / `name=N` process argument.
-fn flag_value<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
+/// The process arguments, program name excluded.
+fn cli_args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// The unsigned value of the first `name N` / `name=N` argument, if any;
+/// a missing or non-numeric value is an error.
+fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
     let prefix = format!("{name}=");
-    let value = args.iter().enumerate().skip(1).find_map(|(i, arg)| {
+    let found = args.iter().enumerate().find_map(|(i, arg)| {
         if arg == name {
-            let value = args.get(i + 1).map(String::as_str);
-            Some(value.unwrap_or_else(|| panic!("{name} requires a value, e.g. {name} 4")))
+            Some(args.get(i + 1).map(String::as_str))
         } else {
-            arg.strip_prefix(&prefix)
+            arg.strip_prefix(&prefix).map(Some)
         }
-    })?;
-    let parsed = value.parse();
-    Some(parsed.unwrap_or_else(|_| panic!("{name} expects an unsigned integer, got {value:?}")))
+    });
+    let Some(value) = found else {
+        return Ok(None);
+    };
+    let value = value.ok_or_else(|| format!("{name} requires a value, e.g. {name} 4"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{name} expects an unsigned integer, got {value:?}"))
 }
 
 /// Whether `--report` was passed: experiment binaries then append their
@@ -89,15 +99,21 @@ pub fn report_from_args() -> bool {
 
 /// First positional argument (ignoring `--seed`/`--threads` flags and
 /// their values), parsed, or `default`. The replica-count argument of the
-/// Monte-Carlo binaries.
+/// Monte-Carlo binaries; anything but an unsigned integer is a usage
+/// error.
 pub fn positional_from_args(default: usize) -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match unparsed(&args).first() {
-        Some(arg) => arg
-            .parse()
-            .unwrap_or_else(|_| panic!("expected a replica count, got {arg:?}")),
-        None => default,
-    }
+    or_usage(positional_value(&cli_args())).unwrap_or(default)
+}
+
+/// The first positional argument of `args` as a replica count, if any.
+fn positional_value(args: &[String]) -> Result<Option<usize>, String> {
+    unparsed(args)
+        .first()
+        .map(|arg| {
+            arg.parse()
+                .map_err(|_| format!("expected a replica count, got {arg:?}"))
+        })
+        .transpose()
 }
 
 /// `args` minus `--seed`/`--threads` and their values.
@@ -115,28 +131,44 @@ fn unparsed(args: &[String]) -> Vec<&str> {
 }
 
 /// Exit with a usage error unless every process argument is one the
-/// binary understands: `--seed N` and `--threads N` (or their `=` forms),
-/// the binary's own `flags`, and — when `positional` names it — one bare
-/// argument. A typo such as `--quik` must not silently run the full grid
-/// and rewrite its committed results.
+/// binary understands: `--seed N` and `--threads N` (or their `=` forms)
+/// with unsigned values, the binary's own `flags`, and — when
+/// `positional` names it — one bare unsigned count. A typo such as `--quik`
+/// must not silently run the full grid and rewrite its committed results.
 pub fn check_args(flags: &[&str], positional: Option<&str>) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Err(msg) = validate_args(&args[1..], flags, positional.is_some()) {
-        let mut usage = format!("usage: {} [--seed N] [--threads N]", args[0]);
-        for flag in flags {
-            usage.push_str(&format!(" [{flag}]"));
-        }
-        if let Some(name) = positional {
-            usage.push_str(&format!(" [<{name}>]"));
-        }
-        eprintln!("error: {msg}\n{usage}");
-        std::process::exit(2);
+    if let Err(msg) = validate_args(&cli_args(), flags, positional.is_some()) {
+        usage_error(&msg, flags, positional);
     }
+}
+
+/// The parsed value, or a usage error naming only the shared flags.
+fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| usage_error(&msg, &[], None))
+}
+
+/// Print `error: msg` and the usage line to stderr, then exit with
+/// status 2.
+fn usage_error(msg: &str, flags: &[&str], positional: Option<&str>) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    let mut usage = format!("usage: {program} [--seed N] [--threads N]");
+    for flag in flags {
+        usage.push_str(&format!(" [{flag}]"));
+    }
+    if let Some(name) = positional {
+        usage.push_str(&format!(" [<{name}>]"));
+    }
+    eprintln!("error: {msg}\n{usage}");
+    std::process::exit(2);
 }
 
 /// The check behind [`check_args`] over an explicit argument list
 /// (program name excluded); `positional` allows one bare argument.
 fn validate_args(args: &[String], flags: &[&str], mut positional: bool) -> Result<(), String> {
+    flag_value::<u64>(args, "--seed")?;
+    flag_value::<usize>(args, "--threads")?;
+    if positional {
+        positional_value(args)?;
+    }
     for arg in unparsed(args) {
         if flags.contains(&arg) {
             continue;
@@ -247,6 +279,48 @@ mod tests {
         // At most one bare argument, and only where one is expected.
         assert!(validate_args(&args(&["8", "9"]), &[], true).is_err());
         assert!(validate_args(&args(&["--quick"]), &[], true).is_err());
+    }
+
+    #[test]
+    fn malformed_flag_values_are_errors() {
+        for flag in ["--seed", "--threads"] {
+            let eq = format!("{flag}=");
+            let eq_abc = format!("{flag}=abc");
+            for bad in [
+                &[flag, "abc"][..],
+                &[eq.as_str()],
+                &[eq_abc.as_str()],
+                &[flag],
+                &["--quick", flag],
+                &[flag, "-1"],
+            ] {
+                let err = flag_value::<u64>(&args(bad), flag).unwrap_err();
+                assert!(err.contains(flag), "{bad:?}: {err}");
+                assert!(validate_args(&args(bad), &["--quick"], false).is_err());
+            }
+        }
+        assert_eq!(
+            flag_value::<u64>(&args(&["--seed", "7"]), "--seed"),
+            Ok(Some(7))
+        );
+        assert_eq!(
+            flag_value::<u64>(&args(&["--seed=7"]), "--seed"),
+            Ok(Some(7))
+        );
+        assert_eq!(flag_value::<u64>(&args(&["--quick"]), "--seed"), Ok(None));
+    }
+
+    #[test]
+    fn malformed_replica_counts_are_errors() {
+        for bad in [&["abc"][..], &["-3"], &["1.5"], &["--seed", "7", "x"]] {
+            let err = positional_value(&args(bad)).unwrap_err();
+            assert!(err.contains("replica count"), "{bad:?}: {err}");
+        }
+        assert_eq!(
+            positional_value(&args(&["8", "--threads", "2"])),
+            Ok(Some(8))
+        );
+        assert_eq!(positional_value(&args(&["--seed=3"])), Ok(None));
     }
 
     #[test]

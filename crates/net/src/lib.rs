@@ -8,18 +8,17 @@
 //!   and a default "public internet" path;
 //! * [`tcp`] — a TCP bulk-throughput model (window-, loss-, and
 //!   slow-start-limited) that explains *why* single-stream FTP loses to
-//!   GridFTP's parallel streams in Figure 11;
-//! * [`fault`] — deterministic or Poisson fault timelines for exercising the
-//!   transfer service's retry machinery.
+//!   GridFTP's parallel streams in Figure 11.
+//!
+//! Fault timelines on a path are `cumulus_simkit::disrupt` plans; the
+//! transfer service installs them per endpoint pair.
 
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod link;
 pub mod size;
 pub mod tcp;
 
-pub use fault::{FaultPlan, Outage};
 pub use link::{Link, Network, NodeId};
 pub use size::{DataSize, Rate};
 pub use tcp::TcpConfig;

@@ -18,8 +18,8 @@
 //!   disruptions. The driver owns the plan, the component owns the
 //!   reaction; the trait is the contract between them.
 //!
-//! `cumulus-net`'s `FaultPlan` is now a thin adapter over
-//! [`DisruptionPlan`]; `cumulus-cloud` implements [`Disruptable`] for its
+//! `cumulus-transfer` installs a [`DisruptionPlan`]'s outage windows on
+//! network paths; `cumulus-cloud` implements [`Disruptable`] for its
 //! EC2 model (preemption with notice, hardware failure), and
 //! `cumulus-htc` for its Condor pool (machine eviction with job requeue).
 
@@ -201,7 +201,7 @@ impl DisruptionPlan {
     /// exponential `mean_outage` duration.
     ///
     /// The draw order (one interval, then one duration, per outage) is
-    /// the historical `cumulus-net` `FaultPlan::poisson` order, so plans
+    /// the order `cumulus-net`'s former Poisson fault plans used, so plans
     /// seeded the same way reproduce the same timelines bit for bit.
     pub fn poisson_outages(
         rng: &mut RngStream,
@@ -423,10 +423,27 @@ mod tests {
     }
 
     #[test]
+    fn empty_plan_is_always_up() {
+        let plan = DisruptionPlan::none();
+        assert!(!plan.is_down(t(0)));
+        assert!(!plan.is_down(t(100)));
+        assert_eq!(plan.next_window_at(t(0)), None);
+        assert_eq!(plan.next_up_at(t(5)), t(5));
+    }
+
+    #[test]
+    fn next_window_lookup() {
+        let plan = DisruptionPlan::from_windows(vec![w(10, 20)]);
+        assert_eq!(plan.next_window_at(t(0)), Some(w(10, 20)));
+        assert_eq!(plan.next_window_at(t(15)), Some(w(10, 20)));
+        assert_eq!(plan.next_window_at(t(25)), None);
+    }
+
+    #[test]
     fn poisson_outages_match_legacy_fault_plan_draw_order() {
-        // Same stream, same parameters → the disrupt plan must reproduce
-        // the exact windows the old net::fault::FaultPlan::poisson drew,
-        // because net's adapter delegates here.
+        // Same stream, same parameters → the plan must reproduce the exact
+        // windows the network layer's Poisson fault plans drew, which the
+        // E9b fault-sensitivity sweep is calibrated on.
         let mut rng = RngStream::derive(11, "faults");
         let plan = DisruptionPlan::poisson_outages(
             &mut rng,
@@ -435,6 +452,10 @@ mod tests {
             SimDuration::from_secs(30),
         );
         assert!(!plan.windows().is_empty());
+        for w in plan.windows() {
+            assert!(w.start.as_secs() < 3600 + 600, "start inside-ish horizon");
+            assert!(w.end > w.start);
+        }
         for pair in plan.windows().windows(2) {
             assert!(pair[0].end <= pair[1].start, "sorted, non-overlapping");
         }

@@ -24,8 +24,8 @@
 //! * **Measurability.** Every subsystem reports what happened through one
 //!   typed [`telemetry`] plane: interned-key [`telemetry::Event`] records
 //!   feeding lifecycle spans, derived metrics, and episode reports.
-//!   [`Metrics`] and [`TraceLog`] are thin adapters over it; [`Samples`]
-//!   summarizes.
+//!   [`Metrics`] is its id-indexed counter/gauge/sample registry;
+//!   [`Samples`] summarizes.
 //!
 //! # Quick example
 //!
@@ -55,7 +55,6 @@ pub mod runner;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use disrupt::{Disruptable, Disruption, DisruptionKind, DisruptionPlan, InvalidWindow, Window};
 pub use engine::{EventId, RunOutcome, Sim};
@@ -66,7 +65,6 @@ pub use runner::{run_replicas, ReplicaPlan};
 pub use stats::{relative_error, Samples};
 pub use telemetry::{Event, JobBreakdown, Key, Payload, Span, SpanKind, SpanSet, Telemetry};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceLog, TraceRecord};
 
 /// Convenient glob-import of the types nearly every model needs.
 pub mod prelude {
@@ -79,5 +77,4 @@ pub mod prelude {
     pub use crate::stats::Samples;
     pub use crate::telemetry::{Event, Key, Payload, SpanKind, Telemetry};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::TraceLog;
 }

@@ -9,12 +9,9 @@
 //! no `String` allocation, no tree walk, and no round-trip through the
 //! global name table.
 //!
-//! The historical string-keyed API (`incr`, `set_gauge`, `record`, …)
-//! survives as a thin adapter: it resolves the name to a [`MetricId`]
-//! (borrow-first — a hit costs one hash probe and zero allocations, the
-//! fix for the old per-call `key.to_string()`) and routes to the handle
-//! path. Counter values, `keys()`, and `report()` renders are identical
-//! to the pre-handle registry.
+//! Writes go through handles only. Reads can also go by name
+//! (`counter`, `gauge`, `samples`): the name is looked up without being
+//! registered, so reading a metric nobody wrote does not grow the table.
 //!
 //! The registry is `Sync` (std mutexes) so the parallel replica runner
 //! can aggregate metrics from worker threads.
@@ -238,37 +235,17 @@ impl Metrics {
     }
 
     // ----------------------------------------------------------------
-    // String-keyed adapter (the historical API)
+    // Reads by name
     // ----------------------------------------------------------------
-
-    /// Increment a counter by `n`.
-    pub fn incr(&self, key: &str, n: u64) {
-        self.incr_id(MetricId::register(key), n);
-    }
 
     /// Read a counter (0 if absent).
     pub fn counter(&self, key: &str) -> u64 {
         MetricId::find(key).map_or(0, |id| self.counter_id(id))
     }
 
-    /// Set a gauge to an absolute value.
-    pub fn set_gauge(&self, key: &str, value: f64) {
-        self.set_gauge_id(MetricId::register(key), value);
-    }
-
     /// Read a gauge, if it has been set.
     pub fn gauge(&self, key: &str) -> Option<f64> {
         MetricId::find(key).and_then(|id| self.gauge_id(id))
-    }
-
-    /// Record a numeric sample under `key`.
-    pub fn record(&self, key: &str, value: f64) {
-        self.record_id(MetricId::register(key), value);
-    }
-
-    /// Record a duration sample (stored in seconds).
-    pub fn record_duration(&self, key: &str, d: SimDuration) {
-        self.record(key, d.as_secs_f64());
     }
 
     /// Snapshot of the samples recorded under `key`.
@@ -376,11 +353,15 @@ mod tests {
     use super::*;
     use std::thread;
 
+    fn id(name: &str) -> MetricId {
+        MetricId::register(name)
+    }
+
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
-        m.incr("jobs", 1);
-        m.incr("jobs", 2);
+        m.incr_id(id("jobs"), 1);
+        m.incr_id(id("jobs"), 2);
         assert_eq!(m.counter("jobs"), 3);
         assert_eq!(m.counter("missing"), 0);
     }
@@ -389,17 +370,17 @@ mod tests {
     fn gauges_overwrite() {
         let m = Metrics::new();
         assert_eq!(m.gauge("load"), None);
-        m.set_gauge("load", 0.5);
-        m.set_gauge("load", 0.9);
+        m.set_gauge_id(id("load"), 0.5);
+        m.set_gauge_id(id("load"), 0.9);
         assert_eq!(m.gauge("load"), Some(0.9));
     }
 
     #[test]
     fn samples_aggregate() {
         let m = Metrics::new();
-        m.record("latency", 1.0);
-        m.record("latency", 3.0);
-        m.record_duration("latency", SimDuration::from_secs(2));
+        m.record_id(id("latency"), 1.0);
+        m.record_id(id("latency"), 3.0);
+        m.record_duration_id(id("latency"), SimDuration::from_secs(2));
         let s = m.samples("latency");
         assert_eq!(s.count(), 3);
         assert_eq!(s.mean(), Some(2.0));
@@ -409,7 +390,7 @@ mod tests {
     fn clone_shares_state() {
         let m = Metrics::new();
         let m2 = m.clone();
-        m2.incr("x", 5);
+        m2.incr_id(id("x"), 5);
         assert_eq!(m.counter("x"), 5);
     }
 
@@ -417,10 +398,10 @@ mod tests {
     fn merge_combines() {
         let a = Metrics::new();
         let b = Metrics::new();
-        a.incr("c", 1);
-        b.incr("c", 2);
-        b.set_gauge("g", 7.0);
-        b.record("s", 4.0);
+        a.incr_id(id("c"), 1);
+        b.incr_id(id("c"), 2);
+        b.set_gauge_id(id("g"), 7.0);
+        b.record_id(id("s"), 4.0);
         a.merge(&b);
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.gauge("g"), Some(7.0));
@@ -430,21 +411,22 @@ mod tests {
     #[test]
     fn keys_are_sorted_and_deduped() {
         let m = Metrics::new();
-        m.incr("b", 1);
-        m.set_gauge("a", 1.0);
-        m.record("b", 1.0);
+        m.incr_id(id("b"), 1);
+        m.set_gauge_id(id("a"), 1.0);
+        m.record_id(id("b"), 1.0);
         assert_eq!(m.keys(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]
     fn concurrent_increments_are_safe() {
         let m = Metrics::new();
+        let n = id("n");
         thread::scope(|s| {
             for _ in 0..8 {
                 let m = m.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        m.incr("n", 1);
+                        m.incr_id(n, 1);
                     }
                 });
             }
@@ -455,9 +437,9 @@ mod tests {
     #[test]
     fn report_mentions_everything() {
         let m = Metrics::new();
-        m.incr("c", 1);
-        m.set_gauge("g", 2.0);
-        m.record("s", 3.0);
+        m.incr_id(id("c"), 1);
+        m.set_gauge_id(id("g"), 2.0);
+        m.record_id(id("s"), 3.0);
         let r = m.report();
         assert!(r.contains("counter c = 1"));
         assert!(r.contains("gauge   g = 2"));
@@ -469,7 +451,7 @@ mod tests {
         let m = Metrics::new();
         let id = MetricId::register("metrics.test.handle");
         m.incr_id(id, 2);
-        m.incr("metrics.test.handle", 3);
+        m.incr_id(MetricId::register("metrics.test.handle"), 3);
         assert_eq!(m.counter_id(id), 5);
         assert_eq!(m.counter("metrics.test.handle"), 5);
         assert_eq!(id, MetricId::register("metrics.test.handle"));
@@ -489,7 +471,7 @@ mod tests {
     #[test]
     fn zero_incr_makes_the_key_visible_like_the_old_registry() {
         let m = Metrics::new();
-        m.incr("metrics.test.zero", 0);
+        m.incr_id(id("metrics.test.zero"), 0);
         assert!(m.keys().contains(&"metrics.test.zero".to_string()));
         assert!(m.report().contains("counter metrics.test.zero = 0"));
     }
@@ -498,8 +480,8 @@ mod tests {
     fn report_is_sorted_by_name_within_sections() {
         let m = Metrics::new();
         // Register in reverse order: render must still sort by name.
-        m.incr("metrics.test.z", 1);
-        m.incr("metrics.test.a", 1);
+        m.incr_id(id("metrics.test.z"), 1);
+        m.incr_id(id("metrics.test.a"), 1);
         let r = m.report();
         let a = r.find("metrics.test.a").unwrap();
         let z = r.find("metrics.test.z").unwrap();

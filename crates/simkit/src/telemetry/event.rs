@@ -64,8 +64,6 @@ pub enum Payload {
     Duration(SimDuration),
     /// A `from → to` transition (worker counts, sizes).
     Pair(u64, u64),
-    /// Free text — the trace-log compatibility payload.
-    Text(Box<str>),
     /// A lifecycle span opens (entity `id` of kind `kind`).
     SpanOpen {
         /// The lifecycle the span tracks.
@@ -98,7 +96,7 @@ pub enum Payload {
 pub struct Event {
     /// When it happened (simulated time).
     pub at: SimTime,
-    /// Static component category (`"htc"`, `"cloud"`, `"trace"`, …).
+    /// Static component category (`"htc"`, `"cloud"`, `"transfer"`, …).
     pub category: &'static str,
     /// Interned name of what happened.
     pub key: Key,
@@ -139,11 +137,8 @@ impl Event {
                 h.u64(*a);
                 h.u64(*b);
             }
-            Payload::Text(s) => {
-                h.u8(6);
-                h.bytes(s.as_bytes());
-                h.sep();
-            }
+            // Tag 6 is unused: tags never change, so recorded digests
+            // keep their values.
             Payload::SpanOpen { kind, id } => {
                 h.u8(7);
                 h.u8(kind.code());
@@ -167,9 +162,6 @@ impl Event {
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.payload {
-            // Text events render exactly like the historical trace-log
-            // lines: the key is the old category column.
-            Payload::Text(s) => write!(f, "[{}] {:<10} {}", self.at, self.key.name(), s),
             Payload::None => write!(f, "[{}] {:<10} {}", self.at, self.category, self.key),
             Payload::Count(n) => {
                 write!(
@@ -316,17 +308,6 @@ mod tests {
         }
         .fold_digest(&mut b);
         assert_ne!(a.0, b.0, "category/key boundary must be hashed");
-    }
-
-    #[test]
-    fn text_events_render_like_trace_records() {
-        let e = Event {
-            at: SimTime::from_micros(1_500_000),
-            category: "trace",
-            key: Key::intern("net"),
-            payload: Payload::Text("link up".into()),
-        };
-        assert_eq!(e.to_string(), "[00:00:01.500] net        link up");
     }
 
     #[test]

@@ -7,11 +7,8 @@
 //! the hot path; rendering, digesting, span assembly, and metric
 //! derivation all happen after the fact, from the same records.
 //!
-//! Three consumers sit on top:
+//! Two consumers sit on top:
 //!
-//! * [`TraceLog`](crate::trace::TraceLog) — the historical string-trace
-//!   API, now a thin adapter that stores its records as `Text` events
-//!   (byte-identical renders and digests).
 //! * [`Metrics`](crate::metrics::Metrics) — the counter/gauge/sample
 //!   registry, integer-indexed by pre-registered
 //!   [`MetricId`](crate::metrics::MetricId) handles.

@@ -1,10 +1,10 @@
-//! Property-style tests of the fault-plan invariants: whatever window
-//! list `FaultPlan::from_windows` is fed, the resulting plan is sorted,
-//! non-overlapping, merged, and consistent with `is_down`. Cases are
-//! generated from deterministic seeded streams (the offline build ships
-//! no proptest).
+//! Property-style tests of the disruption-plan invariants: whatever window
+//! list `DisruptionPlan::from_windows` is fed, the resulting plan is
+//! sorted, non-overlapping, merged, and consistent with `is_down`. Cases
+//! are generated from deterministic seeded streams (the offline build
+//! ships no proptest).
 
-use cumulus_net::{FaultPlan, Outage};
+use cumulus_simkit::disrupt::{DisruptionPlan, Window};
 use cumulus_simkit::rng::RngStream;
 use cumulus_simkit::time::{SimDuration, SimTime};
 
@@ -16,27 +16,27 @@ fn t(secs: u64) -> SimTime {
 
 /// A random well-formed window list: arbitrary order, arbitrary overlap,
 /// zero-length windows included.
-fn gen_windows(rng: &mut RngStream) -> Vec<Outage> {
+fn gen_windows(rng: &mut RngStream) -> Vec<Window> {
     (0..rng.uniform_int(0, 12))
         .map(|_| {
             let start = rng.uniform_int(0, 5_000);
             let len = rng.uniform_int(0, 600);
-            Outage::new(t(start), t(start + len)).expect("end >= start by construction")
+            Window::new(t(start), t(start + len)).expect("end >= start by construction")
         })
         .collect()
 }
 
 #[test]
-fn from_windows_always_yields_sorted_disjoint_merged_outages() {
+fn from_windows_always_yields_sorted_disjoint_merged_windows() {
     for case in 0..CASES {
-        let mut rng = RngStream::derive(case, "net-prop/invariants");
+        let mut rng = RngStream::derive(case, "disrupt-prop/invariants");
         let raw = gen_windows(&mut rng);
-        let plan = FaultPlan::from_windows(raw.clone());
-        let outages = plan.outages();
+        let plan = DisruptionPlan::from_windows(raw.clone());
+        let windows = plan.windows();
 
         // Sorted by start, and strictly disjoint: merging collapsed every
         // overlap AND every abutment, so consecutive windows never touch.
-        for pair in outages.windows(2) {
+        for pair in windows.windows(2) {
             assert!(
                 pair[0].start <= pair[1].start,
                 "case {case}: not sorted: {pair:?}"
@@ -64,30 +64,30 @@ fn from_windows_always_yields_sorted_disjoint_merged_outages() {
 #[test]
 fn merging_is_idempotent_and_order_insensitive() {
     for case in 0..CASES {
-        let mut rng = RngStream::derive(case, "net-prop/idempotent");
+        let mut rng = RngStream::derive(case, "disrupt-prop/idempotent");
         let mut raw = gen_windows(&mut rng);
-        let once = FaultPlan::from_windows(raw.clone());
-        let twice = FaultPlan::from_windows(once.outages().to_vec());
+        let once = DisruptionPlan::from_windows(raw.clone());
+        let twice = DisruptionPlan::from_windows(once.windows().to_vec());
         assert_eq!(
-            once.outages(),
-            twice.outages(),
+            once.windows(),
+            twice.windows(),
             "case {case}: merging a merged plan changed it"
         );
         raw.reverse();
-        let reversed = FaultPlan::from_windows(raw);
+        let reversed = DisruptionPlan::from_windows(raw);
         assert_eq!(
-            once.outages(),
-            reversed.outages(),
+            once.windows(),
+            reversed.windows(),
             "case {case}: input order leaked into the plan"
         );
     }
 }
 
 #[test]
-fn next_fault_and_next_up_are_consistent_with_is_down() {
+fn next_window_and_next_up_are_consistent_with_is_down() {
     for case in 0..CASES {
-        let mut rng = RngStream::derive(case, "net-prop/next");
-        let plan = FaultPlan::from_windows(gen_windows(&mut rng));
+        let mut rng = RngStream::derive(case, "disrupt-prop/next");
+        let plan = DisruptionPlan::from_windows(gen_windows(&mut rng));
         for probe in (0..5_800).step_by(97) {
             let at = t(probe);
             if plan.is_down(at) {
@@ -97,8 +97,8 @@ fn next_fault_and_next_up_are_consistent_with_is_down() {
                     !plan.is_down(up),
                     "case {case}: still down at the reported recovery time"
                 );
-            } else if let Some(next) = plan.next_fault_at(at) {
-                assert!(next.start >= at, "case {case}: next fault in the past");
+            } else if let Some(next) = plan.next_window_at(at) {
+                assert!(next.start >= at, "case {case}: next window in the past");
                 assert!(
                     !plan.is_down(at),
                     "case {case}: up time overlapping a window"
@@ -111,15 +111,32 @@ fn next_fault_and_next_up_are_consistent_with_is_down() {
 #[test]
 fn inverted_windows_are_rejected_as_typed_errors_not_panics() {
     for case in 0..CASES {
-        let mut rng = RngStream::derive(case, "net-prop/inverted");
+        let mut rng = RngStream::derive(case, "disrupt-prop/inverted");
         let start = rng.uniform_int(1, 5_000);
         let shrink = rng.uniform_int(1, start);
-        let err = Outage::new(t(start), t(start - shrink))
+        let err = Window::new(t(start), t(start - shrink))
             .expect_err("end before start must be rejected");
         let msg = err.to_string();
         assert!(
             msg.contains("invalid disruption window"),
             "case {case}: unhelpful error: {msg}"
         );
+    }
+}
+
+#[test]
+fn next_up_is_never_earlier_and_never_down() {
+    for case in 0..CASES {
+        let mut rng = RngStream::derive(case, "disrupt-prop/next-up");
+        let plan = DisruptionPlan::from_windows(gen_windows(&mut rng));
+        for probe in 0..5_800 {
+            let at = t(probe);
+            let up = plan.next_up_at(at);
+            assert!(up >= at, "case {case}: next_up_at({probe}s) went back");
+            assert!(
+                !plan.is_down(up),
+                "case {case}: next_up_at({probe}s) is still down"
+            );
+        }
     }
 }

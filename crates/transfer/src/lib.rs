@@ -26,6 +26,5 @@ pub use credential::{CertificateAuthority, Credential, CredentialError, Credenti
 pub use endpoint::{Endpoint, EndpointError, EndpointKind, EndpointName, EndpointRegistry};
 pub use protocol::{calibrated_wan_link, inter_site_link, intra_cloud_link, Protocol};
 pub use service::{
-    RetryPolicy, TaskEvent, TaskId, TaskStatus, TransferError, TransferRequest, TransferService,
-    TransferTask,
+    TaskEvent, TaskId, TaskStatus, TransferError, TransferRequest, TransferService, TransferTask,
 };

@@ -12,9 +12,10 @@
 //! produces a completed [`TransferTask`] with a full event history. Callers
 //! in the DES schedule their continuation at the task's completion time.
 
-use cumulus_net::{DataSize, FaultPlan, Link, Network, Rate};
+use cumulus_net::{DataSize, Link, Network, Rate};
+use cumulus_simkit::disrupt::DisruptionPlan;
 use cumulus_simkit::metrics::{MetricId, Metrics};
-use cumulus_simkit::retry::{RetryDecision, RetryPolicy as SharedRetryPolicy};
+use cumulus_simkit::retry::{RetryDecision, RetryPolicy};
 use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
@@ -208,52 +209,6 @@ impl From<EndpointError> for TransferError {
     }
 }
 
-/// Retry policy — a source-compatible adapter over the shared
-/// [`cumulus_simkit::retry`] plane.
-///
-/// Historically the transfer service owned its own backoff knobs; they now
-/// delegate to [`retry::RetryPolicy`](cumulus_simkit::retry::RetryPolicy)
-/// via [`RetryPolicy::to_shared`], preserving the exact legacy semantics:
-/// the first wait is `base_backoff`, each subsequent wait multiplies by
-/// `backoff_factor`, and the task fails once the fault count exceeds
-/// `max_retries` (i.e. `max_retries + 1` tolerated failures).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum fault retries before giving up.
-    pub max_retries: u32,
-    /// Base backoff after a fault.
-    pub base_backoff: SimDuration,
-    /// Backoff multiplier per consecutive fault.
-    pub backoff_factor: f64,
-}
-
-impl RetryPolicy {
-    /// The equivalent shared-plane policy: `max_retries` retries become
-    /// `max_retries + 1` tolerated attempts, the backoff curve carries over
-    /// unchanged, and jitter stays off so resolved timelines are
-    /// bit-identical to the pre-adapter behaviour.
-    pub fn to_shared(self) -> SharedRetryPolicy {
-        SharedRetryPolicy::new(self.max_retries.saturating_add(1))
-            .with_backoff(self.base_backoff, self.backoff_factor)
-    }
-}
-
-impl From<RetryPolicy> for SharedRetryPolicy {
-    fn from(p: RetryPolicy) -> Self {
-        p.to_shared()
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 10,
-            base_backoff: SimDuration::from_secs(15),
-            backoff_factor: 2.0,
-        }
-    }
-}
-
 /// The hosted service.
 pub struct TransferService {
     /// Endpoint directory.
@@ -261,8 +216,7 @@ pub struct TransferService {
     /// Users' registered credentials.
     pub credentials: CredentialStore,
     /// Fault plans keyed by unordered endpoint-name pair.
-    faults: BTreeMap<(String, String), FaultPlan>,
-    retry: RetryPolicy,
+    faults: BTreeMap<(String, String), DisruptionPlan>,
     tasks: BTreeMap<TaskId, TransferTask>,
     next_task: u64,
     metrics: Metrics,
@@ -300,13 +254,12 @@ impl TaskMetricIds {
 }
 
 impl TransferService {
-    /// A service with the default retry policy.
+    /// An empty service: no endpoints, credentials or fault plans.
     pub fn new() -> Self {
         TransferService {
             endpoints: EndpointRegistry::new(),
             credentials: CredentialStore::new(),
             faults: BTreeMap::new(),
-            retry: RetryPolicy::default(),
             tasks: BTreeMap::new(),
             next_task: 1,
             metrics: Metrics::new(),
@@ -322,20 +275,15 @@ impl TransferService {
         self.telemetry = telemetry;
     }
 
-    /// Override the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Route per-task counters (bytes, retries, outcomes) to a shared
     /// registry.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }
 
-    /// Install a fault plan on the path between two endpoints.
-    pub fn set_fault_plan(&mut self, a: &str, b: &str, plan: FaultPlan) {
+    /// Install a fault plan (its outage windows) on the path between two
+    /// endpoints.
+    pub fn set_fault_plan(&mut self, a: &str, b: &str, plan: DisruptionPlan) {
         self.faults.insert(Self::pair_key(a, b), plan);
     }
 
@@ -345,13 +293,6 @@ impl TransferService {
         } else {
             (b.to_string(), a.to_string())
         }
-    }
-
-    fn fault_plan(&self, a: &str, b: &str) -> FaultPlan {
-        self.faults
-            .get(&Self::pair_key(a, b))
-            .cloned()
-            .unwrap_or_else(FaultPlan::none)
     }
 
     /// Submit a request at `now` and resolve it to completion.
@@ -401,10 +342,17 @@ impl TransferService {
             }
         }
 
-        let plan = self.fault_plan(&request.source_endpoint, &request.dest_endpoint);
+        let no_faults = DisruptionPlan::none();
+        let plan = self
+            .faults
+            .get(&Self::pair_key(
+                &request.source_endpoint,
+                &request.dest_endpoint,
+            ))
+            .unwrap_or(&no_faults);
         let id = TaskId(self.next_task);
         self.next_task += 1;
-        let task = resolve_transfer(id, request, now, &link, &plan, &self.retry);
+        let task = resolve_transfer(id, request, now, &link, plan);
         self.metrics.incr_id(self.ids.tasks, 1);
         self.metrics
             .incr_id(self.ids.bytes_delivered, task.bytes_transferred.as_bytes());
@@ -486,8 +434,7 @@ fn resolve_transfer(
     request: TransferRequest,
     submitted_at: SimTime,
     link: &Link,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
+    plan: &DisruptionPlan,
 ) -> TransferTask {
     let protocol = request.protocol;
     let mut events = vec![TaskEvent {
@@ -519,10 +466,10 @@ fn resolve_transfer(
     let mut delivered = DataSize::ZERO;
     let mut retransmitted = DataSize::ZERO;
     let mut faults = 0u32;
-    // The shared retry plane drives the backoff schedule; `to_shared`
-    // preserves the legacy arithmetic exactly (first wait = base, then
-    // multiply; fail once faults exceed `max_retries`).
-    let mut retry_state = retry.to_shared().state();
+    // The shared retry plane's default drives the backoff schedule: the
+    // first wait is 15 s, each later one doubles, and the 11th fault fails
+    // the task.
+    let mut retry_state = RetryPolicy::default().state();
 
     let deadline = request.deadline.unwrap_or(SimTime::MAX);
 
@@ -537,7 +484,7 @@ fn resolve_transfer(
 
         // Does a fault interrupt this attempt?
         let interruption = plan
-            .next_fault_at(attempt_start)
+            .next_window_at(attempt_start)
             .filter(|o| o.start < would_finish);
 
         match interruption {
@@ -654,7 +601,7 @@ mod tests {
     use crate::credential::CertificateAuthority;
     use crate::endpoint::EndpointKind;
     use crate::protocol::calibrated_wan_link;
-    use cumulus_net::Outage;
+    use cumulus_simkit::disrupt::Window;
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -777,7 +724,7 @@ mod tests {
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(vec![Outage::new(t(60), t(90)).unwrap()]),
+            DisruptionPlan::from_windows(vec![Window::new(t(60), t(90)).unwrap()]),
         );
         let id = f
             .service
@@ -806,7 +753,7 @@ mod tests {
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(vec![Outage::new(t(100), t(130)).unwrap()]),
+            DisruptionPlan::from_windows(vec![Window::new(t(100), t(130)).unwrap()]),
         );
         let req = request(DataSize::from_mb(100)).with_protocol(Protocol::Ftp);
         let id = f.service.submit(t(0), &f.network, req).unwrap();
@@ -839,34 +786,15 @@ mod tests {
     #[test]
     fn retry_limit_fails_task() {
         let mut f = fixture();
-        // A wall of back-to-back outages defeats even 10 retries.
-        let windows: Vec<Outage> = (0..40)
-            .map(|i| Outage::new(t(i * 20), t(i * 20 + 19)).unwrap())
+        // A wall of back-to-back outages outlasts the default policy's
+        // whole backoff schedule (ten waits from 15 s doubling, ≈ 4.3 h).
+        let windows: Vec<Window> = (0..1_000)
+            .map(|i| Window::new(t(i * 20), t(i * 20 + 19)).unwrap())
             .collect();
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(windows),
-        );
-        let service = std::mem::replace(
-            &mut f.service,
-            TransferService::new().with_retry(RetryPolicy {
-                max_retries: 2,
-                base_backoff: SimDuration::from_secs(1),
-                backoff_factor: 1.0,
-            }),
-        );
-        // Rebuild: move endpoints/credentials/faults from the old service.
-        f.service.endpoints = service.endpoints;
-        f.service.credentials = service.credentials;
-        f.service.set_fault_plan(
-            "boliu#laptop",
-            "cvrg#galaxy",
-            FaultPlan::from_windows(
-                (0..40)
-                    .map(|i| Outage::new(t(i * 20), t(i * 20 + 19)).unwrap())
-                    .collect(),
-            ),
+            DisruptionPlan::from_windows(windows),
         );
         let id = f
             .service
@@ -874,7 +802,7 @@ mod tests {
             .unwrap();
         let task = f.service.task(id).unwrap();
         assert_eq!(task.status, TaskStatus::Failed);
-        assert!(task.faults >= 3);
+        assert_eq!(task.faults, 11);
     }
 
     #[test]
@@ -901,7 +829,7 @@ mod tests {
         f.service.set_fault_plan(
             "boliu#laptop",
             "cvrg#galaxy",
-            FaultPlan::from_windows(vec![Outage::new(t(60), t(90)).unwrap()]),
+            DisruptionPlan::from_windows(vec![Window::new(t(60), t(90)).unwrap()]),
         );
         f.service
             .submit(t(0), &f.network, request(DataSize::from_gb(1)))
@@ -921,7 +849,7 @@ mod tests {
 
         // A deadline kill lands in its own bucket.
         f.service
-            .set_fault_plan("boliu#laptop", "cvrg#galaxy", FaultPlan::none());
+            .set_fault_plan("boliu#laptop", "cvrg#galaxy", DisruptionPlan::none());
         f.service
             .submit(
                 t(1000),

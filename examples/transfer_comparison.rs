@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example transfer_comparison`
 
-use cumulus::net::{DataSize, FaultPlan, Network, Outage};
+use cumulus::net::{DataSize, Network};
+use cumulus::simkit::disrupt::{DisruptionPlan, Window};
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::transfer::{
     calibrated_wan_link, CertificateAuthority, EndpointKind, Protocol, TransferRequest,
@@ -63,7 +64,7 @@ fn main() {
     service
         .credentials
         .register(ca.issue("boliu", SimTime::ZERO, SimDuration::from_hours(12)));
-    let outage = Outage::new(
+    let outage = Window::new(
         SimTime::ZERO + SimDuration::from_secs(60),
         SimTime::ZERO + SimDuration::from_secs(120),
     )
@@ -71,7 +72,7 @@ fn main() {
     service.set_fault_plan(
         "boliu#laptop",
         "cvrg#galaxy",
-        FaultPlan::from_windows(vec![outage]),
+        DisruptionPlan::from_windows(vec![outage]),
     );
 
     for protocol in [Protocol::GLOBUS_DEFAULT, Protocol::Ftp] {

@@ -13,8 +13,8 @@
 //!
 //! | crate | reproduces |
 //! |---|---|
-//! | [`simkit`] | the DES kernel (virtual time, seeded RNG streams, metrics) |
-//! | [`net`] | links, a TCP throughput model, fault plans |
+//! | [`simkit`] | the DES kernel (virtual time, seeded RNG streams, metrics, fault plans) |
+//! | [`net`] | links, a TCP throughput model |
 //! | [`cloud`] | EC2: instance types, lifecycle, billing |
 //! | [`chef`] | Chef: resources, recipes, cookbooks, converge |
 //! | [`nfs`] | the shared NFS/NIS filesystem |

@@ -48,19 +48,21 @@ fn parallel_replicas_match_sequential_execution() {
 
 #[test]
 fn des_event_traces_are_reproducible() {
-    // Drive a nontrivial event cascade twice and compare traces.
+    // Drive a nontrivial event cascade twice and compare telemetry digests.
     fn trace(seed: u64) -> u64 {
-        let mut sim = Sim::new(TraceLog::enabled());
+        let mut sim = Sim::new(Telemetry::enabled());
         let mut rng = RngStream::derive(seed, "cascade");
+        let event = Key::intern("test.cascade.event");
+        let follow_up = Key::intern("test.cascade.follow_up");
         for i in 0..50u64 {
             let delay = SimDuration::from_millis(rng.uniform_int(1, 1000));
-            sim.schedule_in(delay, move |sim: &mut Sim<TraceLog>| {
+            sim.schedule_in(delay, move |sim: &mut Sim<Telemetry>| {
                 let now = sim.now();
-                sim.world.emit(now, "evt", format!("event {i}"));
+                sim.world.record(now, "test", event, Payload::Count(i));
                 if i % 7 == 0 {
                     sim.schedule_in(SimDuration::from_millis(i + 1), move |sim| {
                         let now = sim.now();
-                        sim.world.emit(now, "evt", format!("follow-up {i}"));
+                        sim.world.record(now, "test", follow_up, Payload::Count(i));
                     });
                 }
             });
@@ -382,9 +384,10 @@ fn metrics_merge_is_order_independent_for_counters() {
     let a = Metrics::new();
     let b = Metrics::new();
     let c = Metrics::new();
-    a.incr("jobs", 3);
-    b.incr("jobs", 4);
-    c.incr("jobs", 5);
+    let jobs = MetricId::register("jobs");
+    a.incr_id(jobs, 3);
+    b.incr_id(jobs, 4);
+    c.incr_id(jobs, 5);
     let left = Metrics::new();
     left.merge(&a);
     left.merge(&b);

@@ -6,9 +6,10 @@ use std::collections::BTreeMap;
 use cumulus::cloud::InstanceType;
 use cumulus::galaxy::GalaxyJobState;
 use cumulus::htc::JobState;
-use cumulus::net::{DataSize, FaultPlan, Outage};
+use cumulus::net::DataSize;
 use cumulus::provision::Topology;
 use cumulus::scenario::UseCaseScenario;
+use cumulus::simkit::disrupt::{DisruptionPlan, Window};
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::transfer::{Protocol, TaskStatus, TransferRequest};
 
@@ -76,9 +77,9 @@ fn transfer_faults_retry_to_success_with_restart_markers() {
     let (mut s, report) = UseCaseScenario::deploy(202, SimTime::ZERO).unwrap();
     // Put a rough fault plan on the laptop path.
     let start = report.ready_at;
-    let windows: Vec<Outage> = (0..3)
+    let windows: Vec<Window> = (0..3)
         .map(|i| {
-            Outage::new(
+            Window::new(
                 start + SimDuration::from_secs(20 + i * 120),
                 start + SimDuration::from_secs(50 + i * 120),
             )
@@ -88,7 +89,7 @@ fn transfer_faults_retry_to_success_with_restart_markers() {
     s.world.transfer.set_fault_plan(
         &s.laptop_endpoint,
         "cvrg#galaxy",
-        FaultPlan::from_windows(windows),
+        DisruptionPlan::from_windows(windows),
     );
     let request = TransferRequest::globus(
         "boliu",
@@ -157,9 +158,9 @@ fn chronic_faults_fail_the_task_after_retries() {
     let (mut s, report) = UseCaseScenario::deploy(204, SimTime::ZERO).unwrap();
     let start = report.ready_at;
     // Outages that always return faster than the transfer can finish.
-    let windows: Vec<Outage> = (0..5000)
+    let windows: Vec<Window> = (0..5000)
         .map(|i| {
-            Outage::new(
+            Window::new(
                 start + SimDuration::from_secs(5 + i * 40),
                 start + SimDuration::from_secs(35 + i * 40),
             )
@@ -169,7 +170,7 @@ fn chronic_faults_fail_the_task_after_retries() {
     s.world.transfer.set_fault_plan(
         &s.laptop_endpoint,
         "cvrg#galaxy",
-        FaultPlan::from_windows(windows),
+        DisruptionPlan::from_windows(windows),
     );
     let request = TransferRequest::globus(
         "boliu",
