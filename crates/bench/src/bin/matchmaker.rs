@@ -486,7 +486,13 @@ mod baseline {
 
 const CU_MENU: [f64; 4] = [1.0, 2.2, 4.0, 8.0];
 const MEM_MENU: [i64; 4] = [613, 1700, 4000, 7500];
-const CID_MENU: [&str; 5] = ["cid-aa", "cid-bb", "cid-cc", "cid-dd", "cid-ee"];
+const CID_MENU: [&str; 5] = [
+    "00000000000000aa",
+    "00000000000000bb",
+    "00000000000000cc",
+    "00000000000000dd",
+    "00000000000000ee",
+];
 
 fn machine_spec(i: usize) -> (String, f64, i64, u32) {
     (

@@ -19,6 +19,7 @@ use cumulus_htc::{
 };
 use cumulus_net::{DataSize, Network, NodeId};
 use cumulus_simkit::time::SimTime;
+use cumulus_store::{cid_list, ContentId};
 use cumulus_transfer::{
     Protocol, TaskId, TaskStatus, TransferError, TransferRequest, TransferService,
 };
@@ -531,9 +532,9 @@ impl GalaxyServer {
         let resolved = tool.resolve_params(params)?;
 
         // Gather dataset inputs (and their content ids, for data-aware
-        // matchmaking — the set is sorted so the ad is deterministic).
+        // matchmaking — sorted and deduplicated so the ad is deterministic).
         let mut inputs: BTreeMap<String, DatasetId> = BTreeMap::new();
-        let mut input_cids: std::collections::BTreeSet<String> = Default::default();
+        let mut input_cids: Vec<ContentId> = Vec::new();
         let mut input_size = DataSize::ZERO;
         for spec in &tool.params {
             if spec.kind == ParamKind::DatasetInput {
@@ -549,7 +550,7 @@ impl GalaxyServer {
                         return Err(GalaxyError::DatasetNotReady(ds_id));
                     }
                     input_size += ds.size;
-                    input_cids.insert(ds.content_id().hex());
+                    input_cids.push(ds.content_id());
                     inputs.insert(spec.name.clone(), ds_id);
                 }
             }
@@ -580,8 +581,9 @@ impl GalaxyServer {
         let work = tool.cost.work(input_size);
         let mut condor_job = CondorJob::new(username, work);
         if !input_cids.is_empty() {
-            let joined = input_cids.iter().cloned().collect::<Vec<_>>().join(",");
-            condor_job = condor_job.attr(JOB_INPUT_CIDS_ATTR, AdValue::Str(joined));
+            input_cids.sort_unstable();
+            input_cids.dedup();
+            condor_job = condor_job.attr(JOB_INPUT_CIDS_ATTR, AdValue::Str(cid_list(input_cids)));
         }
         let condor_id = pool.submit(condor_job, now);
         self.condor_to_galaxy.insert(condor_id, job_id);

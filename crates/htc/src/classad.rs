@@ -42,6 +42,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -61,7 +62,42 @@ pub struct Symbol(u32);
 
 struct SymbolTable {
     names: Vec<&'static str>,
-    by_name: HashMap<&'static str, u32>,
+    by_name: HashMap<Folded<'static>, u32>,
+}
+
+/// A name keyed case-insensitively: hashing and equality fold ASCII case
+/// on the fly, so looking up an already-interned name allocates nothing.
+struct Folded<'a>(&'a str);
+
+impl Hash for Folded<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let bytes = self.0.as_bytes();
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            for (d, s) in word.iter_mut().zip(chunk) {
+                *d = s.to_ascii_lowercase();
+            }
+            state.write_u64(u64::from_le_bytes(word));
+        }
+        state.write_usize(bytes.len());
+    }
+}
+
+impl PartialEq for Folded<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(other.0)
+    }
+}
+
+impl Eq for Folded<'_> {}
+
+impl SymbolTable {
+    fn get(&self, name: &str) -> Option<Symbol> {
+        // `HashMap` is covariant in its key, so the `'static` table can be
+        // probed with a borrowed key.
+        let by_name: &HashMap<Folded<'_>, u32> = &self.by_name;
+        by_name.get(&Folded(name)).copied().map(Symbol)
+    }
 }
 
 fn symbol_table() -> &'static Mutex<SymbolTable> {
@@ -77,24 +113,24 @@ fn symbol_table() -> &'static Mutex<SymbolTable> {
 impl Symbol {
     /// Intern a name (case-insensitive, like Condor attribute names).
     pub fn intern(name: &str) -> Symbol {
-        let folded = name.to_ascii_lowercase();
         let mut tab = symbol_table().lock().expect("symbol table poisoned");
-        if let Some(&id) = tab.by_name.get(folded.as_str()) {
-            return Symbol(id);
+        if let Some(sym) = tab.get(name) {
+            return sym;
         }
         let id = tab.names.len() as u32;
-        let leaked: &'static str = Box::leak(folded.into_boxed_str());
+        let leaked: &'static str = Box::leak(name.to_ascii_lowercase().into_boxed_str());
         tab.names.push(leaked);
-        tab.by_name.insert(leaked, id);
+        tab.by_name.insert(Folded(leaked), id);
         Symbol(id)
     }
 
     /// Look up a name without interning it (lookups of never-set
     /// attributes should not grow the table).
     pub fn find(name: &str) -> Option<Symbol> {
-        let folded = name.to_ascii_lowercase();
-        let tab = symbol_table().lock().expect("symbol table poisoned");
-        tab.by_name.get(folded.as_str()).copied().map(Symbol)
+        symbol_table()
+            .lock()
+            .expect("symbol table poisoned")
+            .get(name)
     }
 
     /// The interned (lower-cased) name.
@@ -223,20 +259,18 @@ impl ClassAd {
         self
     }
 
-    /// Get an attribute.
+    /// Get an attribute (a clone; hot paths borrow through [`lookup`]).
+    ///
+    /// [`lookup`]: ClassAd::lookup
     pub fn get(&self, key: &str) -> Value {
-        match Symbol::find(key) {
-            Some(sym) => self.get_sym(sym),
-            None => Value::Undefined,
-        }
+        Symbol::find(key)
+            .and_then(|sym| self.lookup(sym))
+            .cloned()
+            .unwrap_or(Value::Undefined)
     }
 
-    /// Get an attribute by pre-interned symbol (the hot path).
-    pub fn get_sym(&self, sym: Symbol) -> Value {
-        self.lookup(sym).cloned().unwrap_or(Value::Undefined)
-    }
-
-    /// Borrowing lookup by symbol; `None` when the attribute is absent.
+    /// Borrowing lookup by pre-interned symbol (the hot path); `None`
+    /// when the attribute is absent.
     pub fn lookup(&self, sym: Symbol) -> Option<&Value> {
         self.attrs
             .binary_search_by_key(&sym, |(s, _)| *s)
@@ -1293,6 +1327,15 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.name(), "computeunits");
         assert_eq!(Symbol::find("computeUNITS"), Some(a));
+        // Names longer than one folded 8-byte word, and ones differing only
+        // past it, stay distinct; non-ASCII bytes are compared as they are.
+        let long = Symbol::intern("ARatherLongAttributeName");
+        assert_eq!(Symbol::find("aratherlongattributename"), Some(long));
+        assert_ne!(Symbol::intern("ARatherLongAttributeNamf"), long);
+        assert_ne!(Symbol::intern("ARatherLongAttributeNam"), long);
+        let accented = Symbol::intern("Größe");
+        assert_eq!(Symbol::find("GRößE"), Some(accented));
+        assert_eq!(Symbol::find("GRÖßE"), None);
     }
 
     #[test]

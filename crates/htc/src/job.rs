@@ -7,7 +7,7 @@ use cumulus_simkit::time::{SimDuration, SimTime};
 
 use crate::classad::{ClassAd, CompiledExpr, Expr, ParseError, Value};
 use crate::machine::MachineName;
-use crate::pool::JOB_INPUT_CIDS_ATTR;
+use crate::pool::{parse_cid, sym_input_cids, sym_owner};
 
 /// Identifier for a submitted job (cluster id, in Condor terms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -101,9 +101,9 @@ pub struct Job {
     pub(crate) compiled_req: CompiledExpr,
     /// `rank` compiled at build time.
     pub(crate) compiled_rank: CompiledExpr,
-    /// Parsed `InputCids` job-ad attribute, in declaration order with
-    /// duplicates preserved (overlap counting matches the ad string).
-    pub(crate) input_cids: Vec<Box<str>>,
+    /// Well-formed ids of the `InputCids` job-ad attribute, in declaration
+    /// order with duplicates preserved (each counts toward the bonus).
+    pub(crate) input_cids: Vec<u64>,
     /// Bumped every time the job is (re)scheduled; lets the settle heap
     /// detect stale entries after evictions or deadline extensions.
     pub(crate) run_gen: u64,
@@ -187,11 +187,11 @@ impl JobBuilder {
     /// submission).
     pub(crate) fn build(self, id: JobId, submitted_at: SimTime) -> Job {
         let mut ad = self.ad;
-        ad.set("Owner", Value::Str(self.owner.clone()));
+        ad.set_sym(sym_owner(), Value::Str(self.owner.clone()));
         let compiled_req = self.requirements.compile();
         let compiled_rank = self.rank.compile();
-        let input_cids = match ad.get(JOB_INPUT_CIDS_ATTR) {
-            Value::Str(s) if !s.is_empty() => s.split(',').map(Box::from).collect(),
+        let input_cids = match ad.lookup(sym_input_cids()) {
+            Some(Value::Str(s)) => s.split(',').filter_map(parse_cid).collect(),
             _ => Vec::new(),
         };
         Job {

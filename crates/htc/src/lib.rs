@@ -35,7 +35,7 @@ pub use dag::{DagError, DagRun, NodeStatus};
 pub use job::{Job, JobBuilder, JobId, JobState, WorkSpec};
 pub use machine::{Machine, MachineName};
 pub use pool::{
-    CondorPool, Match, PoolError, CACHE_AFFINITY_BONUS, JOB_INPUT_CIDS_ATTR,
+    parse_cid, CondorPool, Match, PoolError, CACHE_AFFINITY_BONUS, JOB_INPUT_CIDS_ATTR,
     MACHINE_CACHE_CIDS_ATTR, NEGOTIATION_INTERVAL,
 };
 pub use retry::{JobRetryTracker, RetryReport};

@@ -1,5 +1,6 @@
 //! Execute machines (Condor worker ads and slots).
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use crate::classad::{ClassAd, Value};
@@ -7,6 +8,15 @@ use crate::classad::{ClassAd, Value};
 /// A machine's name in the pool (its hostname).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MachineName(pub String);
+
+/// Lets name-keyed maps be probed with a `&str`, no `MachineName` built.
+/// The derived `Eq`/`Ord`/`Hash` are the inner `String`'s, so they agree
+/// with `str`'s as `Borrow` requires.
+impl Borrow<str> for MachineName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
 
 impl fmt::Display for MachineName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

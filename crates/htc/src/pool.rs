@@ -20,12 +20,15 @@ use crate::classad::{ClassAd, Symbol, Value};
 use crate::job::{Job, JobBuilder, JobId, JobState};
 use crate::machine::{Machine, MachineName};
 
-/// Job-ad attribute listing the job's input content ids as comma-joined
-/// 16-hex-digit strings (data-aware scheduling; unset = no affinity).
+/// Job-ad attribute listing the job's input content ids, comma-joined
+/// (data-aware scheduling; unset = no affinity). Each id is exactly 16
+/// lowercase hex digits, the form `ContentId::hex` writes; any other
+/// token (empty, uppercase, shorter, longer) never counts as an overlap.
 pub const JOB_INPUT_CIDS_ATTR: &str = "InputCids";
 
 /// Machine-ad attribute listing the contents of the worker's data cache
-/// in the same format. Refreshed by the data plane after staging.
+/// in the same format and under the same 16-lowercase-hex token rule.
+/// Refreshed by the data plane after staging.
 pub const MACHINE_CACHE_CIDS_ATTR: &str = "CacheCids";
 
 /// Rank bonus per cached input. Large enough to dominate the default
@@ -33,13 +36,33 @@ pub const MACHINE_CACHE_CIDS_ATTR: &str = "CacheCids";
 /// cache-cold fast one; explicit user rank expressions can still swamp it.
 pub const CACHE_AFFINITY_BONUS: f64 = 1000.0;
 
+/// Parse one content-id token of [`JOB_INPUT_CIDS_ATTR`] or
+/// [`MACHINE_CACHE_CIDS_ATTR`]: exactly 16 lowercase hex digits, else
+/// `None`. Zero-padded lowercase hex orders like the `u64` it encodes,
+/// so ascending id lists stay ascending either way.
+pub fn parse_cid(token: &str) -> Option<u64> {
+    if token.len() != 16 {
+        return None;
+    }
+    token.bytes().try_fold(0u64, |id, b| {
+        let nibble = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(id << 4 | u64::from(nibble))
+    })
+}
+
 /// The data-affinity term added to a job's rank for a machine: the bonus
-/// times the number of the job's inputs already in the machine's cache.
+/// times the number of the job's input tokens (duplicates included) that
+/// are well-formed ids ([`parse_cid`]) and appear in the machine's cache.
 /// Zero whenever either side leaves its attribute unset, so pools that
 /// never advertise content ids negotiate exactly as before.
 ///
 /// This is the reference definition; the negotiator itself counts overlap
-/// against pre-parsed cid lists (a `debug_assert` keeps them in lockstep).
+/// against ids parsed to `u64` once per ad change (a `debug_assert` keeps
+/// them in lockstep).
 fn cache_affinity(machine_ad: &ClassAd, job_ad: &ClassAd) -> f64 {
     let Value::Str(inputs) = job_ad.get(JOB_INPUT_CIDS_ATTR) else {
         return 0.0;
@@ -47,11 +70,11 @@ fn cache_affinity(machine_ad: &ClassAd, job_ad: &ClassAd) -> f64 {
     let Value::Str(cached) = machine_ad.get(MACHINE_CACHE_CIDS_ATTR) else {
         return 0.0;
     };
-    if inputs.is_empty() || cached.is_empty() {
-        return 0.0;
-    }
     let cached: BTreeSet<&str> = cached.split(',').collect();
-    let overlap = inputs.split(',').filter(|c| cached.contains(c)).count();
+    let overlap = inputs
+        .split(',')
+        .filter(|c| parse_cid(c).is_some() && cached.contains(c))
+        .count();
     CACHE_AFFINITY_BONUS * overlap as f64
 }
 
@@ -116,6 +139,18 @@ fn sym_cache_cids() -> Symbol {
     *S.get_or_init(|| Symbol::intern(MACHINE_CACHE_CIDS_ATTR))
 }
 
+/// Interned symbol for [`JOB_INPUT_CIDS_ATTR`].
+pub(crate) fn sym_input_cids() -> Symbol {
+    static S: OnceLock<Symbol> = OnceLock::new();
+    *S.get_or_init(|| Symbol::intern(JOB_INPUT_CIDS_ATTR))
+}
+
+/// Interned symbol for the job ad's `Owner` attribute.
+pub(crate) fn sym_owner() -> Symbol {
+    static S: OnceLock<Symbol> = OnceLock::new();
+    *S.get_or_init(|| Symbol::intern("Owner"))
+}
+
 /// A machine plus the negotiator's per-machine caches, stored in a slab
 /// slot. The caches are derived from the machine ad and recomputed lazily
 /// when [`CondorPool::machine_mut`] (or `add_machine`) marks them dirty.
@@ -125,9 +160,10 @@ struct MachineSlot {
     /// `ComputeUnits` from the ad (Float/Int, else 1.0), read once per
     /// dirty cycle instead of once per accepted match.
     capacity: f64,
-    /// Sorted, deduplicated `CacheCids` entries for binary-search overlap
-    /// counting. Empty when the attribute is unset / not a string / "".
-    cache_cids: Vec<Box<str>>,
+    /// Sorted, deduplicated well-formed `CacheCids` ids for binary-search
+    /// overlap counting. Empty when the attribute is unset / not a string
+    /// / holds no well-formed id.
+    cache_cids: Vec<u64>,
     /// Set when the ad may have changed; cleared by `recompute`.
     dirty: bool,
 }
@@ -145,20 +181,17 @@ impl MachineSlot {
     }
 
     fn recompute(&mut self) {
-        self.capacity = match self.machine.ad.get_sym(sym_compute_units()) {
-            Value::Float(f) => f,
-            Value::Int(i) => i as f64,
+        self.capacity = match self.machine.ad.lookup(sym_compute_units()) {
+            Some(&Value::Float(f)) => f,
+            Some(&Value::Int(i)) => i as f64,
             _ => 1.0,
         };
-        self.cache_cids = match self.machine.ad.get_sym(sym_cache_cids()) {
-            Value::Str(s) if !s.is_empty() => {
-                let mut cids: Vec<Box<str>> = s.split(',').map(Box::from).collect();
-                cids.sort_unstable();
-                cids.dedup();
-                cids
-            }
-            _ => Vec::new(),
-        };
+        self.cache_cids.clear();
+        if let Some(Value::Str(s)) = self.machine.ad.lookup(sym_cache_cids()) {
+            self.cache_cids.extend(s.split(',').filter_map(parse_cid));
+            self.cache_cids.sort_unstable();
+            self.cache_cids.dedup();
+        }
         self.dirty = false;
     }
 }
@@ -317,9 +350,9 @@ impl CondorPool {
     // ----- index maintenance -----------------------------------------
 
     /// Position of `name` in the name-sorted accepting list.
-    fn accepting_pos(&self, name: &MachineName) -> Result<usize, usize> {
+    fn accepting_pos(&self, name: &str) -> Result<usize, usize> {
         self.accepting
-            .binary_search_by(|&i| self.slot(i).machine.name.cmp(name))
+            .binary_search_by(|&i| self.slot(i).machine.name.0.as_str().cmp(name))
     }
 
     fn slot(&self, i: usize) -> &MachineSlot {
@@ -332,14 +365,13 @@ impl CondorPool {
 
     /// Insert `i` into the accepting list (no-op if already present).
     fn accepting_insert(&mut self, i: usize) {
-        let name = self.slot(i).machine.name.clone();
-        if let Err(pos) = self.accepting_pos(&name) {
+        if let Err(pos) = self.accepting_pos(&self.slot(i).machine.name.0) {
             self.accepting.insert(pos, i);
         }
     }
 
     /// Remove the machine named `name` from the accepting list, if present.
-    fn accepting_remove(&mut self, name: &MachineName) {
+    fn accepting_remove(&mut self, name: &str) {
         if let Ok(pos) = self.accepting_pos(name) {
             self.accepting.remove(pos);
         }
@@ -368,7 +400,7 @@ impl CondorPool {
     /// Free a slab slot and every index that referenced it.
     fn remove_slot(&mut self, i: usize) -> MachineSlot {
         let name = self.slot(i).machine.name.clone();
-        self.accepting_remove(&name);
+        self.accepting_remove(&name.0);
         self.by_name.remove(&name);
         let slot = self.machines[i].take().expect("live slab index");
         if slot.machine.draining {
@@ -424,16 +456,15 @@ impl CondorPool {
     /// the machine is removed once idle. Returns `true` if it was removed
     /// immediately (nothing running).
     pub fn drain_machine(&mut self, name: &str) -> Result<bool, PoolError> {
-        let key = MachineName(name.to_string());
         let &i = self
             .by_name
-            .get(&key)
+            .get(name)
             .ok_or_else(|| PoolError::UnknownMachine(name.to_string()))?;
         let m = &mut self.slot_mut(i).machine;
         let was_draining = m.draining;
         m.draining = true;
         let idle_now = m.busy_slots() == 0;
-        self.accepting_remove(&key);
+        self.accepting_remove(name);
         if !was_draining {
             self.draining_count += 1;
         }
@@ -447,15 +478,16 @@ impl CondorPool {
     /// Abruptly remove a machine (host failure / terminated instance).
     /// Its running jobs are evicted back to Idle for rematching.
     pub fn remove_machine(&mut self, name: &str, now: SimTime) -> Result<Vec<JobId>, PoolError> {
-        let key = MachineName(name.to_string());
-        let Some(&i) = self.by_name.get(&key) else {
+        let Some(&i) = self.by_name.get(name) else {
             return Err(PoolError::UnknownMachine(name.to_string()));
         };
         self.remove_slot(i);
         let mut evicted = Vec::new();
         let mut requeue = Vec::new();
         for job in self.jobs.values_mut() {
-            if job.state == JobState::Running && job.running_on.as_ref() == Some(&key) {
+            if job.state == JobState::Running
+                && job.running_on.as_ref().is_some_and(|m| m.0 == name)
+            {
                 job.state = JobState::Idle;
                 job.running_on = None;
                 job.finish_at = None;
@@ -504,9 +536,7 @@ impl CondorPool {
 
     /// Look up a machine by name.
     pub fn machine(&self, name: &str) -> Option<&Machine> {
-        self.by_name
-            .get(&MachineName(name.to_string()))
-            .map(|&i| &self.slot(i).machine)
+        self.by_name.get(name).map(|&i| &self.slot(i).machine)
     }
 
     /// Mutable lookup — lets the data plane refresh a machine's
@@ -514,7 +544,7 @@ impl CondorPool {
     /// Slot counts and draining state must go through the pool's own
     /// methods; only the ad may be touched here.
     pub fn machine_mut(&mut self, name: &str) -> Option<&mut Machine> {
-        let &i = self.by_name.get(&MachineName(name.to_string()))?;
+        let &i = self.by_name.get(name)?;
         let slot = self.slot_mut(i);
         slot.dirty = true;
         Some(&mut slot.machine)
@@ -869,7 +899,7 @@ impl CondorPool {
                                 let overlap = job
                                     .input_cids
                                     .iter()
-                                    .filter(|c| slot.cache_cids.binary_search(c).is_ok())
+                                    .filter(|&c| slot.cache_cids.binary_search(c).is_ok())
                                     .count();
                                 score += CACHE_AFFINITY_BONUS * overlap as f64;
                             }
@@ -1429,6 +1459,79 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].machine.0, "warm", "overlap pulls the job over");
         assert_eq!(m[1].machine.0, "fast", "no overlap, default rank rules");
+    }
+
+    #[test]
+    fn parse_cid_accepts_exactly_sixteen_lowercase_hex_digits() {
+        assert_eq!(parse_cid("00000000000000aa"), Some(0xaa));
+        assert_eq!(parse_cid("0123456789abcdef"), Some(0x0123_4567_89ab_cdef));
+        assert_eq!(parse_cid("ffffffffffffffff"), Some(u64::MAX));
+        assert_eq!(parse_cid("00000000000000AA"), None, "uppercase");
+        assert_eq!(parse_cid("0000000000000aa"), None, "15 digits");
+        assert_eq!(parse_cid("00000000000000aa0"), None, "17 digits");
+        assert_eq!(parse_cid(""), None, "empty");
+        assert_eq!(parse_cid("00000000000000ag"), None, "non-hex");
+        assert_eq!(parse_cid("+0000000000000aa"), None, "sign");
+        assert_eq!(parse_cid("cid-00000000000a"), None, "prefix");
+    }
+
+    #[test]
+    fn duplicate_input_ids_each_count_toward_the_bonus() {
+        let mut pool = CondorPool::new();
+        let mut a = Machine::new("a", 1.0, 1700, 1);
+        a.ad.set(
+            MACHINE_CACHE_CIDS_ATTR,
+            Value::Str("00000000000000aa".into()),
+        );
+        pool.add_machine(a).unwrap();
+        let mut b = Machine::new("b", 2.2, 1700, 1);
+        b.ad.set(
+            MACHINE_CACHE_CIDS_ATTR,
+            Value::Str("00000000000000bb,00000000000000cc".into()),
+        );
+        pool.add_machine(b).unwrap();
+        // Counted once, "aa" would tie "bb" at one overlap each and the
+        // faster "b" would win on rank; counted twice it pulls to "a".
+        let inputs = "00000000000000aa,00000000000000aa,00000000000000bb";
+        let job = Job::new("u", WorkSpec::serial(10.0))
+            .attr(JOB_INPUT_CIDS_ATTR, Value::Str(inputs.into()));
+        pool.submit(job, t(0));
+        let m = pool.negotiate(t(0));
+        assert_eq!(m[0].machine.0, "a");
+        let job_ad = ClassAd::new().with(JOB_INPUT_CIDS_ATTR, Value::Str(inputs.into()));
+        let a_ad = &pool.machine("a").unwrap().ad;
+        assert_eq!(cache_affinity(a_ad, &job_ad), 2.0 * CACHE_AFFINITY_BONUS);
+    }
+
+    #[test]
+    fn malformed_tokens_never_overlap_even_when_identical() {
+        for token in [
+            "00000000000000AA",
+            "0000000000000aa",
+            "00000000000000aa0",
+            "cid-aa",
+            "",
+        ] {
+            let mut pool = CondorPool::new();
+            pool.add_machine(Machine::new("fast", 2.2, 1700, 1))
+                .unwrap();
+            let mut warm = Machine::new("warm", 1.0, 1700, 1);
+            let cached = format!("{token},00000000000000ff");
+            warm.ad
+                .set(MACHINE_CACHE_CIDS_ATTR, Value::Str(cached.clone()));
+            pool.add_machine(warm).unwrap();
+            let inputs = format!("{token},00000000000000ee");
+            pool.submit(
+                Job::new("u", WorkSpec::serial(10.0))
+                    .attr(JOB_INPUT_CIDS_ATTR, Value::Str(inputs.clone())),
+                t(0),
+            );
+            let m = pool.negotiate(t(0));
+            assert_eq!(m[0].machine.0, "fast", "token {token:?} scored an overlap");
+            let job_ad = ClassAd::new().with(JOB_INPUT_CIDS_ATTR, Value::Str(inputs));
+            let machine_ad = ClassAd::new().with(MACHINE_CACHE_CIDS_ATTR, Value::Str(cached));
+            assert_eq!(cache_affinity(&machine_ad, &job_ad), 0.0);
+        }
     }
 
     #[test]

@@ -63,8 +63,18 @@ impl RefMachine {
     }
 }
 
-/// The old `cache_affinity`, verbatim.
+/// The old `cache_affinity`, with one change: only tokens of exactly 16
+/// lowercase hex digits (the form `ContentId::hex` writes) can overlap.
+/// Before the pool parsed ids to `u64`, any token matched by raw string
+/// equality; the rule is checked here by its own predicate, and matching
+/// is still by string, so the lockstep stays independent of the pool.
 fn ref_cache_affinity(machine_ad: &ClassAd, job_ad: &ClassAd) -> f64 {
+    fn well_formed(token: &str) -> bool {
+        token.len() == 16
+            && token
+                .bytes()
+                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    }
     let Value::Str(inputs) = job_ad.get(JOB_INPUT_CIDS_ATTR) else {
         return 0.0;
     };
@@ -75,7 +85,10 @@ fn ref_cache_affinity(machine_ad: &ClassAd, job_ad: &ClassAd) -> f64 {
         return 0.0;
     }
     let cached: BTreeSet<&str> = cached.split(',').collect();
-    let overlap = inputs.split(',').filter(|c| cached.contains(c)).count();
+    let overlap = inputs
+        .split(',')
+        .filter(|c| well_formed(c) && cached.contains(c))
+        .count();
     CACHE_AFFINITY_BONUS * overlap as f64
 }
 
@@ -429,11 +442,18 @@ const RANKS: &[&str] = &[
     "Memory - ComputeUnits * 10",
     "ComputeUnits * 2 + 1",
 ];
+/// Well-formed ids plus tokens that must never overlap: uppercase hex,
+/// 15 and 17 digits, a non-hex name, and the empty token (`a,,b`).
 const CIDS: &[&str] = &[
     "00000000000000aa",
     "00000000000000bb",
     "00000000000000cc",
     "00000000000000dd",
+    "00000000000000AA",
+    "0000000000000bb",
+    "00000000000000cc0",
+    "cid-dd",
+    "",
 ];
 
 fn random_cid_list(rng: &mut RngStream) -> String {

@@ -36,8 +36,35 @@ impl ContentId {
     /// The 16-hex-digit form used in ClassAd attributes (no `cid-`
     /// prefix, so a comma-joined list parses unambiguously).
     pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
+        let mut out = String::with_capacity(16);
+        push_hex(&mut out, *self);
+        out
     }
+}
+
+/// Append `cid` as 16 lowercase hex digits, most significant nibble first
+/// (`{:016x}` without the formatting machinery).
+fn push_hex(out: &mut String, cid: ContentId) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..16).rev() {
+        out.push(char::from(DIGITS[(cid.0 >> (shift * 4)) as usize & 0xf]));
+    }
+}
+
+/// The ClassAd id-list advertisement (`InputCids`, `CacheCids`): each id
+/// as [`ContentId::hex`], comma-joined, in iteration order — callers pass
+/// ascending, deduplicated ids. Written into one string pre-sized from
+/// the iterator's lower size bound.
+pub fn cid_list(ids: impl IntoIterator<Item = ContentId>) -> String {
+    let ids = ids.into_iter();
+    let mut out = String::with_capacity(ids.size_hint().0 * 17);
+    for cid in ids {
+        if !out.is_empty() {
+            out.push(',');
+        }
+        push_hex(&mut out, cid);
+    }
+    out
 }
 
 /// An incremental FNV-1a hasher producing [`ContentId`]s.
@@ -123,6 +150,18 @@ mod tests {
         let id = ContentId(0xdead_beef);
         assert_eq!(id.to_string(), "cid-00000000deadbeef");
         assert_eq!(id.hex(), "00000000deadbeef");
+        for v in [0, 1, 0xf, 0x10, 0x0123_4567_89ab_cdef, u64::MAX] {
+            assert_eq!(ContentId(v).hex(), format!("{v:016x}"));
+        }
+    }
+
+    #[test]
+    fn cid_list_is_the_comma_joined_hex() {
+        assert_eq!(cid_list([]), "");
+        assert_eq!(cid_list([ContentId(0xab)]), "00000000000000ab");
+        let ids = [ContentId(1), ContentId(0xfe), ContentId(u64::MAX)];
+        let joined = ids.iter().map(|c| c.hex()).collect::<Vec<_>>().join(",");
+        assert_eq!(cid_list(ids), joined);
     }
 
     #[test]

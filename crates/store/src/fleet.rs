@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::cache::{EvictionPolicy, WorkerCache};
-use crate::content::ContentId;
+use crate::content::{cid_list, ContentId};
 
 /// Metrics keys the fleet records.
 pub mod keys {
@@ -187,15 +187,11 @@ impl CacheFleet {
     }
 
     /// The machine-ad advertisement for `worker`: cached ids as
-    /// comma-joined 16-hex-digit strings, ascending. Empty when the
-    /// worker is unknown or cold.
+    /// comma-joined 16-hex-digit strings, ascending ([`cid_list`]). Empty
+    /// when the worker is unknown or cold.
     pub fn attr_string(&self, worker: &str) -> String {
         match self.lock().caches.get(worker) {
-            Some(c) => c
-                .contents()
-                .map(|cid| cid.hex())
-                .collect::<Vec<_>>()
-                .join(","),
+            Some(c) => cid_list(c.contents()),
             None => String::new(),
         }
     }

@@ -28,7 +28,7 @@ pub mod staging;
 pub use cumulus_net::DataSize;
 
 pub use cache::{EvictionPolicy, WorkerCache};
-pub use content::{ContentHasher, ContentId};
+pub use content::{cid_list, ContentHasher, ContentId};
 pub use fleet::CacheFleet;
 pub use object::{ObjectStore, ObjectStoreConfig};
 pub use staging::{

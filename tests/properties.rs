@@ -8,10 +8,11 @@
 use cumulus::cloud::{BillingLedger, BillingMode, InstanceId, InstanceType};
 use cumulus::crdata::stats::fdr::{adjust, Adjustment};
 use cumulus::crdata::stats::special::{normal_cdf, t_cdf};
-use cumulus::htc::{ClassAd, Expr, Value};
+use cumulus::htc::{parse_cid, ClassAd, Expr, Value};
 use cumulus::net::{DataSize, Link, TcpConfig};
 use cumulus::provision::{IniDoc, Json, Topology};
 use cumulus::simkit::prelude::*;
+use cumulus::store::{CacheFleet, ContentId, EvictionPolicy, WorkerCache};
 use cumulus::transfer::Protocol;
 
 const CASES: u64 = 64;
@@ -240,6 +241,54 @@ fn classad_numeric_comparisons_match_rust() {
             let e = Expr::parse(src).unwrap();
             assert_eq!(e.eval_bool(&target, &own), expected, "case {case}: {src}");
         }
+    }
+}
+
+// ----- cache advertisement ------------------------------------------
+
+#[test]
+fn cache_advertisement_round_trips_through_the_matchmaker_parser() {
+    for case in 0..CASES {
+        let mut rng = RngStream::derive(case, "prop/cache-ad");
+        let policy = if rng.chance(0.5) {
+            EvictionPolicy::Lru
+        } else {
+            EvictionPolicy::Lfu
+        };
+        let capacity = DataSize::from_mb(rng.uniform_int(1, 40));
+        let fleet = CacheFleet::new(capacity, policy);
+        let mut shadow = WorkerCache::new(capacity, policy);
+        fleet.ensure_worker("w");
+        for _ in 0..rng.uniform_int(0, 80) {
+            // Small id space so lookups hit; full-width ids so every
+            // nibble of the writer is exercised.
+            let cid = ContentId(rng.uniform_int(0, 24).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            if rng.chance(0.3) {
+                assert_eq!(fleet.lookup("w", cid), shadow.lookup(cid));
+            } else {
+                let size = DataSize::from_mb(rng.uniform_int(1, 8));
+                assert_eq!(fleet.insert("w", cid, size), shadow.insert(cid, size));
+            }
+        }
+        let ad = fleet.attr_string("w");
+        // The reference: the `hex()`-join the advertisement used to build,
+        // with `hex()`'s old `{:016x}` body.
+        let reference = shadow
+            .contents()
+            .map(|cid| format!("{:016x}", cid.0))
+            .collect::<Vec<_>>()
+            .join(",");
+        assert_eq!(ad, reference, "case {case}");
+        let parsed: Vec<u64> = if ad.is_empty() {
+            Vec::new()
+        } else {
+            ad.split(',')
+                .map(|t| parse_cid(t).expect("well-formed id"))
+                .collect()
+        };
+        let contents: Vec<u64> = shadow.contents().map(|cid| cid.0).collect();
+        assert_eq!(parsed, contents, "case {case}");
+        assert!(parsed.windows(2).all(|w| w[0] < w[1]), "case {case}");
     }
 }
 
