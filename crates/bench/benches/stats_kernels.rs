@@ -1,7 +1,9 @@
 //! Benchmarks of the statistical kernels the CRData tools are built on, at
-//! realistic expression-analysis sizes. Plain `Instant`-based harness
-//! (`harness = false`; the build environment ships no criterion).
+//! realistic expression-analysis sizes, plus one whole tool run. Plain
+//! `Instant`-based harness (`harness = false`; the build environment ships
+//! no criterion).
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use cumulus_crdata::datagen::{generate_cel_bundle, CelBundleSpec};
@@ -10,6 +12,7 @@ use cumulus_crdata::stats::distance::Metric;
 use cumulus_crdata::stats::fdr::{adjust, Adjustment};
 use cumulus_crdata::stats::norm;
 use cumulus_crdata::stats::ttest::welch_t_test;
+use cumulus_galaxy::ToolInvocation;
 use cumulus_net::DataSize;
 use cumulus_simkit::rng::RngStream;
 
@@ -32,7 +35,7 @@ fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
         std::hint::black_box(f());
     }
     let per = start.elapsed().as_secs_f64() / iters as f64;
-    println!("{name:<28} {:>12.1} us/iter", per * 1e6);
+    println!("{name:<34} {:>12.1} us/iter", per * 1e6);
 }
 
 fn main() {
@@ -67,6 +70,31 @@ fn main() {
         .collect();
     bench("bh_adjust_10k", 50, || {
         adjust(&pvals, Adjustment::BenjaminiHochberg)
+    });
+
+    println!("== whole_tool ==");
+    // One cold catalog behavior run on the bundle shape `galaxy-elastic`
+    // sessions analyse. The server runs each distinct invocation once, so
+    // this row, not that workload, measures the statistics.
+    let spec = CelBundleSpec::four_cel_samples();
+    let input = cumulus_crdata::matrix_to_content(
+        generate_cel_bundle(&spec, &mut RngStream::derive(5, "bench")).matrix,
+    );
+    let tool = cumulus_crdata::catalog()
+        .into_iter()
+        .map(|(_, t)| t)
+        .find(|t| t.id == "crdata_affyDifferentialExpression")
+        .expect("the catalog has affyDifferentialExpression");
+    let provided = BTreeMap::from([("input".to_string(), "dataset-1".to_string())]);
+    let mut params = tool.resolve_params(&provided).expect("defaults resolve");
+    params.remove("input");
+    let inv = ToolInvocation {
+        params,
+        inputs: BTreeMap::from([("input".to_string(), &input)]),
+        input_size: spec.archive_size,
+    };
+    bench("affyDifferentialExpression/2000x4", 50, || {
+        tool.behavior.run(&inv).expect("the tool runs")
     });
 
     println!("== clustering ==");

@@ -80,7 +80,10 @@ fn run_all(label: &str, tool: &ToolDefinition, input: &Content, out: &mut Vec<(S
             .cloned()
             .chain([(dataset.to_string(), "golden".to_string())])
             .collect();
-        let params = tool.resolve_params(&provided).unwrap();
+        // The server hands a behavior value parameters only; the dataset
+        // arrives through `inputs`.
+        let mut params = tool.resolve_params(&provided).unwrap();
+        params.remove(dataset);
         let inv = ToolInvocation {
             params,
             inputs: [(dataset.to_string(), input)].into_iter().collect(),
@@ -90,6 +93,9 @@ fn run_all(label: &str, tool: &ToolDefinition, input: &Content, out: &mut Vec<(S
             .behavior
             .run(&inv)
             .unwrap_or_else(|e| panic!("{label} {} {sweep:?}: {e}", tool.id));
+        let returned: Vec<&str> = outputs.iter().map(|o| o.name.as_str()).collect();
+        let declared: Vec<&str> = tool.outputs.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(returned, declared, "{label} {}: outputs", tool.id);
         let binding = sweep
             .iter()
             .map(|(k, v)| format!("{k}={v}"))

@@ -10,7 +10,8 @@
 //! * [`registry`] — the tool panel;
 //! * [`history`] / [`user`] — per-user workspaces with quotas;
 //! * [`job`] + [`server`] — the application server: tool dispatch to a
-//!   Condor pool, pending-output lifecycle, real execution on completion,
+//!   Condor pool, pending-output lifecycle, real execution on completion
+//!   (each distinct invocation once, through a private tool-run memo),
 //!   and the three Globus Transfer tools plus FTP/HTTP uploads;
 //! * [`workflow`] — DAG workflows scheduled through the pool;
 //! * [`checkpoint`] — restartable run snapshots plus resume through the
@@ -29,6 +30,7 @@ pub mod dataset;
 pub mod globus_tools;
 pub mod history;
 pub mod job;
+mod memo;
 pub mod provenance;
 pub mod registry;
 pub mod routing;
@@ -52,8 +54,8 @@ pub use routing::{InvocationRequest, InvocationRouter, SingleSite, SiteSnapshot}
 pub use server::{GalaxyError, GalaxyServer};
 pub use sharing::{Page, ShareItem, SharingModel, Visibility};
 pub use tool::{
-    CostModel, OutputSpec, ParamKind, ParamSpec, ToolBehavior, ToolDefinition, ToolError,
-    ToolInvocation, ToolOutput,
+    CostModel, OutputMismatch, OutputSpec, ParamKind, ParamSpec, ToolBehavior, ToolDefinition,
+    ToolError, ToolInvocation, ToolOutput,
 };
 pub use user::GalaxyUser;
 pub use workflow::{run_workflow, Binding, Workflow, WorkflowRunResult, WorkflowStep};

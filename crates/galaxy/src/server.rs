@@ -9,7 +9,9 @@
 //! boxes), and submits a Condor job sized by the tool's cost model. When
 //! the pool reports the job finished, `on_condor_completion` runs the
 //! tool's **real** behavior on the real input contents, fills in the
-//! outputs, and writes provenance records.
+//! outputs, and writes provenance records. Each distinct invocation runs
+//! once: later identical completions copy its outputs from the server's
+//! tool-run memo (see the `memo` module).
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -27,10 +29,11 @@ use cumulus_transfer::{
 use crate::dataset::{Content, Dataset, DatasetId, DatasetState};
 use crate::history::{History, HistoryId};
 use crate::job::{GalaxyJob, GalaxyJobId, GalaxyJobState};
+use crate::memo::{MemoKey, ToolMemo};
 use crate::provenance::{ProvenanceRecord, ProvenanceStore};
 use crate::registry::{RegistryError, ToolRegistry};
 use crate::sharing::{ShareItem, SharingModel};
-use crate::tool::{ParamKind, ToolInvocation};
+use crate::tool::{OutputMismatch, ParamKind, ToolInvocation, ToolOutput};
 use crate::user::GalaxyUser;
 
 /// Errors from server operations.
@@ -110,6 +113,15 @@ impl From<TransferError> for GalaxyError {
     }
 }
 
+/// A submitted Galaxy job waiting on its Condor job.
+struct InFlight {
+    job: GalaxyJobId,
+    /// Each dataset input's content id at submission, by parameter name.
+    input_cids: BTreeMap<String, ContentId>,
+    /// The declared output names, paired with `GalaxyJob::outputs`.
+    output_names: Vec<String>,
+}
+
 /// The server.
 pub struct GalaxyServer {
     /// Registered users.
@@ -123,7 +135,8 @@ pub struct GalaxyServer {
     pub provenance: ProvenanceStore,
     /// Sharing model.
     pub sharing: SharingModel,
-    condor_to_galaxy: BTreeMap<CondorJobId, GalaxyJobId>,
+    condor_to_galaxy: BTreeMap<CondorJobId, InFlight>,
+    memo: ToolMemo,
     next_history: u64,
     next_dataset: u64,
     next_job: u64,
@@ -147,6 +160,7 @@ impl GalaxyServer {
             provenance: ProvenanceStore::new(),
             sharing: SharingModel::new(),
             condor_to_galaxy: BTreeMap::new(),
+            memo: ToolMemo::default(),
             next_history: 1,
             next_dataset: 1,
             next_job: 1,
@@ -211,6 +225,14 @@ impl GalaxyServer {
     pub fn dataset(&self, id: DatasetId) -> Result<&Dataset, GalaxyError> {
         self.datasets
             .get(&id)
+            .ok_or(GalaxyError::UnknownDataset(id))
+    }
+
+    /// Mutable access to a dataset, for in-place edits. A job already
+    /// submitted on it runs on the content it holds at completion.
+    pub fn dataset_mut(&mut self, id: DatasetId) -> Result<&mut Dataset, GalaxyError> {
+        self.datasets
+            .get_mut(&id)
             .ok_or(GalaxyError::UnknownDataset(id))
     }
 
@@ -531,10 +553,10 @@ impl GalaxyServer {
         let tool = self.registry.tool(tool_id)?.clone();
         let resolved = tool.resolve_params(params)?;
 
-        // Gather dataset inputs (and their content ids, for data-aware
-        // matchmaking — sorted and deduplicated so the ad is deterministic).
+        // Gather dataset inputs and their content ids, which key the
+        // tool-run memo and drive data-aware matchmaking.
         let mut inputs: BTreeMap<String, DatasetId> = BTreeMap::new();
-        let mut input_cids: Vec<ContentId> = Vec::new();
+        let mut input_cids: BTreeMap<String, ContentId> = BTreeMap::new();
         let mut input_size = DataSize::ZERO;
         for spec in &tool.params {
             if spec.kind == ParamKind::DatasetInput {
@@ -550,7 +572,7 @@ impl GalaxyServer {
                         return Err(GalaxyError::DatasetNotReady(ds_id));
                     }
                     input_size += ds.size;
-                    input_cids.push(ds.content_id());
+                    input_cids.insert(spec.name.clone(), ds.content_id());
                     inputs.insert(spec.name.clone(), ds_id);
                 }
             }
@@ -576,17 +598,26 @@ impl GalaxyServer {
         }
 
         // Dispatch to Condor. The job ad advertises its input content ids
-        // so cache-warm workers outrank cold ones; pools without cache
+        // (sorted and deduplicated so the ad is deterministic) so
+        // cache-warm workers outrank cold ones; pools without cache
         // advertisements score the attribute as zero and match as before.
         let work = tool.cost.work(input_size);
         let mut condor_job = CondorJob::new(username, work);
         if !input_cids.is_empty() {
-            input_cids.sort_unstable();
-            input_cids.dedup();
-            condor_job = condor_job.attr(JOB_INPUT_CIDS_ATTR, AdValue::Str(cid_list(input_cids)));
+            let mut ad_cids: Vec<ContentId> = input_cids.values().copied().collect();
+            ad_cids.sort_unstable();
+            ad_cids.dedup();
+            condor_job = condor_job.attr(JOB_INPUT_CIDS_ATTR, AdValue::Str(cid_list(ad_cids)));
         }
         let condor_id = pool.submit(condor_job, now);
-        self.condor_to_galaxy.insert(condor_id, job_id);
+        self.condor_to_galaxy.insert(
+            condor_id,
+            InFlight {
+                job: job_id,
+                input_cids,
+                output_names: tool.outputs.iter().map(|o| o.name.clone()).collect(),
+            },
+        );
 
         self.jobs.insert(
             job_id,
@@ -610,31 +641,34 @@ impl GalaxyServer {
     }
 
     /// Notify the server that a Condor job completed; runs the tool's real
-    /// behavior and fills in outputs. Returns the Galaxy job id if the
-    /// Condor job belonged to this server.
+    /// behavior (or copies the outputs of an identical earlier run) and
+    /// fills in outputs. Returns the Galaxy job id if the Condor job
+    /// belonged to this server.
     pub fn on_condor_completion(
         &mut self,
         now: SimTime,
         condor_id: CondorJobId,
     ) -> Option<GalaxyJobId> {
-        let job_id = self.condor_to_galaxy.remove(&condor_id)?;
-        let (tool_id, params, input_ids, output_ids, started, history) = {
-            let job = self.jobs.get(&job_id)?;
-            (
-                job.tool_id.clone(),
-                job.params.clone(),
-                job.inputs.clone(),
-                job.outputs.clone(),
-                job.submitted_at,
-                job.history,
-            )
-        };
+        let InFlight {
+            job: job_id,
+            input_cids,
+            output_names,
+        } = self.condor_to_galaxy.remove(&condor_id)?;
+        let job = self.jobs.get(&job_id)?;
+        let (tool_id, params, input_ids, output_ids, started, history) = (
+            job.tool_id.clone(),
+            job.params.clone(),
+            job.inputs.clone(),
+            job.outputs.clone(),
+            job.submitted_at,
+            job.history,
+        );
         let Ok(tool) = self.registry.tool(&tool_id) else {
             return Some(job_id);
         };
 
-        // Build the invocation from the real input contents, lent by the
-        // datasets that hold them.
+        // Build the invocation from the value parameters and the real
+        // input contents, lent by the datasets that hold them.
         let mut inputs = BTreeMap::new();
         let mut input_size = DataSize::ZERO;
         for (name, ds_id) in &input_ids {
@@ -644,24 +678,34 @@ impl GalaxyServer {
             }
         }
         let invocation = ToolInvocation {
-            params,
+            params: params
+                .iter()
+                .filter(|(name, _)| !input_ids.contains_key(*name))
+                .map(|(name, value)| (name.clone(), value.clone()))
+                .collect(),
             inputs,
             input_size,
         };
-        let result = tool.behavior.run(&invocation);
-        let ToolInvocation { params, .. } = invocation;
+        let key = MemoKey {
+            tool_id,
+            inputs: input_cids,
+        };
+        let result = self
+            .memo
+            .run(key, tool, &invocation)
+            .map_err(|e| e.0)
+            .and_then(|outputs| {
+                pair_outputs(&output_names, &output_ids, outputs).map_err(|m| m.to_string())
+            });
 
         match result {
-            Ok(outputs) => {
+            Ok(paired) => {
                 // Outputs were inserted into the job's history, and a
                 // dataset enters exactly one history, so its owner pays.
                 let owner = self.histories.get(&history).map(|h| h.owner.as_str());
-                for (i, out) in outputs.into_iter().enumerate() {
-                    let Some(ds_id) = output_ids.get(i) else {
-                        break;
-                    };
+                for (ds_id, out) in paired {
                     let size = out.size.unwrap_or_else(|| out.content.natural_size());
-                    if let Some(ds) = self.datasets.get_mut(ds_id) {
+                    if let Some(ds) = self.datasets.get_mut(&ds_id) {
                         ds.name = out.dataset_name;
                         ds.content = out.content;
                         ds.size = size;
@@ -671,7 +715,7 @@ impl GalaxyServer {
                         user.charge(size);
                     }
                     self.provenance.record(ProvenanceRecord {
-                        dataset: *ds_id,
+                        dataset: ds_id,
                         job: job_id,
                         tool: (tool.id.clone(), tool.version.clone()),
                         params: params.clone(),
@@ -684,7 +728,7 @@ impl GalaxyServer {
                     job.finished_at = Some(now);
                 }
             }
-            Err(e) => {
+            Err(message) => {
                 for ds_id in &output_ids {
                     if let Some(ds) = self.datasets.get_mut(ds_id) {
                         ds.state = DatasetState::Error;
@@ -693,7 +737,7 @@ impl GalaxyServer {
                 if let Some(job) = self.jobs.get_mut(&job_id) {
                     job.state = GalaxyJobState::Error;
                     job.finished_at = Some(now);
-                    job.error = Some(e.0);
+                    job.error = Some(message);
                 }
             }
         }
@@ -713,6 +757,34 @@ impl GalaxyServer {
         })
         .ok()
     }
+}
+
+/// Pair each returned output with the dataset pre-created for its
+/// declared name (`names[i]` belongs to `datasets[i]`), in declared order.
+fn pair_outputs(
+    names: &[String],
+    datasets: &[DatasetId],
+    outputs: Vec<ToolOutput>,
+) -> Result<Vec<(DatasetId, ToolOutput)>, OutputMismatch> {
+    let mut slots: Vec<Option<ToolOutput>> = names.iter().map(|_| None).collect();
+    for out in outputs {
+        let Some(i) = names.iter().position(|n| *n == out.name) else {
+            return Err(OutputMismatch::Undeclared(out.name));
+        };
+        if slots[i].is_some() {
+            return Err(OutputMismatch::Duplicate(out.name));
+        }
+        slots[i] = Some(out);
+    }
+    names
+        .iter()
+        .zip(datasets)
+        .zip(slots)
+        .map(|((name, ds_id), out)| {
+            out.map(|o| (*ds_id, o))
+                .ok_or_else(|| OutputMismatch::Missing(name.clone()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -936,6 +1008,100 @@ mod tests {
         assert_eq!(j.error.as_deref(), Some("R script crashed"));
         let out = f.server.dataset(j.outputs[0]).unwrap();
         assert_eq!(out.state, DatasetState::Error);
+    }
+
+    /// A tool declaring outputs `a` and `b` that returns `returned`, each
+    /// output's text naming it.
+    fn two_output_tool(id: &str, returned: &'static [&'static str]) -> ToolDefinition {
+        let spec = |name: &str| OutputSpec {
+            name: name.to_string(),
+            dtype: "txt".to_string(),
+        };
+        ToolDefinition {
+            id: id.to_string(),
+            name: id.to_string(),
+            version: "1.0".to_string(),
+            description: "returns a fixed output list".to_string(),
+            params: vec![ParamSpec::dataset("input", "Input")],
+            outputs: vec![spec("a"), spec("b")],
+            cost: CostModel::LIGHT,
+            behavior: Arc::new(move |_: &ToolInvocation| {
+                Ok(returned
+                    .iter()
+                    .map(|name| ToolOutput {
+                        name: name.to_string(),
+                        dataset_name: format!("output {name}"),
+                        content: Content::Text(name.to_string()),
+                        size: None,
+                    })
+                    .collect())
+            }),
+        }
+    }
+
+    /// Run `tool` once on the fixture's input and return its job.
+    fn run_once(tool: ToolDefinition) -> GalaxyJob {
+        let mut f = fixture();
+        let id = tool.id.clone();
+        f.server.registry.register("Test", tool).unwrap();
+        let input_ref = format!("{}", f.input.0);
+        let job = f
+            .server
+            .run_tool(
+                t(0),
+                "boliu",
+                f.history,
+                &id,
+                &params(&[("input", &input_ref)]),
+                &mut f.pool,
+            )
+            .unwrap();
+        f.server.drive_jobs(t(0), &mut f.pool).unwrap();
+        let job = f.server.job(job).unwrap().clone();
+        for ds in &job.outputs {
+            let state = f.server.dataset(*ds).unwrap().state;
+            match job.state {
+                GalaxyJobState::Ok => assert_eq!(state, DatasetState::Ok),
+                _ => assert_eq!(state, DatasetState::Error),
+            }
+        }
+        if job.state == GalaxyJobState::Ok {
+            for (ds, name) in job.outputs.iter().zip(["a", "b"]) {
+                let content = &f.server.dataset(*ds).unwrap().content;
+                assert_eq!(*content, Content::Text(name.to_string()));
+            }
+        }
+        job
+    }
+
+    #[test]
+    fn reordered_outputs_are_filed_by_name() {
+        let job = run_once(two_output_tool("reorder", &["b", "a"]));
+        assert_eq!(job.state, GalaxyJobState::Ok);
+    }
+
+    #[test]
+    fn a_missing_output_fails_the_job() {
+        let job = run_once(two_output_tool("short", &["a"]));
+        assert_eq!(job.state, GalaxyJobState::Error);
+        let want = OutputMismatch::Missing("b".to_string()).to_string();
+        assert_eq!(job.error, Some(want));
+    }
+
+    #[test]
+    fn an_undeclared_output_fails_the_job() {
+        let job = run_once(two_output_tool("extra", &["a", "b", "c"]));
+        assert_eq!(job.state, GalaxyJobState::Error);
+        let want = OutputMismatch::Undeclared("c".to_string()).to_string();
+        assert_eq!(job.error, Some(want));
+    }
+
+    #[test]
+    fn a_repeated_output_fails_the_job() {
+        let job = run_once(two_output_tool("twice", &["a", "a", "b"]));
+        assert_eq!(job.state, GalaxyJobState::Error);
+        let want = OutputMismatch::Duplicate("a".to_string()).to_string();
+        assert_eq!(job.error, Some(want));
     }
 
     #[test]

@@ -210,7 +210,11 @@ impl CostModel {
 /// never copies an input's content to invoke a tool.
 #[derive(Debug, Clone)]
 pub struct ToolInvocation<'a> {
-    /// Resolved parameter values (defaults filled in).
+    /// Resolved value parameters (defaults filled in). Dataset references
+    /// such as `input=dataset-42` are not here: their contents arrive
+    /// through `inputs`, so the invocation names what a run computes on,
+    /// not where it came from. Job records and provenance keep the full
+    /// resolved parameters.
     pub params: BTreeMap<String, String>,
     /// Input dataset contents, keyed by parameter name, borrowed from the
     /// datasets they belong to.
@@ -256,9 +260,38 @@ impl std::fmt::Display for ToolError {
 
 impl std::error::Error for ToolError {}
 
+/// A tool's returned outputs disagree with its declared outputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OutputMismatch {
+    /// A declared output the tool did not return.
+    Missing(String),
+    /// A returned output the tool does not declare.
+    Undeclared(String),
+    /// An output the tool returned more than once.
+    Duplicate(String),
+}
+
+impl std::fmt::Display for OutputMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OutputMismatch::Missing(name) => write!(f, "tool returned no {name:?} output"),
+            OutputMismatch::Undeclared(name) => {
+                write!(f, "tool returned undeclared output {name:?}")
+            }
+            OutputMismatch::Duplicate(name) => write!(f, "tool returned {name:?} twice"),
+        }
+    }
+}
+
+impl std::error::Error for OutputMismatch {}
+
 /// The real computation behind a tool.
 pub trait ToolBehavior: Send + Sync {
     /// Produce the outputs from the invocation.
+    ///
+    /// The result must be a deterministic function of the invocation:
+    /// the server runs each distinct invocation once and hands later
+    /// identical ones a copy of the stored outputs.
     fn run(&self, invocation: &ToolInvocation) -> Result<Vec<ToolOutput>, ToolError>;
 }
 
