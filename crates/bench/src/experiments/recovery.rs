@@ -30,8 +30,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cumulus::galaxy::{
-    Content, CostModel, DatasetId, GalaxyJobState, GalaxyServer, OutputSpec, ParamSpec,
-    ToolDefinition, ToolInvocation, ToolOutput, Workflow, WorkflowCheckpoint, WorkflowStep,
+    Content, ContentBody, CostModel, DatasetId, GalaxyJobState, GalaxyServer, OutputSpec,
+    ParamSpec, ToolDefinition, ToolInvocation, ToolOutput, Workflow, WorkflowCheckpoint,
+    WorkflowStep,
 };
 use cumulus::htc::{
     CondorPool, JobId, Machine, Value, MACHINE_CACHE_CIDS_ATTR, NEGOTIATION_INTERVAL,
@@ -175,7 +176,7 @@ fn chain_tool(id: &str, output_mb: u64) -> ToolDefinition {
             Ok(vec![ToolOutput {
                 name: "out".to_string(),
                 dataset_name: artifact.clone(),
-                content: Content::Text(artifact.clone()),
+                content: Content::new(ContentBody::Text(artifact.clone())),
                 size: Some(DataSize::from_mb(output_mb)),
             }])
         }),
@@ -221,7 +222,7 @@ pub fn run_cell(seed: u64, rate_per_hour: u32, policy: Policy) -> CellReport {
             "affyCelFileSamples.zip",
             "zip",
             DataSize::from_mb(ARCHIVE_MB),
-            Content::Opaque,
+            Content::new(ContentBody::Opaque),
         )
         .expect("within quota");
     let mut inputs = BTreeMap::new();

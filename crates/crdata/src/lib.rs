@@ -35,13 +35,13 @@ pub use datagen::{
 pub use matrix::LabelledMatrix;
 pub use tools::{catalog, register_all, TOOL_COUNT};
 
-use cumulus_galaxy::Content;
+use cumulus_galaxy::{Content, ContentBody};
 
 /// Convert a labelled matrix into Galaxy dataset content.
 pub fn matrix_to_content(m: LabelledMatrix) -> Content {
-    Content::Matrix {
+    Content::new(ContentBody::Matrix {
         row_names: m.row_names,
         col_names: m.col_names,
         values: m.values,
-    }
+    })
 }

@@ -16,7 +16,8 @@ use crate::stats::regress::{pca_scores, principal_components};
 use crate::stats::ttest::welch_t_test;
 use crate::svg::{self, PlotPoint};
 
-use super::{fmt, int_param, matrix_content, matrix_input, svg_output, table_output};
+use super::{fmt, int_param, matrix_input, svg_output, table_output};
+use crate::matrix_to_content;
 
 /// All expression tools.
 pub fn tools() -> Vec<ToolDefinition> {
@@ -282,7 +283,7 @@ fn affy_normalize() -> ToolDefinition {
             Ok(vec![cumulus_galaxy::ToolOutput {
                 name: "normalized".to_string(),
                 dataset_name: "normalized expression matrix".to_string(),
-                content: matrix_content(m),
+                content: matrix_to_content(m),
                 size: None,
             }])
         }),
@@ -664,7 +665,7 @@ fn affy_gene_filter() -> ToolDefinition {
             Ok(vec![cumulus_galaxy::ToolOutput {
                 name: "filtered".to_string(),
                 dataset_name: format!("filtered matrix ({} probes kept)", keep.len()),
-                content: matrix_content(filtered),
+                content: matrix_to_content(filtered),
                 size: None,
             }])
         }),
@@ -753,14 +754,14 @@ fn affy_kmeans_genes() -> ToolDefinition {
 mod tests {
     use super::*;
     use crate::datagen::{generate_cel_bundle, CelBundleSpec};
-    use cumulus_galaxy::Content;
+    use cumulus_galaxy::{Content, ContentBody};
     use cumulus_net::DataSize;
     use cumulus_simkit::rng::RngStream;
     use std::collections::BTreeMap;
 
     fn bundle(bundle_spec: &CelBundleSpec) -> Content {
         let bundle = generate_cel_bundle(bundle_spec, &mut RngStream::derive(5, "affy-test"));
-        matrix_content(bundle.matrix)
+        matrix_to_content(bundle.matrix)
     }
 
     fn invocation_for<'a>(input: &'a Content, extra: &[(&str, &str)]) -> ToolInvocation<'a> {
@@ -800,8 +801,8 @@ mod tests {
         let inv = invocation_for(&input, &[("top", "25")]);
         let outputs = affy_differential_expression().behavior.run(&inv).unwrap();
         assert_eq!(outputs.len(), 2);
-        let (cols, rows) = match &outputs[0].content {
-            cumulus_galaxy::Content::Table { columns, rows } => (columns, rows),
+        let (cols, rows) = match outputs[0].content.body() {
+            cumulus_galaxy::ContentBody::Table { columns, rows } => (columns, rows),
             other => panic!("expected table, got {other:?}"),
         };
         assert_eq!(cols[0], "ID");
@@ -828,8 +829,8 @@ mod tests {
         assert!(p < 0.01, "best adj.P {p}");
         // Figure output is SVG.
         assert!(matches!(
-            outputs[1].content,
-            cumulus_galaxy::Content::Svg(_)
+            outputs[1].content.body(),
+            cumulus_galaxy::ContentBody::Svg(_)
         ));
     }
 
@@ -838,9 +839,9 @@ mod tests {
         let input = bundle(&spec());
         let inv = invocation_for(&input, &[("method", "centroid"), ("k", "3")]);
         let outputs = affy_classify().behavior.run(&inv).unwrap();
-        let rows = match &outputs[0].content {
-            cumulus_galaxy::Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match outputs[0].content.body() {
+            cumulus_galaxy::ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         // All 8 samples predicted to match their true group.
         let correct = rows
@@ -859,12 +860,12 @@ mod tests {
         );
         let outputs = heatmap_plot_demo().behavior.run(&inv).unwrap();
         assert!(matches!(
-            outputs[0].content,
-            cumulus_galaxy::Content::Svg(_)
+            outputs[0].content.body(),
+            cumulus_galaxy::ContentBody::Svg(_)
         ));
-        let rows = match &outputs[1].content {
-            cumulus_galaxy::Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match outputs[1].content.body() {
+            cumulus_galaxy::ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         assert_eq!(rows.len(), 30, "leaf order covers the drawn genes");
     }
@@ -874,9 +875,9 @@ mod tests {
         let input = bundle(&spec());
         let inv = invocation_for(&input, &[]);
         let outputs = affy_pca().behavior.run(&inv).unwrap();
-        let rows = match &outputs[0].content {
-            cumulus_galaxy::Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match outputs[0].content.body() {
+            cumulus_galaxy::ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         let pc1: Vec<f64> = rows.iter().take(8).map(|r| r[1].parse().unwrap()).collect();
         let g1 = crate::stats::describe::mean(&pc1[..4]);
@@ -891,9 +892,9 @@ mod tests {
         assert_eq!(affy_qc().behavior.run(&inv).unwrap().len(), 1);
         assert_eq!(affy_boxplot().behavior.run(&inv).unwrap().len(), 1);
         let corr = affy_correlation_matrix().behavior.run(&inv).unwrap();
-        let rows = match &corr[0].content {
-            cumulus_galaxy::Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match corr[0].content.body() {
+            cumulus_galaxy::ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         // Diagonal is exactly 1.
         assert_eq!(rows[0][1], "1.0000");
@@ -908,13 +909,13 @@ mod tests {
         let input = bundle(&spec());
         let inv = invocation_for(&input, &[("min_mean", "7.0"), ("min_var", "0.0")]);
         let outputs = affy_gene_filter().behavior.run(&inv).unwrap();
-        let (rows, _cols) = match &outputs[0].content {
-            cumulus_galaxy::Content::Matrix {
+        let (rows, _cols) = match outputs[0].content.body() {
+            cumulus_galaxy::ContentBody::Matrix {
                 row_names,
                 col_names,
                 ..
             } => (row_names.len(), col_names.len()),
-            other => panic!("expected Content::Matrix, got {other:?}"),
+            other => panic!("expected ContentBody::Matrix, got {other:?}"),
         };
         assert!(rows < 400, "some probes filtered: {rows}");
         assert!(rows > 0);
@@ -925,9 +926,9 @@ mod tests {
         let input = bundle(&spec());
         let inv = invocation_for(&input, &[("k", "2"), ("linkage", "complete")]);
         let outputs = affy_cluster_samples().behavior.run(&inv).unwrap();
-        let rows = match &outputs[0].content {
-            cumulus_galaxy::Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match outputs[0].content.body() {
+            cumulus_galaxy::ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         assert_eq!(rows.len(), 8);
         // The two groups land in different clusters.
@@ -937,9 +938,9 @@ mod tests {
         let input = bundle(&spec());
         let inv = invocation_for(&input, &[("k", "3")]);
         let outputs = affy_kmeans_genes().behavior.run(&inv).unwrap();
-        let rows = match &outputs[0].content {
-            cumulus_galaxy::Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match outputs[0].content.body() {
+            cumulus_galaxy::ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         assert_eq!(rows.len(), 400);
     }
@@ -950,18 +951,18 @@ mod tests {
         let inv = invocation_for(&input, &[("alpha", "0.05")]);
         for tool in [affy_ma_plot(), affy_volcano_plot()] {
             let outputs = tool.behavior.run(&inv).unwrap();
-            match &outputs[0].content {
-                cumulus_galaxy::Content::Svg(svg) => {
+            match outputs[0].content.body() {
+                cumulus_galaxy::ContentBody::Svg(svg) => {
                     assert!(svg.contains("<circle"), "{} drew no points", tool.id)
                 }
-                other => panic!("expected Content::Svg, got {other:?}"),
+                other => panic!("expected ContentBody::Svg, got {other:?}"),
             }
         }
     }
 
     #[test]
     fn wrong_input_kind_is_a_tool_error() {
-        let text = Content::Text("hi".to_string());
+        let text = Content::new(ContentBody::Text("hi".to_string()));
         let mut inputs = BTreeMap::new();
         inputs.insert("input".to_string(), &text);
         let inv = ToolInvocation {
@@ -982,7 +983,7 @@ mod tests {
     #[test]
     fn single_group_input_is_rejected() {
         let bundle = generate_cel_bundle(&spec(), &mut RngStream::derive(5, "x"));
-        let only_g1 = matrix_content(bundle.matrix.select_cols(&[0, 1, 2, 3]));
+        let only_g1 = matrix_to_content(bundle.matrix.select_cols(&[0, 1, 2, 3]));
         let mut inputs = BTreeMap::new();
         inputs.insert("input".to_string(), &only_g1);
         let inv = ToolInvocation {

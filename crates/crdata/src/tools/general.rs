@@ -13,10 +13,8 @@ use crate::stats::survival::{kaplan_meier, median_survival, Subject};
 use crate::stats::ttest::{one_sample_t_test, paired_t_test, pooled_t_test, welch_t_test};
 use crate::svg::{self, PlotPoint};
 
-use super::{
-    float_param, fmt, int_param, matrix_content, matrix_input, svg_output, table_input,
-    table_output,
-};
+use super::{float_param, fmt, int_param, matrix_input, svg_output, table_input, table_output};
+use crate::matrix_to_content;
 
 /// All general statistics tools.
 pub fn tools() -> Vec<ToolDefinition> {
@@ -307,7 +305,7 @@ fn zscore_normalize() -> ToolDefinition {
             Ok(vec![cumulus_galaxy::ToolOutput {
                 name: "normalized".to_string(),
                 dataset_name: "z-scored matrix".to_string(),
-                content: matrix_content(m),
+                content: matrix_to_content(m),
                 size: None,
             }])
         }),
@@ -330,7 +328,7 @@ fn quantile_normalize_tool() -> ToolDefinition {
             Ok(vec![cumulus_galaxy::ToolOutput {
                 name: "normalized".to_string(),
                 dataset_name: "quantile-normalized matrix".to_string(),
-                content: matrix_content(m),
+                content: matrix_to_content(m),
                 size: None,
             }])
         }),
@@ -676,17 +674,17 @@ fn random_sample_table() -> ToolDefinition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulus_galaxy::Content;
+    use cumulus_galaxy::{Content, ContentBody};
     use cumulus_net::DataSize;
 
     fn table(cols: &[&str], rows: Vec<Vec<&str>>) -> Content {
-        Content::Table {
+        Content::new(ContentBody::Table {
             columns: cols.iter().map(|s| s.to_string()).collect(),
             rows: rows
                 .into_iter()
                 .map(|r| r.into_iter().map(|c| c.to_string()).collect())
                 .collect(),
-        }
+        })
     }
 
     fn inv<'a>(content: &'a Content, params: &[(&str, &str)]) -> ToolInvocation<'a> {
@@ -701,8 +699,8 @@ mod tests {
     }
 
     fn first_table(outputs: &[cumulus_galaxy::ToolOutput]) -> (&Vec<String>, &Vec<Vec<String>>) {
-        match &outputs[0].content {
-            Content::Table { columns, rows } => (columns, rows),
+        match outputs[0].content.body() {
+            ContentBody::Table { columns, rows } => (columns, rows),
             other => panic!("expected table, got {other:?}"),
         }
     }
@@ -816,10 +814,10 @@ mod tests {
         let rows: Vec<Vec<String>> = (0..20)
             .map(|i| vec![i.to_string(), (3 * i + 7).to_string()])
             .collect();
-        let content = Content::Table {
+        let content = Content::new(ContentBody::Table {
             columns: vec!["x".to_string(), "y".to_string()],
             rows,
-        };
+        });
         let outputs = correlation_test()
             .behavior
             .run(&inv(&content, &[]))
@@ -837,16 +835,16 @@ mod tests {
         let slope: f64 = rows[0][1].parse().unwrap();
         assert!((intercept - 7.0).abs() < 1e-6);
         assert!((slope - 3.0).abs() < 1e-6);
-        assert!(matches!(outputs[1].content, Content::Svg(_)));
+        assert!(matches!(outputs[1].content.body(), ContentBody::Svg(_)));
     }
 
     #[test]
     fn histogram_covers_all_values() {
         let rows: Vec<Vec<String>> = (0..100).map(|i| vec![format!("{}", i % 10)]).collect();
-        let content = Content::Table {
+        let content = Content::new(ContentBody::Table {
             columns: vec!["value".to_string()],
             rows,
-        };
+        });
         let outputs = histogram_plot()
             .behavior
             .run(&inv(&content, &[("bins", "10")]))
@@ -885,18 +883,18 @@ mod tests {
     #[test]
     fn random_sample_is_deterministic() {
         let rows: Vec<Vec<String>> = (0..50).map(|i| vec![i.to_string()]).collect();
-        let content = Content::Table {
+        let content = Content::new(ContentBody::Table {
             columns: vec!["id".to_string()],
             rows,
-        };
+        });
         let run = |seed: &str| {
             let outputs = random_sample_table()
                 .behavior
                 .run(&inv(&content, &[("n", "10"), ("seed", seed)]))
                 .unwrap();
-            match &outputs[0].content {
-                Content::Table { rows, .. } => rows.clone(),
-                other => panic!("expected Content::Table, got {other:?}"),
+            match outputs[0].content.body() {
+                ContentBody::Table { rows, .. } => rows.clone(),
+                other => panic!("expected ContentBody::Table, got {other:?}"),
             }
         };
         assert_eq!(run("1"), run("1"));
@@ -906,29 +904,32 @@ mod tests {
 
     #[test]
     fn zscore_and_quantile_normalize_matrices() {
-        let m = Content::Matrix {
+        let m = Content::new(ContentBody::Matrix {
             row_names: vec!["g1".to_string(), "g2".to_string()],
             col_names: vec!["a_1".to_string(), "b_1".to_string()],
             values: vec![1.0, 5.0, 2.0, 10.0],
-        };
+        });
         let outputs = zscore_normalize().behavior.run(&inv(&m, &[])).unwrap();
-        match &outputs[0].content {
-            Content::Matrix { values, .. } => {
+        match outputs[0].content.body() {
+            ContentBody::Matrix { values, .. } => {
                 assert!((values[0] + values[1]).abs() < 1e-12, "row sums to zero");
             }
-            other => panic!("expected Content::Matrix, got {other:?}"),
+            other => panic!("expected ContentBody::Matrix, got {other:?}"),
         }
         let outputs = quantile_normalize_tool()
             .behavior
             .run(&inv(&m, &[]))
             .unwrap();
-        assert!(matches!(outputs[0].content, Content::Matrix { .. }));
+        assert!(matches!(
+            outputs[0].content.body(),
+            ContentBody::Matrix { .. }
+        ));
     }
 
     #[test]
     fn fold_change_on_grouped_matrix() {
         // Two groups; second gene doubled in group b (log2FC = 1).
-        let m = Content::Matrix {
+        let m = Content::new(ContentBody::Matrix {
             row_names: vec!["g1".to_string(), "g2".to_string()],
             col_names: vec![
                 "a_1".to_string(),
@@ -940,7 +941,7 @@ mod tests {
                 8.0, 8.0, 8.0, 8.0, // g1: flat
                 4.0, 4.0, 8.0, 8.0, // g2: doubled in group b
             ],
-        };
+        });
         let outputs = fold_change_tool().behavior.run(&inv(&m, &[])).unwrap();
         let (_, rows) = first_table(&outputs);
         let fc_g1: f64 = rows[0][1].parse().unwrap();
@@ -949,11 +950,11 @@ mod tests {
         assert!((fc_g2 - 1.0).abs() < 1e-9, "doubled gene FC {fc_g2}");
 
         // One group only is rejected.
-        let single = Content::Matrix {
+        let single = Content::new(ContentBody::Matrix {
             row_names: vec!["g".to_string()],
             col_names: vec!["a_1".to_string(), "a_2".to_string()],
             values: vec![1.0, 2.0],
-        };
+        });
         assert!(fold_change_tool().behavior.run(&inv(&single, &[])).is_err());
     }
 
@@ -962,16 +963,16 @@ mod tests {
         let rows: Vec<Vec<String>> = (0..25)
             .map(|i| vec![i.to_string(), (i * i).to_string()])
             .collect();
-        let content = Content::Table {
+        let content = Content::new(ContentBody::Table {
             columns: vec!["x".to_string(), "y".to_string()],
             rows,
-        };
+        });
         let outputs = scatter_plot_tool()
             .behavior
             .run(&inv(&content, &[]))
             .unwrap();
-        match &outputs[0].content {
-            Content::Svg(svg) => {
+        match outputs[0].content.body() {
+            ContentBody::Svg(svg) => {
                 assert_eq!(svg.matches("<circle").count(), 25);
             }
             other => panic!("expected SVG, got {other:?}"),

@@ -18,7 +18,8 @@ pub mod general;
 pub mod sequence;
 
 use cumulus_galaxy::{
-    Content, RegistryError, ToolDefinition, ToolError, ToolInvocation, ToolOutput, ToolRegistry,
+    Content, ContentBody, RegistryError, ToolDefinition, ToolError, ToolInvocation, ToolOutput,
+    ToolRegistry,
 };
 
 use crate::matrix::LabelledMatrix;
@@ -58,8 +59,8 @@ pub fn register_all(registry: &mut ToolRegistry) -> Result<(), RegistryError> {
 /// disagrees with the labels, or a non-finite cell the statistics cannot
 /// order, is a tool error rather than a panic in the job's completion.
 pub(crate) fn matrix_input(inv: &ToolInvocation, name: &str) -> Result<LabelledMatrix, ToolError> {
-    match inv.input(name) {
-        Some(Content::Matrix {
+    match inv.input(name).map(Content::body) {
+        Some(ContentBody::Matrix {
             row_names,
             col_names,
             values,
@@ -98,8 +99,8 @@ pub(crate) fn table_input<'a>(
     inv: &ToolInvocation<'a>,
     name: &str,
 ) -> Result<(&'a [String], &'a [Vec<String>]), ToolError> {
-    match inv.input(name) {
-        Some(Content::Table { columns, rows }) => Ok((columns, rows)),
+    match inv.input(name).map(Content::body) {
+        Some(ContentBody::Table { columns, rows }) => Ok((columns, rows)),
         Some(other) => Err(ToolError(format!(
             "{name}: expected a table, got {}",
             content_kind(other)
@@ -108,23 +109,14 @@ pub(crate) fn table_input<'a>(
     }
 }
 
-fn content_kind(c: &Content) -> &'static str {
+fn content_kind(c: &ContentBody) -> &'static str {
     match c {
-        Content::Text(_) => "text",
-        Content::Table { .. } => "a table",
-        Content::Svg(_) => "an image",
-        Content::Archive { .. } => "an archive",
-        Content::Matrix { .. } => "a matrix",
-        Content::Opaque => "opaque data",
-    }
-}
-
-/// Wrap a matrix back into dataset content.
-pub(crate) fn matrix_content(m: LabelledMatrix) -> Content {
-    Content::Matrix {
-        row_names: m.row_names,
-        col_names: m.col_names,
-        values: m.values,
+        ContentBody::Text(_) => "text",
+        ContentBody::Table { .. } => "a table",
+        ContentBody::Svg(_) => "an image",
+        ContentBody::Archive { .. } => "an archive",
+        ContentBody::Matrix { .. } => "a matrix",
+        ContentBody::Opaque => "opaque data",
     }
 }
 
@@ -138,7 +130,7 @@ pub(crate) fn table_output(
     ToolOutput {
         name: name.to_string(),
         dataset_name: dataset_name.to_string(),
-        content: Content::Table { columns, rows },
+        content: Content::new(ContentBody::Table { columns, rows }),
         size: None,
     }
 }
@@ -148,7 +140,7 @@ pub(crate) fn svg_output(name: &str, dataset_name: &str, svg: String) -> ToolOut
     ToolOutput {
         name: name.to_string(),
         dataset_name: dataset_name.to_string(),
-        content: Content::Svg(svg),
+        content: Content::new(ContentBody::Svg(svg)),
         size: None,
     }
 }

@@ -548,7 +548,7 @@ fn sequence_fold_change() -> ToolDefinition {
 mod tests {
     use super::*;
     use crate::datagen::{generate_read_set, ReadSetSpec};
-    use cumulus_galaxy::Content;
+    use cumulus_galaxy::{Content, ContentBody};
     use cumulus_net::DataSize;
     use cumulus_simkit::rng::RngStream;
 
@@ -557,10 +557,10 @@ mod tests {
     }
 
     fn table(cols: Vec<String>, rows: Vec<Vec<String>>) -> Content {
-        Content::Table {
+        Content::new(ContentBody::Table {
             columns: cols,
             rows,
-        }
+        })
     }
 
     fn counts_table(rs: &crate::datagen::ReadSet) -> Content {
@@ -607,9 +607,9 @@ mod tests {
             .behavior
             .run(&invocation)
             .unwrap();
-        let rows = match &outputs[0].content {
-            Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match outputs[0].content.body() {
+            ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         assert_eq!(rows.len(), rs.annotation.len());
         let total: u64 = rows.iter().map(|r| r[1].parse::<u64>().unwrap()).sum();
@@ -627,9 +627,9 @@ mod tests {
             .behavior
             .run(&invocation)
             .unwrap();
-        let rows = match &outputs[0].content {
-            Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match outputs[0].content.body() {
+            ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         // The planted transcripts dominate the top of the table.
         let top: Vec<&str> = rows[..rs.planted.len()]
@@ -659,17 +659,17 @@ mod tests {
         let (reads, features) = (table(rc, rr), table(fc, fr));
         let invocation = inv(vec![("reads", &reads), ("features", &features)], &[]);
         let cov = sequence_coverage().behavior.run(&invocation).unwrap();
-        let rows = match &cov[0].content {
-            Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match cov[0].content.body() {
+            ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         assert_eq!(rows.len(), rs.annotation.len());
 
         let invocation = inv(vec![("reads", &reads)], &[]);
         let stats = sequence_library_stats().behavior.run(&invocation).unwrap();
-        let rows = match &stats[0].content {
-            Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match stats[0].content.body() {
+            ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         assert_eq!(rows[0][0], "total_reads");
         assert_eq!(rows[0][1], rs.library1.len().to_string());
@@ -685,9 +685,9 @@ mod tests {
             .behavior
             .run(&inv(vec![("counts", &counts)], &[]))
             .unwrap();
-        let rows = match &norm[0].content {
-            Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let rows = match norm[0].content.body() {
+            ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         // CPM columns sum to ~1e6 each.
         let sum1: f64 = rows.iter().map(|r| r[1].parse::<f64>().unwrap()).sum();
@@ -700,9 +700,9 @@ mod tests {
                 &[("min_cpm", "8000.0"), ("min_samples", "2")],
             ))
             .unwrap();
-        let frows = match &filtered[0].content {
-            Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let frows = match filtered[0].content.body() {
+            ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         assert!(frows.len() < rows.len(), "filter dropped something");
         assert!(!frows.is_empty());
@@ -711,9 +711,9 @@ mod tests {
             .behavior
             .run(&inv(vec![("counts", &counts)], &[]))
             .unwrap();
-        let fc_rows = match &fc[0].content {
-            Content::Table { rows, .. } => rows,
-            other => panic!("expected Content::Table, got {other:?}"),
+        let fc_rows = match fc[0].content.body() {
+            ContentBody::Table { rows, .. } => rows,
+            other => panic!("expected ContentBody::Table, got {other:?}"),
         };
         // Planted transcripts (TX0000..) have positive log2FC.
         let planted_fc: f64 = fc_rows.iter().find(|r| r[0] == rs.planted[0]).unwrap()[1]
@@ -725,7 +725,7 @@ mod tests {
             .behavior
             .run(&inv(vec![("counts", &counts)], &[]))
             .unwrap();
-        assert!(matches!(&ma[0].content, Content::Svg(s) if s.contains("<circle")));
+        assert!(matches!(ma[0].content.body(), ContentBody::Svg(s) if s.contains("<circle")));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use cumulus_crdata::datagen::{generate_cel_bundle, CelBundleSpec};
 use cumulus_crdata::tools::affy;
 use cumulus_crdata::{catalog, matrix_to_content, LabelledMatrix};
-use cumulus_galaxy::{Content, ParamKind, ToolDefinition, ToolInvocation};
+use cumulus_galaxy::{Content, ContentBody, ParamKind, ToolDefinition, ToolInvocation};
 use cumulus_net::DataSize;
 use cumulus_simkit::rng::RngStream;
 
@@ -138,10 +138,10 @@ fn table(seed: u64) -> Content {
             ]
         })
         .collect();
-    Content::Table {
+    Content::new(ContentBody::Table {
         columns: columns.iter().map(|s| s.to_string()).collect(),
         rows,
-    }
+    })
 }
 
 /// A seeded matrix with many tied cells for the column-ranking kernel.
@@ -180,10 +180,10 @@ fn counts(seed: u64) -> Content {
             vec![format!("f{r}"), c1.to_string(), c2.to_string()]
         })
         .collect();
-    Content::Table {
+    Content::new(ContentBody::Table {
         columns: ["feature", "lib1", "lib2"].map(String::from).to_vec(),
         rows,
-    }
+    })
 }
 
 /// Every expression tool but `affyPCA` on seeded bundles of one shape.

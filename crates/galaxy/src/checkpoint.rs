@@ -278,7 +278,7 @@ pub fn resume_workflow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Content;
+    use crate::dataset::{Content, ContentBody};
     use crate::tool::{
         CostModel, OutputSpec, ParamSpec, ToolDefinition, ToolInvocation, ToolOutput,
     };
@@ -301,14 +301,14 @@ mod tests {
             }],
             cost: CostModel::LIGHT,
             behavior: Arc::new(move |inv: &ToolInvocation| {
-                let text = match inv.input("input") {
-                    Some(Content::Text(s)) => s.clone(),
+                let text = match inv.input("input").map(Content::body) {
+                    Some(ContentBody::Text(s)) => s.clone(),
                     _ => return Err(crate::tool::ToolError("need text".to_string())),
                 };
                 Ok(vec![ToolOutput {
                     name: "out".to_string(),
                     dataset_name: "step output".to_string(),
-                    content: Content::Text(f(&text)),
+                    content: Content::new(ContentBody::Text(f(&text))),
                     size: None,
                 }])
             }),
@@ -345,7 +345,7 @@ mod tests {
                 "in.txt",
                 "txt",
                 DataSize::from_kb(1),
-                Content::Text("abc".to_string()),
+                Content::new(ContentBody::Text("abc".to_string())),
             )
             .unwrap();
         let mut pool = CondorPool::new();

@@ -7,6 +7,9 @@
 //! outputs (does the differential-expression tool recover the planted
 //! genes?) independently of the performance model.
 
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
 use cumulus_net::DataSize;
 use cumulus_simkit::time::SimTime;
 use cumulus_store::{ContentHasher, ContentId};
@@ -34,9 +37,10 @@ pub enum DatasetState {
     Deleted,
 }
 
-/// The actual content of a dataset.
+/// What a dataset's content holds. A value of this type is only ever
+/// read through a [`Content`] handle.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Content {
+pub enum ContentBody {
     /// Free text.
     Text(String),
     /// A table: column names plus rows.
@@ -66,14 +70,14 @@ pub enum Content {
     Opaque,
 }
 
-impl Content {
+impl ContentBody {
     /// Approximate serialized size of the content, used when the dataset's
     /// declared size is not specified explicitly.
     pub fn natural_size(&self) -> DataSize {
         let bytes = match self {
-            Content::Text(s) => s.len() as u64,
-            Content::Svg(s) => s.len() as u64,
-            Content::Table { columns, rows } => {
+            ContentBody::Text(s) => s.len() as u64,
+            ContentBody::Svg(s) => s.len() as u64,
+            ContentBody::Table { columns, rows } => {
                 let header: usize = columns.iter().map(|c| c.len() + 1).sum();
                 let body: usize = rows
                     .iter()
@@ -81,9 +85,9 @@ impl Content {
                     .sum();
                 (header + body) as u64
             }
-            Content::Archive { members } => members.iter().map(|(_, b)| *b).sum(),
-            Content::Matrix { values, .. } => (values.len() * 8) as u64,
-            Content::Opaque => 0,
+            ContentBody::Archive { members } => members.iter().map(|(_, b)| *b).sum(),
+            ContentBody::Matrix { values, .. } => (values.len() * 8) as u64,
+            ContentBody::Opaque => 0,
         };
         DataSize::from_bytes(bytes)
     }
@@ -91,7 +95,7 @@ impl Content {
     /// Table rows, if tabular.
     pub fn as_table(&self) -> Option<(&[String], &[Vec<String>])> {
         match self {
-            Content::Table { columns, rows } => Some((columns, rows)),
+            ContentBody::Table { columns, rows } => Some((columns, rows)),
             _ => None,
         }
     }
@@ -99,7 +103,7 @@ impl Content {
     /// Matrix view, if numeric.
     pub fn as_matrix(&self) -> Option<(&[String], &[String], &[f64])> {
         match self {
-            Content::Matrix {
+            ContentBody::Matrix {
                 row_names,
                 col_names,
                 values,
@@ -108,23 +112,16 @@ impl Content {
         }
     }
 
-    /// The content-addressed identity of this content: a digest over a
-    /// canonical serialization (discriminant byte, length-prefixed
-    /// fields, floats by bit pattern). Equal contents share an id no
-    /// matter which history or upload produced them — the key the data
-    /// plane's caches and object store deduplicate on.
-    ///
-    /// [`Content::Opaque`] carries no bytes, so all opaque contents share
-    /// one id; callers with only-transferred data should fold in an
-    /// external discriminator (see [`Dataset::content_id`]).
-    pub fn content_id(&self) -> ContentId {
+    /// The digest of the canonical serialization: discriminant byte,
+    /// length-prefixed fields, floats by bit pattern.
+    fn hash(&self) -> ContentId {
         let mut h = ContentHasher::new();
         match self {
-            Content::Text(s) => {
+            ContentBody::Text(s) => {
                 h.write(&[0]);
                 h.write_str(s);
             }
-            Content::Table { columns, rows } => {
+            ContentBody::Table { columns, rows } => {
                 h.write(&[1]);
                 h.write_u64(columns.len() as u64);
                 for c in columns {
@@ -138,11 +135,11 @@ impl Content {
                     }
                 }
             }
-            Content::Svg(s) => {
+            ContentBody::Svg(s) => {
                 h.write(&[2]);
                 h.write_str(s);
             }
-            Content::Archive { members } => {
+            ContentBody::Archive { members } => {
                 h.write(&[3]);
                 h.write_u64(members.len() as u64);
                 for (name, bytes) in members {
@@ -150,7 +147,7 @@ impl Content {
                     h.write_u64(*bytes);
                 }
             }
-            Content::Matrix {
+            ContentBody::Matrix {
                 row_names,
                 col_names,
                 values,
@@ -169,11 +166,91 @@ impl Content {
                     h.write_f64(*v);
                 }
             }
-            Content::Opaque => {
+            ContentBody::Opaque => {
                 h.write(&[5]);
             }
         }
         h.finish()
+    }
+}
+
+/// The actual content of a dataset: an immutable value behind a shared
+/// handle. Cloning a `Content` copies a pointer, so a public bundle pulled
+/// into many histories, a memoized tool output filed into many datasets,
+/// and the memo entry itself all hold one value. The body is reachable
+/// only by shared reference ([`Deref`] or [`Content::body`]): new content
+/// is a new handle, which is what lets the handle carry its content id.
+///
+/// ```compile_fail,E0596
+/// use cumulus_galaxy::{Content, ContentBody};
+/// let mut c = Content::new(ContentBody::Text("a".to_string()));
+/// if let ContentBody::Text(s) = &mut *c {
+///     s.push('b');
+/// }
+/// ```
+#[derive(Clone)]
+pub struct Content(Arc<Shared>);
+
+struct Shared {
+    body: ContentBody,
+    /// The body's content id, hashed on first request.
+    id: OnceLock<ContentId>,
+}
+
+impl Content {
+    /// Wrap a body in a fresh handle.
+    pub fn new(body: ContentBody) -> Content {
+        Content(Arc::new(Shared {
+            body,
+            id: OnceLock::new(),
+        }))
+    }
+
+    /// The body, for matching on its variant.
+    pub fn body(&self) -> &ContentBody {
+        &self.0.body
+    }
+
+    /// Whether two handles share one value, which then has the same bits.
+    pub(crate) fn ptr_eq(a: &Content, b: &Content) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The content-addressed identity of this content: a digest over a
+    /// canonical serialization (discriminant byte, length-prefixed
+    /// fields, floats by bit pattern). Equal contents share an id no
+    /// matter which history or upload produced them — the key the data
+    /// plane's caches and object store deduplicate on. The value is
+    /// immutable, so it is hashed at most once, by whichever of its
+    /// clones asks first.
+    ///
+    /// [`ContentBody::Opaque`] carries no bytes, so all opaque contents
+    /// share one id; callers with only-transferred data should fold in an
+    /// external discriminator (see [`Dataset::content_id`]).
+    pub fn content_id(&self) -> ContentId {
+        *self.0.id.get_or_init(|| self.0.body.hash())
+    }
+}
+
+impl Deref for Content {
+    type Target = ContentBody;
+
+    fn deref(&self) -> &ContentBody {
+        self.body()
+    }
+}
+
+/// Equal bodies, under the body's `PartialEq` (`-0.0 == 0.0`, `NaN` equal
+/// to nothing), whether or not the handles are shared.
+impl PartialEq for Content {
+    fn eq(&self, other: &Content) -> bool {
+        self.body() == other.body()
+    }
+}
+
+impl std::fmt::Debug for Content {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.body().fmt(f)
     }
 }
 
@@ -192,7 +269,8 @@ pub struct Dataset {
     pub size: DataSize,
     /// Lifecycle state.
     pub state: DatasetState,
-    /// The real content.
+    /// The real content. Assigning a new handle replaces the value and
+    /// its content id together.
     pub content: Content,
     /// When it was created.
     pub created_at: SimTime,
@@ -202,19 +280,19 @@ pub struct Dataset {
 
 impl Dataset {
     /// The dataset's content id. Parsed contents hash their bytes via
-    /// [`Content::content_id`]; [`Content::Opaque`] contents (transferred,
-    /// never parsed) fold in the declared size and name so two different
-    /// uploads don't alias in the data plane's caches.
+    /// [`Content::content_id`]; [`ContentBody::Opaque`] contents
+    /// (transferred, never parsed) fold in the declared size and name so
+    /// two different uploads don't alias in the data plane's caches.
     pub fn content_id(&self) -> ContentId {
-        match &self.content {
-            Content::Opaque => {
+        match self.content.body() {
+            ContentBody::Opaque => {
                 let mut h = ContentHasher::new();
                 h.write(&[5]);
                 h.write_u64(self.size.as_bytes());
                 h.write_str(&self.name);
                 h.finish()
             }
-            c => c.content_id(),
+            _ => self.content.content_id(),
         }
     }
 
@@ -237,28 +315,40 @@ impl Dataset {
 mod tests {
     use super::*;
 
+    fn text(s: &str) -> Content {
+        Content::new(ContentBody::Text(s.to_string()))
+    }
+
     #[test]
     fn content_ids_key_on_content_not_provenance() {
-        let a = Content::Text("hello".to_string());
-        let b = Content::Text("hello".to_string());
+        let a = text("hello");
+        let b = text("hello");
         assert_eq!(a.content_id(), b.content_id());
-        assert_ne!(a.content_id(), Content::Text("world".into()).content_id());
+        assert_ne!(a.content_id(), text("world").content_id());
         // Same serialized bytes under different variants must not alias.
         assert_ne!(
-            Content::Text("x".into()).content_id(),
-            Content::Svg("x".into()).content_id()
+            text("x").content_id(),
+            Content::new(ContentBody::Svg("x".into())).content_id()
         );
-        let m1 = Content::Matrix {
-            row_names: vec!["g1".into()],
-            col_names: vec!["s1".into()],
-            values: vec![1.5],
+        let matrix = |v: f64| {
+            Content::new(ContentBody::Matrix {
+                row_names: vec!["g1".into()],
+                col_names: vec!["s1".into()],
+                values: vec![v],
+            })
         };
-        let m2 = Content::Matrix {
-            row_names: vec!["g1".into()],
-            col_names: vec!["s1".into()],
-            values: vec![1.5000001],
-        };
-        assert_ne!(m1.content_id(), m2.content_id());
+        assert_ne!(matrix(1.5).content_id(), matrix(1.5000001).content_id());
+    }
+
+    #[test]
+    fn clones_share_one_value_and_its_id() {
+        let a = text("hello");
+        let b = a.clone();
+        assert!(Content::ptr_eq(&a, &b));
+        assert!(!Content::ptr_eq(&a, &text("hello")));
+        assert_eq!(b.content_id(), a.body().hash());
+        drop(a);
+        assert_eq!(b.content_id(), text("hello").content_id());
     }
 
     #[test]
@@ -270,7 +360,7 @@ mod tests {
             dtype: "zip".to_string(),
             size: DataSize::from_bytes(bytes),
             state: DatasetState::Ok,
-            content: Content::Opaque,
+            content: Content::new(ContentBody::Opaque),
             created_at: SimTime::ZERO,
             produced_by: None,
         };
@@ -281,33 +371,30 @@ mod tests {
 
     #[test]
     fn natural_sizes() {
-        assert_eq!(
-            Content::Text("hello".to_string()).natural_size(),
-            DataSize::from_bytes(5)
-        );
-        let archive = Content::Archive {
+        assert_eq!(text("hello").natural_size(), DataSize::from_bytes(5));
+        let archive = ContentBody::Archive {
             members: vec![("a.cel".to_string(), 100), ("b.cel".to_string(), 200)],
         };
         assert_eq!(archive.natural_size(), DataSize::from_bytes(300));
-        let m = Content::Matrix {
+        let m = ContentBody::Matrix {
             row_names: vec!["g1".to_string()],
             col_names: vec!["s1".to_string(), "s2".to_string()],
             values: vec![1.0, 2.0],
         };
         assert_eq!(m.natural_size(), DataSize::from_bytes(16));
-        assert_eq!(Content::Opaque.natural_size(), DataSize::ZERO);
+        assert_eq!(ContentBody::Opaque.natural_size(), DataSize::ZERO);
     }
 
     #[test]
     fn table_accessor() {
-        let t = Content::Table {
+        let t = Content::new(ContentBody::Table {
             columns: vec!["probe".to_string(), "p".to_string()],
             rows: vec![vec!["g1".to_string(), "0.01".to_string()]],
-        };
+        });
         let (cols, rows) = t.as_table().unwrap();
         assert_eq!(cols.len(), 2);
         assert_eq!(rows[0][1], "0.01");
-        assert!(Content::Opaque.as_table().is_none());
+        assert!(ContentBody::Opaque.as_table().is_none());
     }
 
     #[test]
@@ -319,7 +406,7 @@ mod tests {
             dtype: "zip".to_string(),
             size: DataSize::from_mb_f64(10.7),
             state: DatasetState::Ok,
-            content: Content::Opaque,
+            content: Content::new(ContentBody::Opaque),
             created_at: SimTime::ZERO,
             produced_by: None,
         };

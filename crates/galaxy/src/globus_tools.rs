@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use crate::dataset::Content;
+use crate::dataset::{Content, ContentBody};
 use crate::registry::{RegistryError, ToolRegistry};
 use crate::tool::{CostModel, OutputSpec, ParamSpec, ToolDefinition, ToolInvocation, ToolOutput};
 
@@ -55,7 +55,7 @@ fn receipt(inv: &ToolInvocation, direction: &str) -> Vec<ToolOutput> {
     vec![ToolOutput {
         name: "receipt".to_string(),
         dataset_name: format!("{direction} transfer request"),
-        content: Content::Text(text),
+        content: Content::new(ContentBody::Text(text)),
         size: None,
     }]
 }
@@ -188,8 +188,8 @@ mod tests {
             input_size: cumulus_net::DataSize::ZERO,
         };
         let out = tool.behavior.run(&inv).unwrap();
-        match &out[0].content {
-            Content::Text(text) => {
+        match out[0].content.body() {
+            ContentBody::Text(text) => {
                 assert!(text.contains("galaxy#CVRG-Galaxy"));
                 assert!(text.contains("fourCelFileSamples.zip"));
                 assert!(text.contains("submitted to Globus Online"));

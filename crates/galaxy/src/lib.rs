@@ -3,7 +3,8 @@
 //! Reproduces the Galaxy features the paper relies on (§II, §IV):
 //!
 //! * [`dataset`] — datasets with **real content** (tables, matrices, SVG
-//!   plots, archives), so tool outputs are verifiable artifacts;
+//!   plots, archives), so tool outputs are verifiable artifacts; content
+//!   is an immutable shared value that hashes its content id once;
 //! * [`tool`] — declarative tool definitions: typed parameters (from which
 //!   the web form model is generated), outputs, a calibrated cost model,
 //!   and the real Rust behavior behind each tool;
@@ -44,7 +45,7 @@ pub use checkpoint::{
     resume_workflow, OutputRef, RecoveryDecision, RecoveryPlan, ResumeReport, StepCheckpoint,
     WorkflowCheckpoint,
 };
-pub use dataset::{Content, Dataset, DatasetId, DatasetState};
+pub use dataset::{Content, ContentBody, Dataset, DatasetId, DatasetState};
 pub use globus_tools::{get_data_tool, go_transfer_tool, register_globus_tools, send_data_tool};
 pub use history::{History, HistoryId};
 pub use job::{GalaxyJob, GalaxyJobId, GalaxyJobState};

@@ -4,17 +4,19 @@
 //! input size and input contents ([`ToolBehavior::run`] must be a
 //! deterministic function of the invocation). When many sessions run the
 //! same tool on the same public bundle, the server runs the behavior for
-//! the first completion and hands every later one a copy of the stored
-//! outputs. Condor still runs each job for its simulated duration, so no
-//! simulated outcome moves; only host time does.
+//! the first completion and hands every later one the stored outputs,
+//! whose contents are shared handles rather than copies. Condor still
+//! runs each job for its simulated duration, so no simulated outcome
+//! moves; only host time does.
 //!
 //! Entries are found through the tool id and the content id of each
 //! dataset input (the ids `run_tool` hashes for the Condor ad), and then
 //! checked exactly, never trusting the 64-bit hash: same behavior
 //! allocation, same version, same value parameters, same input size and
-//! bit-for-bit equal input contents. An input that changed between submit
-//! and completion leaves its key stale; the stale key can then only miss,
-//! so it never serves outputs of other contents.
+//! bit-for-bit equal input contents (at once when both are handles of one
+//! value, as every session's clone of a public bundle is). An input that
+//! changed between submit and completion leaves its key stale; the stale
+//! key can then only miss, so it never serves outputs of other contents.
 //!
 //! The memo is host state, not checkpoint state: a workflow checkpoint
 //! records outputs' content ids, never memo entries, and a server built to
@@ -26,7 +28,7 @@ use std::sync::Arc;
 use cumulus_net::DataSize;
 use cumulus_store::ContentId;
 
-use crate::dataset::Content;
+use crate::dataset::{Content, ContentBody};
 use crate::tool::{ToolBehavior, ToolDefinition, ToolError, ToolInvocation, ToolOutput};
 
 /// Where a run's entries live: the tool id and each dataset input's
@@ -71,8 +73,9 @@ pub(crate) struct ToolMemo {
 }
 
 impl ToolMemo {
-    /// The outputs of `tool` on `inv`: a copy of a stored run that matches
-    /// exactly, or a fresh run of the behavior, stored when it succeeds.
+    /// The outputs of `tool` on `inv`: those of a stored run that matches
+    /// exactly, or of a fresh run of the behavior, stored when it
+    /// succeeds. Either way the contents are handles the memo shares.
     /// Errors are never stored.
     pub(crate) fn run(
         &mut self,
@@ -101,18 +104,22 @@ impl ToolMemo {
     }
 }
 
-/// Content equality with floats compared by bit pattern. The derived
-/// `PartialEq` equates `-0.0` with `0.0`, which the statistics kernels
-/// order differently.
+/// Content equality with floats compared by bit pattern. The body's
+/// derived `PartialEq` equates `-0.0` with `0.0`, which the statistics
+/// kernels order differently. Two handles of one value are equal without
+/// a look at the body.
 fn same_bits(a: &Content, b: &Content) -> bool {
-    match (a, b) {
+    if Content::ptr_eq(a, b) {
+        return true;
+    }
+    match (a.body(), b.body()) {
         (
-            Content::Matrix {
+            ContentBody::Matrix {
                 row_names: ra,
                 col_names: ca,
                 values: va,
             },
-            Content::Matrix {
+            ContentBody::Matrix {
                 row_names: rb,
                 col_names: cb,
                 values: vb,
@@ -126,12 +133,12 @@ fn same_bits(a: &Content, b: &Content) -> bool {
         // No other variant holds a float, so `==` is exact; listing them
         // makes a new variant revisit this.
         (
-            Content::Text(_)
-            | Content::Table { .. }
-            | Content::Svg(_)
-            | Content::Archive { .. }
-            | Content::Matrix { .. }
-            | Content::Opaque,
+            ContentBody::Text(_)
+            | ContentBody::Table { .. }
+            | ContentBody::Svg(_)
+            | ContentBody::Archive { .. }
+            | ContentBody::Matrix { .. }
+            | ContentBody::Opaque,
             _,
         ) => a == b,
     }
@@ -142,11 +149,11 @@ mod tests {
     use super::*;
 
     fn matrix(values: Vec<f64>) -> Content {
-        Content::Matrix {
+        Content::new(ContentBody::Matrix {
             row_names: vec!["g1".to_string()],
             col_names: (0..values.len()).map(|i| format!("s{i}")).collect(),
             values,
-        }
+        })
     }
 
     #[test]
@@ -156,10 +163,13 @@ mod tests {
         let next = f64::from_bits(1.0f64.to_bits() + 1);
         assert!(!same_bits(&matrix(vec![1.0]), &matrix(vec![next])));
         assert!(same_bits(&matrix(vec![f64::NAN]), &matrix(vec![f64::NAN])));
-        assert!(!same_bits(&matrix(vec![1.0]), &Content::Opaque));
-        assert!(same_bits(
-            &Content::Text("x".to_string()),
-            &Content::Text("x".to_string())
+        let nan = matrix(vec![f64::NAN]);
+        assert!(same_bits(&nan, &nan.clone()));
+        assert!(!same_bits(
+            &matrix(vec![1.0]),
+            &Content::new(ContentBody::Opaque)
         ));
+        let text = |s: &str| Content::new(ContentBody::Text(s.to_string()));
+        assert!(same_bits(&text("x"), &text("x")));
     }
 }

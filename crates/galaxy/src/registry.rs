@@ -1,14 +1,17 @@
 //! The tool registry (Galaxy's left-hand tool panel).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::tool::ToolDefinition;
 
-/// The panel: sections of tools, each tool registered once by id.
+/// The panel: sections of tools, each tool registered once by id. Tools
+/// are held behind `Arc`s so the server can keep one across a call that
+/// mutates it without copying the definition.
 #[derive(Debug, Default)]
 pub struct ToolRegistry {
     sections: Vec<(String, Vec<String>)>,
-    tools: BTreeMap<String, ToolDefinition>,
+    tools: BTreeMap<String, Arc<ToolDefinition>>,
 }
 
 /// Registry errors.
@@ -50,12 +53,17 @@ impl ToolRegistry {
             }
         };
         section_entry.1.push(tool.id.clone());
-        self.tools.insert(tool.id.clone(), tool);
+        self.tools.insert(tool.id.clone(), Arc::new(tool));
         Ok(())
     }
 
     /// Look up a tool by id.
     pub fn tool(&self, id: &str) -> Result<&ToolDefinition, RegistryError> {
+        self.shared(id).map(|t| &**t)
+    }
+
+    /// Look up a tool by id, as a handle that outlives the borrow.
+    pub(crate) fn shared(&self, id: &str) -> Result<&Arc<ToolDefinition>, RegistryError> {
         self.tools
             .get(id)
             .ok_or_else(|| RegistryError::NotFound(id.to_string()))

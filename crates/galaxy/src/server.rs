@@ -10,11 +10,12 @@
 //! the pool reports the job finished, `on_condor_completion` runs the
 //! tool's **real** behavior on the real input contents, fills in the
 //! outputs, and writes provenance records. Each distinct invocation runs
-//! once: later identical completions copy its outputs from the server's
-//! tool-run memo (see the `memo` module).
+//! once: later identical completions share its outputs through the
+//! server's tool-run memo (see the `memo` module).
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use cumulus_htc::{
     CondorPool, Job as CondorJob, JobId as CondorJobId, Value as AdValue, JOB_INPUT_CIDS_ATTR,
@@ -26,7 +27,7 @@ use cumulus_transfer::{
     Protocol, TaskId, TaskStatus, TransferError, TransferRequest, TransferService,
 };
 
-use crate::dataset::{Content, Dataset, DatasetId, DatasetState};
+use crate::dataset::{Content, ContentBody, Dataset, DatasetId, DatasetState};
 use crate::history::{History, HistoryId};
 use crate::job::{GalaxyJob, GalaxyJobId, GalaxyJobState};
 use crate::memo::{MemoKey, ToolMemo};
@@ -522,7 +523,7 @@ impl GalaxyServer {
             &name,
             "txt",
             DataSize::ZERO,
-            Content::Text(format!("{:?}", task.status)),
+            Content::new(ContentBody::Text(format!("{:?}", task.status))),
             state,
             None,
         )?;
@@ -550,7 +551,7 @@ impl GalaxyServer {
     ) -> Result<GalaxyJobId, GalaxyError> {
         self.user(username)?;
         self.history(history)?;
-        let tool = self.registry.tool(tool_id)?.clone();
+        let tool = Arc::clone(self.registry.shared(tool_id)?);
         let resolved = tool.resolve_params(params)?;
 
         // Gather dataset inputs and their content ids, which key the
@@ -590,7 +591,7 @@ impl GalaxyServer {
                 &format!("{} on {}", out.name, tool.name),
                 &out.dtype,
                 DataSize::ZERO,
-                Content::Opaque,
+                Content::new(ContentBody::Opaque),
                 DatasetState::Pending,
                 Some(job_id),
             )?;
@@ -641,9 +642,10 @@ impl GalaxyServer {
     }
 
     /// Notify the server that a Condor job completed; runs the tool's real
-    /// behavior (or copies the outputs of an identical earlier run) and
-    /// fills in outputs. Returns the Galaxy job id if the Condor job
-    /// belonged to this server.
+    /// behavior (or shares the outputs of an identical earlier run) and
+    /// fills in outputs. A tool no longer in the registry fails the job
+    /// and its outputs with [`RegistryError::NotFound`]'s message. Returns
+    /// the Galaxy job id if the Condor job belonged to this server.
     pub fn on_condor_completion(
         &mut self,
         now: SimTime,
@@ -663,43 +665,44 @@ impl GalaxyServer {
             job.submitted_at,
             job.history,
         );
-        let Ok(tool) = self.registry.tool(&tool_id) else {
-            return Some(job_id);
-        };
-
-        // Build the invocation from the value parameters and the real
-        // input contents, lent by the datasets that hold them.
-        let mut inputs = BTreeMap::new();
-        let mut input_size = DataSize::ZERO;
-        for (name, ds_id) in &input_ids {
-            if let Some(ds) = self.datasets.get(ds_id) {
-                inputs.insert(name.clone(), &ds.content);
-                input_size += ds.size;
+        let result = match self.registry.shared(&tool_id) {
+            Ok(tool) => {
+                // Build the invocation from the value parameters and the
+                // real input contents, lent by the datasets that hold them.
+                let mut inputs = BTreeMap::new();
+                let mut input_size = DataSize::ZERO;
+                for (name, ds_id) in &input_ids {
+                    if let Some(ds) = self.datasets.get(ds_id) {
+                        inputs.insert(name.clone(), &ds.content);
+                        input_size += ds.size;
+                    }
+                }
+                let invocation = ToolInvocation {
+                    params: params
+                        .iter()
+                        .filter(|(name, _)| !input_ids.contains_key(*name))
+                        .map(|(name, value)| (name.clone(), value.clone()))
+                        .collect(),
+                    inputs,
+                    input_size,
+                };
+                let key = MemoKey {
+                    tool_id,
+                    inputs: input_cids,
+                };
+                self.memo
+                    .run(key, tool, &invocation)
+                    .map_err(|e| e.0)
+                    .and_then(|outputs| {
+                        pair_outputs(&output_names, &output_ids, outputs).map_err(|m| m.to_string())
+                    })
+                    .map(|paired| (Arc::clone(tool), paired))
             }
-        }
-        let invocation = ToolInvocation {
-            params: params
-                .iter()
-                .filter(|(name, _)| !input_ids.contains_key(*name))
-                .map(|(name, value)| (name.clone(), value.clone()))
-                .collect(),
-            inputs,
-            input_size,
+            Err(e) => Err(e.to_string()),
         };
-        let key = MemoKey {
-            tool_id,
-            inputs: input_cids,
-        };
-        let result = self
-            .memo
-            .run(key, tool, &invocation)
-            .map_err(|e| e.0)
-            .and_then(|outputs| {
-                pair_outputs(&output_names, &output_ids, outputs).map_err(|m| m.to_string())
-            });
 
         match result {
-            Ok(paired) => {
+            Ok((tool, paired)) => {
                 // Outputs were inserted into the job's history, and a
                 // dataset enters exactly one history, so its owner pays.
                 let owner = self.histories.get(&history).map(|h| h.owner.as_str());
@@ -812,18 +815,18 @@ mod tests {
             }],
             cost: CostModel::LIGHT,
             behavior: Arc::new(|inv: &ToolInvocation| {
-                let text = match inv.input("input") {
-                    Some(Content::Text(s)) => s.clone(),
+                let text = match inv.input("input").map(Content::body) {
+                    Some(ContentBody::Text(s)) => s.clone(),
                     _ => return Err(crate::tool::ToolError("need text input".to_string())),
                 };
                 let n = text.split_whitespace().count();
                 Ok(vec![ToolOutput {
                     name: "counts".to_string(),
                     dataset_name: "word counts".to_string(),
-                    content: Content::Table {
+                    content: Content::new(ContentBody::Table {
                         columns: vec!["words".to_string()],
                         rows: vec![vec![n.to_string()]],
-                    },
+                    }),
                     size: None,
                 }])
             }),
@@ -868,7 +871,7 @@ mod tests {
                 "notes.txt",
                 "txt",
                 DataSize::from_kb(1),
-                Content::Text("one two three four".to_string()),
+                Content::new(ContentBody::Text("one two three four".to_string())),
             )
             .unwrap();
         let mut pool = CondorPool::new();
@@ -958,7 +961,7 @@ mod tests {
                 "more.txt",
                 "txt",
                 DataSize::from_kb(2),
-                Content::Text("five six".to_string()),
+                Content::new(ContentBody::Text("five six".to_string())),
             )
             .unwrap();
         let before = f.server.user("boliu").unwrap().usage;
@@ -1010,6 +1013,33 @@ mod tests {
         assert_eq!(out.state, DatasetState::Error);
     }
 
+    #[test]
+    fn a_tool_unregistered_before_completion_fails_the_job() {
+        let mut f = fixture();
+        let input_ref = format!("{}", f.input.0);
+        let job = f
+            .server
+            .run_tool(
+                t(0),
+                "boliu",
+                f.history,
+                "wordcount",
+                &params(&[("input", &input_ref)]),
+                &mut f.pool,
+            )
+            .unwrap();
+        f.server.registry = ToolRegistry::new();
+        let done = f.server.drive_jobs(t(0), &mut f.pool).unwrap();
+        let j = f.server.job(job).unwrap();
+        assert_eq!(j.state, GalaxyJobState::Error);
+        assert_eq!(j.finished_at, Some(done));
+        let want = RegistryError::NotFound("wordcount".to_string()).to_string();
+        assert_eq!(j.error, Some(want));
+        let out = f.server.dataset(j.outputs[0]).unwrap();
+        assert_eq!(out.state, DatasetState::Error);
+        assert!(f.server.provenance.of(j.outputs[0]).is_none());
+    }
+
     /// A tool declaring outputs `a` and `b` that returns `returned`, each
     /// output's text naming it.
     fn two_output_tool(id: &str, returned: &'static [&'static str]) -> ToolDefinition {
@@ -1031,7 +1061,7 @@ mod tests {
                     .map(|name| ToolOutput {
                         name: name.to_string(),
                         dataset_name: format!("output {name}"),
-                        content: Content::Text(name.to_string()),
+                        content: Content::new(ContentBody::Text(name.to_string())),
                         size: None,
                     })
                     .collect())
@@ -1068,7 +1098,7 @@ mod tests {
         if job.state == GalaxyJobState::Ok {
             for (ds, name) in job.outputs.iter().zip(["a", "b"]) {
                 let content = &f.server.dataset(*ds).unwrap().content;
-                assert_eq!(*content, Content::Text(name.to_string()));
+                assert_eq!(*content, Content::new(ContentBody::Text(name.to_string())));
             }
         }
         job
@@ -1195,8 +1225,14 @@ mod tests {
         let mut f = fixture();
         let big = DataSize::from_gb(300);
         assert!(matches!(
-            f.server
-                .add_dataset(t(0), f.history, "huge", "bam", big, Content::Opaque),
+            f.server.add_dataset(
+                t(0),
+                f.history,
+                "huge",
+                "bam",
+                big,
+                Content::new(ContentBody::Opaque)
+            ),
             Err(GalaxyError::QuotaExceeded { .. })
         ));
     }
@@ -1213,7 +1249,7 @@ mod tests {
                 "big.bam",
                 "bam",
                 DataSize::from_gb(3),
-                Content::Opaque,
+                Content::new(ContentBody::Opaque),
                 &network,
                 NodeId(0),
             )
@@ -1233,7 +1269,7 @@ mod tests {
                 "big.bam",
                 "bam",
                 DataSize::from_gb(3),
-                Content::Opaque,
+                Content::new(ContentBody::Opaque),
                 &network,
                 NodeId(0),
             )
@@ -1254,7 +1290,7 @@ mod tests {
                 "x.bam",
                 "bam",
                 DataSize::from_mb(10),
-                Content::Opaque,
+                Content::new(ContentBody::Opaque),
             )
             .unwrap();
         let mut service = TransferService::new();
@@ -1268,7 +1304,7 @@ mod tests {
                 &network,
                 ("ci#lab", "/data/x.bam"),
                 DataSize::from_mb(10),
-                Content::Opaque,
+                Content::new(ContentBody::Opaque),
                 None,
             )
             .unwrap_err();

@@ -291,7 +291,7 @@ pub trait ToolBehavior: Send + Sync {
     ///
     /// The result must be a deterministic function of the invocation:
     /// the server runs each distinct invocation once and hands later
-    /// identical ones a copy of the stored outputs.
+    /// identical ones the stored outputs, whose contents are shared.
     fn run(&self, invocation: &ToolInvocation) -> Result<Vec<ToolOutput>, ToolError>;
 }
 
@@ -407,6 +407,7 @@ impl ToolDefinition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::ContentBody;
 
     fn echo_tool() -> ToolDefinition {
         ToolDefinition {
@@ -429,7 +430,9 @@ mod tests {
                 Ok(vec![ToolOutput {
                     name: "out".to_string(),
                     dataset_name: "echo output".to_string(),
-                    content: Content::Text(inv.param("text").unwrap_or("").to_string()),
+                    content: Content::new(ContentBody::Text(
+                        inv.param("text").unwrap_or("").to_string(),
+                    )),
                     size: None,
                 }])
             }),
@@ -518,7 +521,10 @@ mod tests {
         };
         let outs = tool.behavior.run(&inv).unwrap();
         assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].content, Content::Text("hello".to_string()));
+        assert_eq!(
+            outs[0].content,
+            Content::new(ContentBody::Text("hello".to_string()))
+        );
     }
 
     #[test]

@@ -394,7 +394,7 @@ pub(crate) fn drive_workflow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Content;
+    use crate::dataset::{Content, ContentBody};
     use crate::tool::{
         CostModel, OutputSpec, ParamSpec, ToolDefinition, ToolInvocation, ToolOutput,
     };
@@ -415,14 +415,14 @@ mod tests {
             }],
             cost: CostModel::LIGHT,
             behavior: Arc::new(move |inv: &ToolInvocation| {
-                let text = match inv.input("input") {
-                    Some(Content::Text(s)) => s.clone(),
+                let text = match inv.input("input").map(Content::body) {
+                    Some(ContentBody::Text(s)) => s.clone(),
                     _ => return Err(crate::tool::ToolError("need text".to_string())),
                 };
                 Ok(vec![ToolOutput {
                     name: "out".to_string(),
                     dataset_name: format!("{} output", inv.param("label").unwrap_or("step")),
-                    content: Content::Text(f(&text)),
+                    content: Content::new(ContentBody::Text(f(&text))),
                     size: None,
                 }])
             }),
@@ -442,14 +442,18 @@ mod tests {
             }],
             cost: CostModel::LIGHT,
             behavior: Arc::new(|inv: &ToolInvocation| {
-                let get = |n: &str| match inv.input(n) {
-                    Some(Content::Text(s)) => Ok(s.clone()),
+                let get = |n: &str| match inv.input(n).map(Content::body) {
+                    Some(ContentBody::Text(s)) => Ok(s.clone()),
                     _ => Err(crate::tool::ToolError(format!("need text {n}"))),
                 };
                 Ok(vec![ToolOutput {
                     name: "out".to_string(),
                     dataset_name: "joined".to_string(),
-                    content: Content::Text(format!("{}|{}", get("a")?, get("b")?)),
+                    content: Content::new(ContentBody::Text(format!(
+                        "{}|{}",
+                        get("a")?,
+                        get("b")?
+                    ))),
                     size: None,
                 }])
             }),
@@ -483,7 +487,7 @@ mod tests {
                 "in.txt",
                 "txt",
                 DataSize::from_kb(1),
-                Content::Text("abc".to_string()),
+                Content::new(ContentBody::Text("abc".to_string())),
             )
             .unwrap();
         let mut pool = CondorPool::new();
@@ -526,7 +530,10 @@ mod tests {
         assert_eq!(result.step_jobs.len(), 3);
         let final_out = result.step_outputs["jn"][0];
         let ds = f.server.dataset(final_out).unwrap();
-        assert_eq!(ds.content, Content::Text("ABC|cba".to_string()));
+        assert_eq!(
+            ds.content,
+            Content::new(ContentBody::Text("ABC|cba".to_string()))
+        );
         // Provenance spans the whole workflow.
         let lineage = f.server.provenance.lineage(final_out).unwrap();
         assert!(lineage.contains(&f.input));

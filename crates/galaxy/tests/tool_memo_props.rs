@@ -18,9 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cumulus_galaxy::{
-    Content, CostModel, DatasetId, DatasetState, GalaxyJobId, GalaxyJobState, GalaxyServer,
-    HistoryId, OutputSpec, ParamSpec, ToolDefinition, ToolError, ToolInvocation, ToolOutput,
-    ToolRegistry,
+    Content, ContentBody, CostModel, DatasetId, DatasetState, GalaxyJobId, GalaxyJobState,
+    GalaxyServer, HistoryId, OutputSpec, ParamSpec, ToolDefinition, ToolError, ToolInvocation,
+    ToolOutput, ToolRegistry,
 };
 use cumulus_htc::CondorPool;
 use cumulus_net::{DataSize, NodeId};
@@ -34,11 +34,11 @@ fn t(secs: u64) -> SimTime {
 }
 
 fn matrix(values: &[f64]) -> Content {
-    Content::Matrix {
+    Content::new(ContentBody::Matrix {
         row_names: vec!["probe_1".to_string()],
         col_names: (0..values.len()).map(|i| format!("s{i}")).collect(),
         values: values.to_vec(),
-    }
+    })
 }
 
 /// The content pool every dataset is drawn from.
@@ -52,7 +52,7 @@ fn content_pool() -> Vec<Content> {
         matrix(&[up(1.0), 0.0]),
         matrix(&[0.0, up(1.0)]),
         matrix(&[f64::NAN, 2.0]),
-        Content::Text("not a matrix".to_string()),
+        Content::new(ContentBody::Text("not a matrix".to_string())),
     ]
 }
 
@@ -60,14 +60,14 @@ fn content_pool() -> Vec<Content> {
 /// from the server's so a weakened comparison there cannot hide here.
 fn same_bits(a: &Content, b: &Content) -> bool {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    match (a, b) {
+    match (a.body(), b.body()) {
         (
-            Content::Matrix {
+            ContentBody::Matrix {
                 row_names: ra,
                 col_names: ca,
                 values: va,
             },
-            Content::Matrix {
+            ContentBody::Matrix {
                 row_names: rb,
                 col_names: cb,
                 values: vb,
@@ -85,8 +85,8 @@ fn spec(name: &str, dtype: &str) -> OutputSpec {
 }
 
 fn matrix_values<'a>(inv: &ToolInvocation<'a>, name: &str) -> Result<&'a [f64], ToolError> {
-    match inv.input(name) {
-        Some(Content::Matrix { values, .. }) => Ok(values),
+    match inv.input(name).map(Content::body) {
+        Some(ContentBody::Matrix { values, .. }) => Ok(values),
         _ => Err(ToolError(format!("{name} must be a matrix"))),
     }
 }
@@ -109,11 +109,11 @@ fn probe_tool(tag: usize, runs: Arc<AtomicUsize>) -> ToolDefinition {
         cost: CostModel::LIGHT,
         behavior: Arc::new(move |inv: &ToolInvocation| {
             runs.fetch_add(1, Ordering::Relaxed);
-            let Some(Content::Matrix {
+            let Some(ContentBody::Matrix {
                 row_names,
                 col_names,
                 values,
-            }) = inv.input("a")
+            }) = inv.input("a").map(Content::body)
             else {
                 return Err(ToolError("a must be a matrix".to_string()));
             };
@@ -122,20 +122,20 @@ fn probe_tool(tag: usize, runs: Arc<AtomicUsize>) -> ToolDefinition {
                 ToolOutput {
                     name: "scaled".to_string(),
                     dataset_name: "scaled matrix".to_string(),
-                    content: Content::Matrix {
+                    content: Content::new(ContentBody::Matrix {
                         row_names: row_names.clone(),
                         col_names: col_names.clone(),
                         values: values.iter().map(|v| v * scale).collect(),
-                    },
+                    }),
                     size: None,
                 },
                 ToolOutput {
                     name: "summary".to_string(),
                     dataset_name: format!("summary v{tag}"),
-                    content: Content::Text(format!(
+                    content: Content::new(ContentBody::Text(format!(
                         "v{tag} {values:?} x{scale} in {}",
                         inv.input_size
-                    )),
+                    ))),
                     size: Some(DataSize::from_kb(1)),
                 },
             ])
@@ -161,7 +161,11 @@ fn pair_tool(runs: Arc<AtomicUsize>) -> ToolDefinition {
             Ok(vec![ToolOutput {
                 name: "joined".to_string(),
                 dataset_name: "joined".to_string(),
-                content: Content::Text(format!("{:x?} | {:x?}", bits(a), bits(b))),
+                content: Content::new(ContentBody::Text(format!(
+                    "{:x?} | {:x?}",
+                    bits(a),
+                    bits(b)
+                ))),
                 size: None,
             }])
         }),
@@ -187,7 +191,7 @@ fn flaky_tool(runs: Arc<AtomicUsize>) -> ToolDefinition {
             Ok(vec![ToolOutput {
                 name: "out".to_string(),
                 dataset_name: "flaky output".to_string(),
-                content: Content::Text(format!("{values:?}")),
+                content: Content::new(ContentBody::Text(format!("{values:?}"))),
                 size: None,
             }])
         }),
@@ -418,7 +422,7 @@ fn a_sign_flip_between_submit_and_completion_misses() {
     w.complete(second);
     w.check_against_reference(second);
     let summary = w.server.job(second).unwrap().outputs[0];
-    let Content::Text(text) = &w.server.dataset(summary).unwrap().content else {
+    let ContentBody::Text(text) = w.server.dataset(summary).unwrap().content.body() else {
         panic!("summary is text");
     };
     assert!(text.contains("-0.0"), "{text}");

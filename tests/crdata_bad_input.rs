@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use cumulus::crdata::register_all;
-use cumulus::galaxy::{Content, GalaxyJobState, GalaxyServer};
+use cumulus::galaxy::{Content, ContentBody, GalaxyJobState, GalaxyServer};
 use cumulus::htc::{CondorPool, Machine};
 use cumulus::net::{DataSize, NodeId};
 use cumulus::simkit::time::SimTime;
@@ -65,25 +65,25 @@ fn run_differential_expression(matrix: Content) -> (GalaxyJobState, Option<Strin
 
 /// A table with the given columns and rows.
 fn table(columns: &[&str], rows: &[&[&str]]) -> Content {
-    Content::Table {
+    Content::new(ContentBody::Table {
         columns: columns.iter().map(|s| s.to_string()).collect(),
         rows: rows
             .iter()
             .map(|r| r.iter().map(|s| s.to_string()).collect())
             .collect(),
-    }
+    })
 }
 
 /// Two probes over two samples per group.
 fn matrix(values: Vec<f64>) -> Content {
-    Content::Matrix {
+    Content::new(ContentBody::Matrix {
         row_names: vec!["probe_1".to_string(), "probe_2".to_string()],
         col_names: ["ctrl_1", "ctrl_2", "treat_1", "treat_2"]
             .iter()
             .map(|s| s.to_string())
             .collect(),
         values,
-    }
+    })
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The three Globus Transfer tools (§IV.A) exercised end to end, plus the
 //! legacy FTP/HTTP upload paths they replace.
 
-use cumulus::galaxy::{Content, DatasetState};
+use cumulus::galaxy::{Content, ContentBody, DatasetState};
 use cumulus::net::DataSize;
 use cumulus::scenario::UseCaseScenario;
 use cumulus::simkit::time::SimTime;
@@ -169,7 +169,7 @@ fn ftp_upload_is_slower_than_globus_for_the_same_file() {
             "reads.fastq",
             "fastq",
             size,
-            Content::Opaque,
+            Content::new(ContentBody::Opaque),
             &s.world.network,
             laptop_node,
         )
@@ -207,8 +207,8 @@ fn receipt_tools_run_through_the_pool_like_any_tool() {
         job
     };
     let out = s.galaxy.job(job).unwrap().outputs[0];
-    match &s.galaxy.dataset(out).unwrap().content {
-        Content::Text(text) => {
+    match s.galaxy.dataset(out).unwrap().content.body() {
+        ContentBody::Text(text) => {
             assert!(text.contains("galaxy#CVRG-Galaxy"));
             assert!(text.contains("submitted to Globus Online"));
         }

@@ -77,8 +77,8 @@ fn full_use_case_reproduces_paper_numbers() {
         }
         // Figure is a well-formed SVG.
         let figure = s.galaxy.dataset(outputs[1]).unwrap();
-        match &figure.content {
-            cumulus::galaxy::Content::Svg(svg) => {
+        match figure.content.body() {
+            cumulus::galaxy::ContentBody::Svg(svg) => {
                 assert!(svg.starts_with("<svg"));
                 assert!(svg.ends_with("</svg>"));
             }

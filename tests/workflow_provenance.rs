@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use cumulus::cloud::InstanceType;
-use cumulus::galaxy::{run_workflow, Content, ShareItem, Visibility, Workflow, WorkflowStep};
+use cumulus::galaxy::{run_workflow, ContentBody, ShareItem, Visibility, Workflow, WorkflowStep};
 use cumulus::provision::Topology;
 use cumulus::scenario::UseCaseScenario;
 use cumulus::simkit::time::SimTime;
@@ -225,8 +225,8 @@ fn workflow_rerun_reproduces_identical_results() {
             .unwrap()
         };
         let corrected = result.step_outputs["correct"][0];
-        match &s.galaxy.dataset(corrected).unwrap().content {
-            Content::Table { rows, .. } => rows.clone(),
+        match s.galaxy.dataset(corrected).unwrap().content.body() {
+            ContentBody::Table { rows, .. } => rows.clone(),
             _ => panic!("expected table"),
         }
     };
