@@ -6,12 +6,14 @@
 //! so policies can react to smoothed values instead of chasing every
 //! single-tick spike (the classic cause of scaling flap).
 //!
-//! Wait percentiles are order statistics taken by selection, not by
-//! sorting: a reading fills one buffer with the queued jobs' waits, picks
-//! the p95 rank with `select_nth_unstable_by`, then the p50 rank from the
-//! partition below it — O(queued jobs) per tick however deep the queue.
-//! Under `f64::total_cmp` the k-th smallest value is unique bit for bit,
-//! so selection reports exactly what a full sort would.
+//! Wait percentiles are rank lookups in the pool's idle order index
+//! ([`CondorPool::idle_submitted_at_rank`]), never a walk over the queue.
+//! A wait is `now.since(submitted_at)`: `since` saturates and
+//! `as_secs_f64` rounds monotonically, so waits never rise as submission
+//! times rise, and the k-th smallest of `n` waits is the wait of the
+//! submission time at ascending rank `n − 1 − k`, bit for bit and ties
+//! included. [`percentile`] over [`CondorPool::idle_waits`] is the
+//! reference the property suite holds each reading to.
 
 use std::collections::VecDeque;
 
@@ -23,12 +25,6 @@ use cumulus_simkit::time::SimTime;
 fn nearest_rank(len: usize, q: f64) -> usize {
     let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
     ((q * len as f64).ceil() as usize).clamp(1, len) - 1
-}
-
-/// The value at 0-based rank `k` of `values` under `f64::total_cmp`,
-/// leaving the `k` below it (in some order) in `values[..k]`.
-fn select(values: &mut [f64], k: usize) -> f64 {
-    *values.select_nth_unstable_by(k, f64::total_cmp).1
 }
 
 /// Nearest-rank percentile of an unsorted sample set. `q` is in `[0, 1]`
@@ -46,25 +42,23 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     let k = nearest_rank(clean.len(), q);
-    select(&mut clean, k)
+    // Under `total_cmp` the k-th smallest value is unique bit for bit, so
+    // selection reports exactly what a full sort would.
+    *clean.select_nth_unstable_by(k, f64::total_cmp).1
 }
 
-/// The p50 and p95 of `waits` (durations, never NaN), as [`percentile`]
-/// reports them, from one selection pass each: p95 first, then p50 among
-/// the values below it. Reorders `waits`.
-fn wait_percentiles(waits: &mut [f64]) -> (f64, f64) {
-    if waits.is_empty() {
-        return (0.0, 0.0);
+/// The nearest-rank `q` percentile of the idle jobs' waits at `now`, as
+/// [`percentile`] over [`CondorPool::idle_waits`] reports it, from one
+/// rank lookup (0 when nothing waits).
+fn wait_percentile(now: SimTime, pool: &CondorPool, q: f64) -> f64 {
+    let n = pool.idle_count();
+    if n == 0 {
+        return 0.0;
     }
-    let k95 = nearest_rank(waits.len(), 0.95);
-    let k50 = nearest_rank(waits.len(), 0.50);
-    let p95 = select(waits, k95);
-    let p50 = if k50 == k95 {
-        p95
-    } else {
-        select(&mut waits[..k95], k50)
-    };
-    (p50, p95)
+    let t = pool
+        .idle_submitted_at_rank(n - 1 - nearest_rank(n, q))
+        .expect("a rank below idle_count is indexed");
+    now.since(t).as_secs_f64()
 }
 
 /// One reading of the pool, taken at a control tick.
@@ -93,8 +87,6 @@ impl SignalSample {
     /// Read the pool at `now`. `workers` is the current topology worker
     /// count — the pool itself cannot distinguish head from worker slots.
     pub fn observe(now: SimTime, pool: &CondorPool, workers: usize) -> SignalSample {
-        let mut waits: Vec<f64> = pool.idle_waits(now).map(|d| d.as_secs_f64()).collect();
-        let (wait_p50_secs, wait_p95_secs) = wait_percentiles(&mut waits);
         SignalSample {
             at: now,
             queue_depth: pool.idle_count(),
@@ -102,8 +94,8 @@ impl SignalSample {
             workers,
             free_slots: pool.free_slots(),
             utilization: pool.utilization(),
-            wait_p50_secs,
-            wait_p95_secs,
+            wait_p50_secs: wait_percentile(now, pool, 0.50),
+            wait_p95_secs: wait_percentile(now, pool, 0.95),
         }
     }
 

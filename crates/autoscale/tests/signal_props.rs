@@ -7,6 +7,8 @@
 //! deterministic seeded streams (the offline build ships no proptest), in
 //! the style of `crates/simkit/tests/disrupt_props.rs`.
 
+use std::ops::ControlFlow;
+
 use cumulus_autoscale::{percentile, SignalSample};
 use cumulus_htc::{CondorPool, Job, Machine, WorkSpec};
 use cumulus_simkit::rng::RngStream;
@@ -132,57 +134,138 @@ fn all_nan_input_reports_zero_like_empty() {
     );
 }
 
-/// A seeded pool at `now`: a few machines, a stream of submissions at
-/// millisecond-resolution times (many equal, so waits tie), and some
-/// negotiation cycles along the way, so part of the stream is running.
-fn random_pool(rng: &mut RngStream) -> (CondorPool, SimTime) {
-    let mut pool = CondorPool::new();
-    for m in 0..rng.uniform_int(0, 4) {
-        let machine = Machine::new(&format!("m{m}"), 1.0, 1700, 1);
-        pool.add_machine(machine).unwrap();
-    }
-    let mut now = SimTime::ZERO;
-    for _ in 0..rng.uniform_int(0, 300) {
-        if rng.chance(0.6) {
-            now += SimDuration::from_millis(rng.uniform_int(0, 90_000));
-        }
-        let work = WorkSpec::serial(rng.uniform_int(1, 600) as f64);
-        pool.submit(Job::new("u", work), now);
-        if rng.chance(0.05) {
-            pool.settle(now);
-            pool.negotiate(now);
-        }
-    }
-    (
-        pool,
-        now + SimDuration::from_millis(rng.uniform_int(0, 5_000)),
-    )
+/// One reading at `now` must equal `percentile` over the pool's idle
+/// waits, bit for bit, and the sorted-rank reference at p95.
+fn check_reading(pool: &CondorPool, now: SimTime, context: &str) {
+    let waits: Vec<f64> = pool.idle_waits(now).map(|d| d.as_secs_f64()).collect();
+    let sample = SignalSample::observe(now, pool, 0);
+    assert_eq!(sample.queue_depth, waits.len(), "{context}");
+    assert_eq!(
+        sample.wait_p50_secs.to_bits(),
+        percentile(&waits, 0.50).to_bits(),
+        "{context}: p50 over {} waits",
+        waits.len()
+    );
+    assert_eq!(
+        sample.wait_p95_secs.to_bits(),
+        percentile(&waits, 0.95).to_bits(),
+        "{context}: p95 over {} waits",
+        waits.len()
+    );
+    assert_eq!(
+        sample.wait_p95_secs.to_bits(),
+        reference(&waits, 0.95).to_bits(),
+        "{context}: p95 against the sorted reference"
+    );
 }
 
+/// `t` moved by up to `spread_ms` either way, saturating at zero.
+fn jitter(rng: &mut RngStream, t: SimTime, spread_ms: u64) -> SimTime {
+    let us = rng.uniform_int(0, 2 * spread_ms * 1_000);
+    SimTime::from_micros((t.as_micros() + us).saturating_sub(spread_ms * 1_000))
+}
+
+/// A seeded pool driven through every transition into and out of the
+/// idle set, with a reading checked after each step:
+/// - submissions at millisecond-resolution times, many equal (so waits
+///   tie) and some earlier than the clock (submission times that go
+///   backwards);
+/// - negotiation and settle cycles, so part of the stream runs and
+///   completes;
+/// - `hold_with_reason` and `release`;
+/// - `remove_job` on whatever job comes up: idle, running, held,
+///   completed or already removed;
+/// - `remove_machine` whether or not jobs run there (evictions), and
+///   machines joining;
+/// - finally a drain of the whole queue to empty.
+///
+/// Each reading is taken up to 5 s either side of the clock, so some
+/// submissions lie after the reading and their waits saturate at zero.
 #[test]
 fn observed_wait_percentiles_equal_percentile_over_idle_waits() {
     for case in 0..CASES {
         let mut rng = RngStream::derive(case, "signal-prop/observe");
-        let (pool, now) = random_pool(&mut rng);
-        let waits: Vec<f64> = pool.idle_waits(now).map(|d| d.as_secs_f64()).collect();
-        let sample = SignalSample::observe(now, &pool, 0);
-        assert_eq!(sample.queue_depth, waits.len(), "case {case}");
+        let mut pool = CondorPool::new();
+        let mut machines = 0;
+        let mut add_machine = |pool: &mut CondorPool| {
+            let name = format!("m{machines}");
+            machines += 1;
+            pool.add_machine(Machine::new(&name, 1.0, 1700, 1)).unwrap();
+        };
+        for _ in 0..rng.uniform_int(0, 4) {
+            add_machine(&mut pool);
+        }
+        let mut clock = SimTime::ZERO;
+        let mut ids = Vec::new();
+        for step in 0..rng.uniform_int(0, 300) {
+            let action = rng.uniform_int(0, 19);
+            match action {
+                0..=10 => {
+                    let at = match rng.uniform_int(0, 9) {
+                        0..=5 => {
+                            clock += SimDuration::from_millis(rng.uniform_int(0, 90_000));
+                            clock
+                        }
+                        6 => jitter(&mut rng, clock, 120_000).min(clock),
+                        _ => clock,
+                    };
+                    let work = WorkSpec::serial(rng.uniform_int(1, 600) as f64);
+                    let owner = *rng.choose(&["u", "v", "w"]);
+                    ids.push(pool.submit(Job::new(owner, work), at));
+                }
+                11..=12 => {
+                    pool.settle(clock);
+                    pool.negotiate(clock);
+                }
+                13 | 14 if !ids.is_empty() => {
+                    let id = *rng.choose(&ids);
+                    pool.hold_with_reason(id, "property hold").unwrap();
+                }
+                15 if !ids.is_empty() => {
+                    let id = *rng.choose(&ids);
+                    pool.release(id).unwrap();
+                }
+                16 if !ids.is_empty() => {
+                    let id = *rng.choose(&ids);
+                    pool.remove_job(id).unwrap();
+                }
+                17 => {
+                    let names: Vec<String> = pool.machines().map(|m| m.name.0.clone()).collect();
+                    if !names.is_empty() {
+                        let name = rng.choose(&names).clone();
+                        pool.remove_machine(&name, clock).unwrap();
+                    }
+                }
+                _ => add_machine(&mut pool),
+            }
+            let now = jitter(&mut rng, clock, 5_000);
+            check_reading(
+                &pool,
+                now,
+                &format!("case {case} step {step} action {action}"),
+            );
+        }
+        // Drain: release every hold, make sure something can run, and
+        // read the pool at each settle until the queue is empty.
+        for &id in &ids {
+            pool.release(id).unwrap();
+        }
+        add_machine(&mut pool);
+        check_reading(&pool, clock, &format!("case {case} drain start"));
+        pool.drain(clock, |pool, now, _| {
+            check_reading(pool, now, &format!("case {case} drain at {now:?}"));
+            ControlFlow::Continue(())
+        })
+        .expect("any job matches a default machine");
+        assert_eq!(pool.idle_count(), 0, "case {case}");
+        let sample = SignalSample::observe(clock, &pool, 0);
         assert_eq!(
-            sample.wait_p50_secs.to_bits(),
-            percentile(&waits, 0.50).to_bits(),
-            "case {case}: p50 over {} waits",
-            waits.len()
-        );
-        assert_eq!(
-            sample.wait_p95_secs.to_bits(),
-            percentile(&waits, 0.95).to_bits(),
-            "case {case}: p95 over {} waits",
-            waits.len()
-        );
-        assert_eq!(
-            sample.wait_p95_secs.to_bits(),
-            reference(&waits, 0.95).to_bits(),
-            "case {case}: p95 against the sorted reference"
+            (
+                sample.wait_p50_secs.to_bits(),
+                sample.wait_p95_secs.to_bits()
+            ),
+            (0, 0),
+            "case {case}: an empty queue reads zero waits"
         );
     }
 }

@@ -112,6 +112,8 @@ pub struct Job {
     /// negotiator can reuse one job's verdict and score per machine for
     /// the whole cluster within a cycle.
     pub(crate) cluster: u32,
+    /// The pool's dense index for `owner`, assigned at submission.
+    pub(crate) owner_ix: u32,
 }
 
 impl Job {
@@ -213,6 +215,7 @@ impl JobBuilder {
             input_cids,
             run_gen: 0,
             cluster: 0,
+            owner_ix: 0,
         }
     }
 }

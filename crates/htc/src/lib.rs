@@ -25,6 +25,7 @@
 
 pub mod classad;
 pub mod dag;
+mod idle;
 pub mod job;
 pub mod machine;
 pub mod pool;

@@ -17,6 +17,7 @@ use cumulus_simkit::telemetry::{span::keys as span_keys, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
 use crate::classad::{ClassAd, Symbol, Value};
+use crate::idle::IdleOrder;
 use crate::job::{Job, JobBuilder, JobId, JobState};
 use crate::machine::{Machine, MachineName};
 
@@ -196,6 +197,17 @@ impl MachineSlot {
     }
 }
 
+/// A job owner, interned to a dense index at first submission: the
+/// fair-share state and idle queue the negotiator reads every cycle.
+#[derive(Debug)]
+struct Owner {
+    name: String,
+    /// Accumulated usage seconds (drives fair-share ordering).
+    usage: f64,
+    /// Idle job ids, ascending (= submission order).
+    idle: BTreeSet<JobId>,
+}
+
 /// An entry in the finish-time min-heap: `(finish, job, run_gen)`.
 /// Generation counting (mirroring the simkit slab queue) makes eviction,
 /// removal, and deadline extension O(1): the job's `run_gen` is bumped and
@@ -263,7 +275,8 @@ impl NegotiationMemo {
 ///
 /// Internally the pool is fully indexed so a negotiation cycle never
 /// rescans the job table: idle jobs are queued per owner in submission
-/// order (`idle_by_owner`), accepting machines live in a name-sorted list
+/// order (`owners`) and all together by submission time (`idle_order`,
+/// for wait percentiles), accepting machines live in a name-sorted list
 /// updated on every slot/draining transition (`accepting`), running jobs
 /// sit in a generation-counted finish-time min-heap (`finish_heap`), and
 /// completed jobs retire out of the hot map into an append-only
@@ -287,13 +300,20 @@ pub struct CondorPool {
     /// Slab indices of machines with a free slot and not draining,
     /// sorted by machine name (the negotiator's scan order).
     accepting: Vec<usize>,
-    /// Idle job ids per owner, ascending (= submission order).
-    idle_by_owner: BTreeMap<String, BTreeSet<JobId>>,
+    /// Every owner ever seen, by dense index.
+    owners: Vec<Owner>,
+    /// Owner name → index into `owners`.
+    owner_ix: HashMap<String, u32>,
+    /// Owners with at least one idle job, unordered.
+    idle_owners: Vec<u32>,
+    /// Fair-share order of `idle_owners`, rebuilt each cycle in place.
+    owner_order: Vec<u32>,
+    /// Every idle job by (submission time, id); its length is the idle
+    /// count.
+    idle_order: IdleOrder,
     /// Finish-time min-heap over running jobs (may hold stale entries).
     finish_heap: BinaryHeap<FinishEntry>,
     next_job_id: u64,
-    /// Accumulated per-user usage seconds (drives fair-share ordering).
-    usage: BTreeMap<String, f64>,
     /// Running total of evictions across the pool's lifetime (covers
     /// jobs that have since completed or left the queue).
     evictions: u64,
@@ -304,8 +324,7 @@ pub struct CondorPool {
     max_evictions_seen: u32,
     /// Latest completion time (completions only ever accumulate).
     last_completion: Option<SimTime>,
-    /// Cached counts maintained on every state transition.
-    idle: usize,
+    /// Running jobs, maintained on every state transition.
     running: usize,
     /// Machines currently draining (guards the settle sweep).
     draining_count: usize,
@@ -377,24 +396,47 @@ impl CondorPool {
         }
     }
 
-    /// Queue an idle job in its owner's submission-order index.
-    fn idle_index_insert(&mut self, owner: &str, id: JobId) {
-        self.idle_by_owner
-            .entry(owner.to_string())
-            .or_default()
-            .insert(id);
-        self.idle += 1;
+    /// The dense index of the owner named `name`, interning it on first
+    /// sight.
+    fn intern_owner(&mut self, name: &str) -> u32 {
+        if let Some(&o) = self.owner_ix.get(name) {
+            return o;
+        }
+        let o = self.owners.len() as u32;
+        self.owners.push(Owner {
+            name: name.to_string(),
+            usage: 0.0,
+            idle: BTreeSet::new(),
+        });
+        self.owner_ix.insert(name.to_string(), o);
+        o
     }
 
-    /// Drop an idle job from its owner's index.
-    fn idle_index_remove(&mut self, owner: &str, id: JobId) {
-        if let Some(set) = self.idle_by_owner.get_mut(owner) {
-            set.remove(&id);
-            if set.is_empty() {
-                self.idle_by_owner.remove(owner);
-            }
+    /// Queue an idle job in its owner's queue and the idle order index.
+    /// Every transition into the idle set goes through here.
+    fn idle_index_insert(&mut self, owner: u32, submitted_at: SimTime, id: JobId) {
+        let queue = &mut self.owners[owner as usize].idle;
+        if queue.is_empty() {
+            self.idle_owners.push(owner);
         }
-        self.idle -= 1;
+        queue.insert(id);
+        self.idle_order.insert((submitted_at, id));
+    }
+
+    /// Drop an idle job from both indexes. Every transition out of the
+    /// idle set goes through here.
+    fn idle_index_remove(&mut self, owner: u32, submitted_at: SimTime, id: JobId) {
+        let queue = &mut self.owners[owner as usize].idle;
+        queue.remove(&id);
+        if queue.is_empty() {
+            let pos = self
+                .idle_owners
+                .iter()
+                .position(|&o| o == owner)
+                .expect("an owner with idle jobs is listed");
+            self.idle_owners.swap_remove(pos);
+        }
+        self.idle_order.remove((submitted_at, id));
     }
 
     /// Free a slab slot and every index that referenced it.
@@ -481,7 +523,13 @@ impl CondorPool {
         let Some(&i) = self.by_name.get(name) else {
             return Err(PoolError::UnknownMachine(name.to_string()));
         };
+        // A job runs on a machine only while it holds one of its slots, so
+        // a machine with none busy has nothing to evict.
+        let busy = self.slot(i).machine.busy_slots() > 0;
         self.remove_slot(i);
+        if !busy {
+            return Ok(Vec::new());
+        }
         let mut evicted = Vec::new();
         let mut requeue = Vec::new();
         for job in self.jobs.values_mut() {
@@ -499,15 +547,14 @@ impl CondorPool {
                 );
                 // Charge the user for the wasted time.
                 if let Some(started) = job.started_at.take() {
-                    *self.usage.entry(job.owner.clone()).or_insert(0.0) +=
-                        now.since(started).as_secs_f64();
+                    self.owners[job.owner_ix as usize].usage += now.since(started).as_secs_f64();
                 }
-                requeue.push((job.owner.clone(), job.id));
+                requeue.push((job.owner_ix, job.submitted_at, job.id));
                 evicted.push(job.id);
             }
         }
-        for (owner, id) in requeue {
-            self.idle_index_insert(&owner, id);
+        for (owner, submitted_at, id) in requeue {
+            self.idle_index_insert(owner, submitted_at, id);
             self.running -= 1;
             self.telemetry.span_phase(
                 now,
@@ -595,12 +642,24 @@ impl CondorPool {
 
     /// How long each idle job has been waiting as of `now`, in submission
     /// order. The distribution an autoscaler turns into wait-time
-    /// percentiles.
+    /// percentiles; it walks the job table, so per-tick readers use
+    /// [`idle_submitted_at_rank`](CondorPool::idle_submitted_at_rank).
     pub fn idle_waits(&self, now: SimTime) -> impl Iterator<Item = SimDuration> + '_ {
         self.jobs
             .values()
             .filter(|j| j.state == JobState::Idle)
             .map(move |j| now.since(j.submitted_at))
+    }
+
+    /// The submission time at ascending rank `k` among idle jobs (0 = the
+    /// earliest submitted, longest waiting), or `None` when `k` is not
+    /// below [`idle_count`](CondorPool::idle_count). Equal times count
+    /// once each. Waits fall as submission times rise, so the k-th
+    /// shortest wait at `now` is `now.since(t)` for `t` at rank
+    /// `idle_count() - 1 - k`. Cost: a walk over the index's blocks of
+    /// a few hundred jobs each, not over the queue.
+    pub fn idle_submitted_at_rank(&self, k: usize) -> Option<SimTime> {
+        self.idle_order.submitted_at_rank(k)
     }
 
     /// Queue latency (submission to most recent start) of every completed
@@ -653,7 +712,8 @@ impl CondorPool {
         job.ad.fingerprint_into(&mut key);
         let next = self.clusters.len() as u32;
         job.cluster = *self.clusters.entry(key).or_insert(next);
-        self.idle_index_insert(&job.owner, id);
+        job.owner_ix = self.intern_owner(&job.owner);
+        self.idle_index_insert(job.owner_ix, now, id);
         self.jobs.insert(id, job);
         self.telemetry
             .span_open(now, "htc", span_keys::JOB_SUBMITTED, SpanKind::Job, id.0);
@@ -684,7 +744,7 @@ impl CondorPool {
 
     /// Number of idle jobs.
     pub fn idle_count(&self) -> usize {
-        self.idle
+        self.idle_order.len()
     }
 
     /// Hold a job (no matching until released).
@@ -696,8 +756,8 @@ impl CondorPool {
         let job = self.jobs.get_mut(&id).expect("checked above");
         if job.state == JobState::Idle {
             job.state = JobState::Held;
-            let owner = job.owner.clone();
-            self.idle_index_remove(&owner, id);
+            let (owner, submitted_at) = (job.owner_ix, job.submitted_at);
+            self.idle_index_remove(owner, submitted_at, id);
         }
         Ok(())
     }
@@ -729,8 +789,8 @@ impl CondorPool {
         if job.state == JobState::Held {
             job.state = JobState::Idle;
             job.held_reason = None;
-            let owner = job.owner.clone();
-            self.idle_index_insert(&owner, id);
+            let (owner, submitted_at) = (job.owner_ix, job.submitted_at);
+            self.idle_index_insert(owner, submitted_at, id);
         }
         Ok(())
     }
@@ -751,7 +811,7 @@ impl CondorPool {
         }
         let job = self.jobs.get_mut(&id).expect("checked above");
         let prev_state = job.state;
-        let owner = job.owner.clone();
+        let (owner, submitted_at) = (job.owner_ix, job.submitted_at);
         let was_on = job.running_on.take();
         if prev_state == JobState::Running {
             job.run_gen += 1;
@@ -772,7 +832,7 @@ impl CondorPool {
                     }
                 }
             }
-            JobState::Idle => self.idle_index_remove(&owner, id),
+            JobState::Idle => self.idle_index_remove(owner, submitted_at, id),
             _ => {}
         }
         Ok(())
@@ -843,16 +903,19 @@ impl CondorPool {
             }
         }
 
-        // Fair-share user ordering: least usage first, ties by name. Each
-        // owner's usage is looked up once, outside the comparator; names
-        // are unique, so the order is total and the sort's stability moot.
-        let mut users: Vec<(f64, String)> = self
-            .idle_by_owner
-            .keys()
-            .map(|user| (self.user_usage(user), user.clone()))
-            .collect();
-        users.sort_unstable_by(|(ua, a), (ub, b)| {
-            ua.partial_cmp(ub).unwrap().then_with(|| a.cmp(b))
+        // Fair-share user ordering: least usage first, ties by name. Names
+        // are unique, so the order is total and neither the sort's
+        // stability nor the unordered `idle_owners` can show through.
+        let mut users = std::mem::take(&mut self.owner_order);
+        users.clear();
+        users.extend_from_slice(&self.idle_owners);
+        let owners = &self.owners;
+        users.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&owners[a as usize], &owners[b as usize]);
+            a.usage
+                .partial_cmp(&b.usage)
+                .expect("usage is a sum of durations, never NaN")
+                .then_with(|| a.name.cmp(&b.name))
         });
 
         let mut stack: Vec<Value> = Vec::with_capacity(8);
@@ -860,7 +923,7 @@ impl CondorPool {
         let mut memo = std::mem::take(&mut self.memo);
         memo.begin_cycle(self.clusters.len());
 
-        'users: for (_, user) in users {
+        'users: for &user in &users {
             // The pool can fill mid-cycle; the remaining idle jobs would
             // all scan an empty accepting list, so stop early.
             if self.accepting.is_empty() {
@@ -868,10 +931,7 @@ impl CondorPool {
             }
             // Snapshot the owner's queue: ascending JobId = submission
             // order, matching the old full-table scan.
-            let job_ids: Vec<JobId> = match self.idle_by_owner.get(&user) {
-                Some(set) => set.iter().copied().collect(),
-                None => continue,
-            };
+            let job_ids: Vec<JobId> = self.owners[user as usize].idle.iter().copied().collect();
             for id in job_ids {
                 if self.accepting.is_empty() {
                     break 'users;
@@ -936,9 +996,10 @@ impl CondorPool {
                 job.started_at = Some(now);
                 job.finish_at = Some(now + duration);
                 job.run_gen += 1;
+                let submitted_at = job.submitted_at;
                 self.finish_heap
                     .push(Reverse((now + duration, id, job.run_gen)));
-                self.idle_index_remove(&user, id);
+                self.idle_index_remove(user, submitted_at, id);
                 self.running += 1;
                 self.telemetry.span_phase(
                     now,
@@ -956,6 +1017,7 @@ impl CondorPool {
             }
         }
         self.memo = memo;
+        self.owner_order = users;
         matches
     }
 
@@ -996,8 +1058,7 @@ impl CondorPool {
             job.state = JobState::Completed;
             completed.push(id);
             if let Some(started) = job.started_at {
-                *self.usage.entry(job.owner.clone()).or_insert(0.0) +=
-                    finish.since(started).as_secs_f64();
+                self.owners[job.owner_ix as usize].usage += finish.since(started).as_secs_f64();
             }
             if let Some(name) = job.running_on.clone() {
                 if let Some(&i) = self.by_name.get(&name) {
@@ -1061,7 +1122,9 @@ impl CondorPool {
 
     /// A user's accumulated usage in seconds.
     pub fn user_usage(&self, user: &str) -> f64 {
-        self.usage.get(user).copied().unwrap_or(0.0)
+        self.owner_ix
+            .get(user)
+            .map_or(0.0, |&o| self.owners[o as usize].usage)
     }
 
     /// The synchronous drain: negotiate, jump to the next completion,
@@ -1397,6 +1460,67 @@ mod tests {
         assert_eq!(pool.completed_waits().len(), 3);
         assert_eq!(pool.last_completion_at(), Some(t(30)));
         assert_eq!(pool.utilization(), 0.0);
+    }
+
+    #[test]
+    fn idle_rank_query_agrees_with_sorted_idle_waits() {
+        let mut pool = CondorPool::new();
+        pool.add_machine(Machine::new("a", 1.0, 1700, 2)).unwrap();
+        pool.add_machine(small_machine("b")).unwrap();
+        // Submission times out of order and tied, two owners.
+        let times = [50, 10, 10, 70, 30, 10, 90, 0, 70, 20];
+        let ids: Vec<JobId> = times
+            .iter()
+            .enumerate()
+            .map(|(n, &at)| {
+                let owner = if n % 2 == 0 { "u" } else { "v" };
+                pool.submit(Job::new(owner, WorkSpec::serial(40.0)), t(at))
+            })
+            .collect();
+        let check = |pool: &CondorPool, now: SimTime| {
+            let mut waits: Vec<SimDuration> = pool.idle_waits(now).collect();
+            waits.sort_unstable();
+            let n = pool.idle_count();
+            assert_eq!(waits.len(), n);
+            for (k, &wait) in waits.iter().enumerate() {
+                let at = pool
+                    .idle_submitted_at_rank(n - 1 - k)
+                    .expect("rank below idle_count");
+                assert_eq!(now.since(at), wait, "rank {k} of {n}");
+            }
+            assert_eq!(pool.idle_submitted_at_rank(n), None);
+        };
+        check(&pool, t(100));
+        pool.negotiate(t(100));
+        check(&pool, t(100));
+        pool.hold(ids[4]).unwrap();
+        pool.remove_job(ids[9]).unwrap();
+        check(&pool, t(110));
+        pool.remove_machine("a", t(120)).unwrap();
+        check(&pool, t(120));
+        pool.release(ids[4]).unwrap();
+        // A `now` before some submissions: their waits saturate at zero.
+        check(&pool, t(40));
+        pool.add_machine(Machine::new("c", 1.0, 1700, 8)).unwrap();
+        pool.negotiate(t(130));
+        check(&pool, t(130));
+        pool.run_until_drained(t(130)).expect("drains");
+        assert_eq!(pool.idle_count(), 0);
+        check(&pool, t(500));
+    }
+
+    #[test]
+    fn removing_a_machine_with_nothing_running_evicts_nothing() {
+        let mut pool = CondorPool::new();
+        pool.add_machine(small_machine("busy")).unwrap();
+        pool.add_machine(small_machine("idle")).unwrap();
+        let id = pool.submit(Job::new("u", WorkSpec::serial(60.0)).rank("0"), t(0));
+        let m = pool.negotiate(t(0));
+        assert_eq!(m[0].machine.0, "busy");
+        assert_eq!(pool.remove_machine("idle", t(10)), Ok(Vec::new()));
+        assert_eq!(pool.job(id).unwrap().state, JobState::Running);
+        assert_eq!(pool.total_evictions(), 0);
+        assert_eq!(pool.settle(t(60)), vec![id]);
     }
 
     #[test]

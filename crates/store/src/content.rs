@@ -1,7 +1,10 @@
 //! Content identifiers.
 //!
-//! A [`ContentId`] is a 64-bit FNV-1a digest over a canonical byte
-//! serialization of a dataset's content. Two datasets with the same bytes
+//! A [`ContentId`] is a 64-bit FNV-1a-style digest over a canonical byte
+//! serialization of a dataset's content: FNV-1a's offset basis and
+//! xor-then-multiply step, but with the multiplier `0x1000_0000_01b3`
+//! (2^44 + 0x1b3), not the published 64-bit FNV prime (2^40 + 0x1b3).
+//! Every recorded id and digest depends on this multiplier, so it stays. Two datasets with the same bytes
 //! share an id regardless of which history, user, or upload produced
 //! them — the property the whole data plane is built on: caches, peer
 //! lookups, and object-store deduplication all key on content, never on
@@ -9,8 +12,9 @@
 
 use std::fmt;
 
-/// A content-addressed identifier: the FNV-1a digest of the content's
-/// canonical serialization.
+/// A content-addressed identifier: the FNV-1a-style digest (see the
+/// module doc for the multiplier) of the content's canonical
+/// serialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentId(pub u64);
 
@@ -67,7 +71,9 @@ pub fn cid_list(ids: impl IntoIterator<Item = ContentId>) -> String {
     out
 }
 
-/// An incremental FNV-1a hasher producing [`ContentId`]s.
+/// An incremental FNV-1a-style hasher producing [`ContentId`]s: FNV-1a
+/// with the multiplier `0x1000_0000_01b3` in place of the 64-bit FNV
+/// prime.
 ///
 /// Producers feed it a canonical serialization: a discriminant byte per
 /// enum variant, length prefixes before variable-length fields, and
@@ -127,6 +133,15 @@ impl Default for ContentHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ids_are_pinned_to_the_multiplier() {
+        // The empty input is the offset basis; one byte shows the
+        // multiplier (the published FNV-1a prime would give
+        // 0xaf63dc4c8601ec8c). Changing either moves every content id.
+        assert_eq!(ContentId::of_bytes(b""), ContentId(0xcbf2_9ce4_8422_2325));
+        assert_eq!(ContentId::of_bytes(b"a"), ContentId(0xaf74_d84c_8601_ec8c));
+    }
 
     #[test]
     fn equal_bytes_equal_ids() {
