@@ -429,6 +429,8 @@ const REQS: &[&str] = &[
     "true",
     "Memory >= 1024",
     "Memory >= 4000",
+    "Memory >= 1024 && Arch == \"X86_64\" && OpSys == \"LINUX\"",
+    "Memory >= 4000 && Arch == \"X86_64\" && OpSys == \"LINUX\"",
     "Arch == \"X86_64\" && Memory >= 613",
     "ComputeUnits >= 2",
     "Memory >= 1024 || ComputeUnits >= 4",
@@ -456,6 +458,20 @@ const CIDS: &[&str] = &[
     "",
 ];
 
+/// A machine whose ad also carries the standard attributes a real Condor
+/// machine advertises, so every reference searches a realistically sized
+/// ad.
+fn standard_machine(name: &str, cu: f64, mem: i64, slots: u32) -> Machine {
+    let mut m = Machine::new(name, cu, mem, slots);
+    m.ad.set("Disk", Value::Int(mem * 10));
+    m.ad.set("KFlops", Value::Int((cu * 1.0e6) as i64));
+    m.ad.set("Mips", Value::Int((cu * 1000.0) as i64));
+    m.ad.set("TotalCpus", Value::Int(slots as i64));
+    m.ad.set("FileSystemDomain", Value::Str("cumulus".to_string()));
+    m.ad.set("UidDomain", Value::Str("cumulus".to_string()));
+    m
+}
+
 fn random_cid_list(rng: &mut RngStream) -> String {
     let n = rng.uniform_int(1, CIDS.len() as u64) as usize;
     let mut picks: Vec<&str> = Vec::new();
@@ -474,7 +490,13 @@ fn compare_matches(real: &[Match], reference: &[(JobId, String, SimTime)], step:
     }
 }
 
-fn compare_observables(pool: &CondorPool, model: &RefPool, now: SimTime, step: usize) {
+fn compare_observables(
+    pool: &CondorPool,
+    model: &RefPool,
+    owners: &[&str],
+    now: SimTime,
+    step: usize,
+) {
     assert_eq!(pool.idle_count(), model.idle_count(), "idle @{step}");
     assert_eq!(
         pool.running_count(),
@@ -529,10 +551,10 @@ fn compare_observables(pool: &CondorPool, model: &RefPool, now: SimTime, step: u
         );
     }
     // Bitwise usage equality: accumulation order must have matched.
-    for owner in OWNERS {
+    for &owner in owners {
         assert_eq!(
             pool.user_usage(owner).to_bits(),
-            model.usage.get(*owner).copied().unwrap_or(0.0).to_bits(),
+            model.usage.get(owner).copied().unwrap_or(0.0).to_bits(),
             "usage for {owner} @{step}"
         );
     }
@@ -574,11 +596,12 @@ fn submit_random(
     rng: &mut RngStream,
     pool: &mut CondorPool,
     model: &mut RefPool,
+    owners: &[&str],
     now: SimTime,
     tag: Option<i64>,
     step: usize,
 ) {
-    let owner = *rng.choose(OWNERS);
+    let owner = *rng.choose(owners);
     let work = WorkSpec {
         serial_secs: rng.uniform_int(1, 300) as f64,
         cu_work: rng.uniform_int(0, 400) as f64,
@@ -615,18 +638,50 @@ fn submit_random(
     assert_eq!(real_id, model_id, "job id at step {step}");
 }
 
-fn run_differential_episode(seed: u64, steps: usize) {
+/// The population an episode runs over.
+struct Shape<'a> {
+    /// Who submits.
+    owners: &'a [&'a str],
+    /// Jobs per submit step.
+    batch: usize,
+    /// Machines the pool starts with, cycling through every
+    /// compute/memory tier.
+    machines: usize,
+}
+
+/// Five owners submitting one job at a time to a pool that starts empty.
+const SMALL: Shape = Shape {
+    owners: OWNERS,
+    batch: 1,
+    machines: 0,
+};
+
+/// One seeded episode of random pool operations over `shape`.
+fn run_differential_episode(seed: u64, steps: usize, shape: &Shape) {
+    let owners = shape.owners;
     let mut rng = RngStream::derive(seed, "matchmaker-differential");
     let mut pool = CondorPool::new();
     let mut model = RefPool::new();
     let mut now = SimTime::ZERO;
     let mut machine_counter: u64 = 0;
     let mut live_names: Vec<String> = Vec::new();
+    for i in 0..shape.machines {
+        let name = format!("w{i:03}");
+        let cu = [1.0, 2.2, 4.0, 8.0][i % 4];
+        let mem = [613i64, 1700, 4000, 7500][(i / 4) % 4];
+        let m = standard_machine(&name, cu, mem, 1 + (i % 2) as u32);
+        assert_eq!(pool.add_machine(m.clone()), model.add_machine(&m));
+        live_names.push(name);
+    }
 
     for step in 0..steps {
         match rng.uniform_int(0, 99) {
-            // Submit a job with random owner / work / expressions / cids.
-            0..=27 => submit_random(&mut rng, &mut pool, &mut model, now, None, step),
+            // Submit jobs with random owner / work / expressions / cids.
+            0..=27 => {
+                for _ in 0..shape.batch {
+                    submit_random(&mut rng, &mut pool, &mut model, owners, now, None, step);
+                }
+            }
             // Add a machine (sometimes a duplicate, to compare errors).
             28..=38 => {
                 let dup = rng.chance(0.1) && !live_names.is_empty();
@@ -639,7 +694,7 @@ fn run_differential_episode(seed: u64, steps: usize) {
                 let cu = *rng.choose(&[1.0, 2.2, 4.0, 8.0]);
                 let mem = *rng.choose(&[613i64, 1700, 4000, 7500]);
                 let slots = rng.uniform_int(1, 3) as u32;
-                let mut m = Machine::new(&name, cu, mem, slots);
+                let mut m = standard_machine(&name, cu, mem, slots);
                 if rng.chance(0.3) {
                     m.ad.set(
                         MACHINE_CACHE_CIDS_ATTR,
@@ -756,22 +811,36 @@ fn run_differential_episode(seed: u64, steps: usize) {
             }
         }
         if step % 7 == 0 {
-            compare_observables(&pool, &model, now, step);
+            compare_observables(&pool, &model, owners, now, step);
         }
     }
-    compare_observables(&pool, &model, now, steps);
+    compare_observables(&pool, &model, owners, now, steps);
 }
 
 #[test]
 fn random_interleavings_match_the_reference_model() {
     for seed in 0..12 {
-        run_differential_episode(0xC0FFEE + seed, 400);
+        run_differential_episode(0xC0FFEE + seed, 400, &SMALL);
     }
 }
 
 #[test]
 fn long_episode_matches_the_reference_model() {
-    run_differential_episode(0xBEEF, 2500);
+    run_differential_episode(0xBEEF, 2500, &SMALL);
+}
+
+/// Forty owners submitting in batches to a pool that starts 128 machines
+/// wide, so the queue runs deep and removals evict.
+#[test]
+fn wide_pool_episode_matches_the_reference_model() {
+    let names: Vec<String> = (0..40).map(|i| format!("user{i:02}")).collect();
+    let owners: Vec<&str> = names.iter().map(String::as_str).collect();
+    let shape = Shape {
+        owners: &owners,
+        batch: 30,
+        machines: 128,
+    };
+    run_differential_episode(0x31DE, 400, &shape);
 }
 
 /// Every job an autocluster of its own, cycle after cycle, against a pool
@@ -795,7 +864,15 @@ fn run_churn_episode(seed: u64, cycles: usize) {
     for cycle in 0..cycles {
         for _ in 0..rng.uniform_int(1, 3) {
             tag += 1;
-            submit_random(&mut rng, &mut pool, &mut model, now, Some(tag), cycle);
+            submit_random(
+                &mut rng,
+                &mut pool,
+                &mut model,
+                OWNERS,
+                now,
+                Some(tag),
+                cycle,
+            );
         }
         // Re-advertise a machine: its cache (moves scores) or its memory
         // (moves requirement verdicts).
@@ -827,11 +904,11 @@ fn run_churn_episode(seed: u64, cycles: usize) {
             "settle at cycle {cycle}"
         );
         if cycle % 25 == 0 {
-            compare_observables(&pool, &model, now, cycle);
+            compare_observables(&pool, &model, OWNERS, now, cycle);
         }
     }
     assert!(pool.running_count() > 0, "the pool stayed busy");
-    compare_observables(&pool, &model, now, cycles);
+    compare_observables(&pool, &model, OWNERS, now, cycles);
 }
 
 #[test]

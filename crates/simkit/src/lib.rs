@@ -48,6 +48,7 @@
 
 pub mod disrupt;
 pub mod engine;
+pub mod hash;
 pub mod metrics;
 pub mod retry;
 pub mod rng;

@@ -4,7 +4,10 @@
 //! derived from a single master seed. Deriving streams by *name* (rather than
 //! by creation order) means adding a new random component never perturbs the
 //! draws seen by existing components — the classic "common random numbers"
-//! discipline for comparable experiments.
+//! discipline for comparable experiments. Names are hashed with
+//! [`Fnv`], which is stable across platforms and Rust versions.
+
+use crate::hash::Fnv;
 
 /// xoshiro256++ — a small, fast, well-tested PRNG implemented locally so the
 /// kernel has zero external dependencies (the build environment is offline).
@@ -67,17 +70,6 @@ impl std::fmt::Debug for RngStream {
     }
 }
 
-/// FNV-1a, used to mix the master seed with a stream name. Stable across
-/// platforms and Rust versions (unlike `DefaultHasher`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// SplitMix64 finalizer: turns a correlated 64-bit input into a well-mixed
 /// seed value.
 fn splitmix64(mut z: u64) -> u64 {
@@ -90,7 +82,7 @@ fn splitmix64(mut z: u64) -> u64 {
 impl RngStream {
     /// Derive a stream from `master_seed` and a stable `name`.
     pub fn derive(master_seed: u64, name: &str) -> Self {
-        let mixed = splitmix64(master_seed ^ fnv1a(name.as_bytes()));
+        let mixed = splitmix64(master_seed ^ Fnv::of(name.as_bytes()));
         RngStream {
             rng: Xoshiro256::seed_from_u64(mixed),
             name: name.to_string(),
@@ -104,8 +96,8 @@ impl RngStream {
     /// of the sites that remain, because each scope mixes its own label
     /// into the seed rather than consuming from a shared sequence.
     pub fn derive_scoped(master_seed: u64, scope: &str, name: &str) -> Self {
-        let scoped_seed = splitmix64(master_seed ^ fnv1a(scope.as_bytes()));
-        let mixed = splitmix64(scoped_seed ^ fnv1a(name.as_bytes()));
+        let scoped_seed = splitmix64(master_seed ^ Fnv::of(scope.as_bytes()));
+        let mixed = splitmix64(scoped_seed ^ Fnv::of(name.as_bytes()));
         RngStream {
             rng: Xoshiro256::seed_from_u64(mixed),
             name: format!("{scope}/{name}"),
@@ -276,7 +268,7 @@ impl SeedFactory {
     /// display name, so site-local components can keep using the plain
     /// factory API.
     pub fn scoped(&self, scope: &str) -> SeedFactory {
-        SeedFactory::new(splitmix64(self.master_seed ^ fnv1a(scope.as_bytes())))
+        SeedFactory::new(splitmix64(self.master_seed ^ Fnv::of(scope.as_bytes())))
     }
 }
 

@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use crate::hash::Fnv;
 use crate::time::{SimDuration, SimTime};
 
 use super::intern::Key;
@@ -105,55 +106,55 @@ pub struct Event {
 }
 
 impl Event {
-    /// Feed this event's identity into an FNV-1a state. Encodes the key
+    /// Feed this event's identity into a digest state. Encodes the key
     /// *name* (never the interning-order-dependent id) so digests are
     /// stable across thread interleavings and processes.
     pub(crate) fn fold_digest(&self, h: &mut Fnv) {
-        h.u64(self.at.as_micros());
-        h.bytes(self.category.as_bytes());
-        h.sep();
-        h.bytes(self.key.name().as_bytes());
-        h.sep();
+        h.write_u64(self.at.as_micros());
+        h.write(self.category.as_bytes());
+        h.write_u8(SEP);
+        h.write(self.key.name().as_bytes());
+        h.write_u8(SEP);
         match &self.payload {
-            Payload::None => h.u8(0),
+            Payload::None => h.write_u8(0),
             Payload::Count(n) => {
-                h.u8(1);
-                h.u64(*n);
+                h.write_u8(1);
+                h.write_u64(*n);
             }
             Payload::Bytes(n) => {
-                h.u8(2);
-                h.u64(*n);
+                h.write_u8(2);
+                h.write_u64(*n);
             }
             Payload::Value(v) => {
-                h.u8(3);
-                h.u64(v.to_bits());
+                h.write_u8(3);
+                h.write_u64(v.to_bits());
             }
             Payload::Duration(d) => {
-                h.u8(4);
-                h.u64(d.as_micros());
+                h.write_u8(4);
+                h.write_u64(d.as_micros());
             }
             Payload::Pair(a, b) => {
-                h.u8(5);
-                h.u64(*a);
-                h.u64(*b);
+                h.write_u8(5);
+                h.write_u64(*a);
+                h.write_u64(*b);
             }
             // Tag 6 is unused: tags never change, so recorded digests
             // keep their values.
             Payload::SpanOpen { kind, id } => {
-                h.u8(7);
-                h.u8(kind.code());
-                h.u64(*id);
+                h.write_u8(7);
+                h.write_u8(kind.code());
+                h.write_u64(*id);
             }
             Payload::SpanPhase { kind, id, dur } => {
-                h.u8(8);
-                h.u8(kind.code());
-                h.u64(*id);
-                h.u64(dur.as_micros());
+                h.write_u8(8);
+                h.write_u8(kind.code());
+                h.write_u64(*id);
+                h.write_u64(dur.as_micros());
             }
             Payload::SpanClose { kind, id } => {
-                h.u8(9);
-                h.u8(kind.code());
-                h.u64(*id);
+                h.write_u8(9);
+                h.write_u8(kind.code());
+                h.write_u64(*id);
             }
         }
     }
@@ -225,47 +226,10 @@ impl fmt::Display for Event {
     }
 }
 
-/// A streaming FNV-1a hasher: records fold their bytes in directly, so
-/// digesting a log never materializes it as one big buffer.
-pub(crate) struct Fnv(pub(crate) u64);
-
-pub(crate) const FNV_PRIME: u64 = 0x1000_0000_01b3;
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    pub(crate) fn u8(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.u8(b);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// A field separator outside the value alphabet of length-prefix-free
-    /// byte fields (category/key/text), so `("ab","c")` and `("a","bc")`
-    /// hash differently.
-    pub(crate) fn sep(&mut self) {
-        self.u8(0xFF);
-    }
-}
-
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
+/// A field separator outside the value alphabet of length-prefix-free
+/// byte fields (category/key/text), so `("ab","c")` and `("a","bc")`
+/// hash differently.
+const SEP: u8 = 0xFF;
 
 #[cfg(test)]
 mod tests {
@@ -286,7 +250,11 @@ mod tests {
         ev("telemetry.test.k", Payload::Count(42)).fold_digest(&mut a);
         let mut b = Fnv::new();
         ev("telemetry.test.k", Payload::Bytes(42)).fold_digest(&mut b);
-        assert_ne!(a.0, b.0, "Count(42) and Bytes(42) must hash apart");
+        assert_ne!(
+            a.finish(),
+            b.finish(),
+            "Count(42) and Bytes(42) must hash apart"
+        );
     }
 
     #[test]
@@ -307,7 +275,11 @@ mod tests {
             payload: Payload::None,
         }
         .fold_digest(&mut b);
-        assert_ne!(a.0, b.0, "category/key boundary must be hashed");
+        assert_ne!(
+            a.finish(),
+            b.finish(),
+            "category/key boundary must be hashed"
+        );
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!
 //! # Determinism
 //!
-//! [`Telemetry::digest`] folds every event into a streaming FNV-1a state
-//! — key *names*, never interning-order ids — so two logs digest equal
-//! iff they carry the same records, regardless of thread count or what
-//! else the process interned first. The determinism suite compares
+//! [`Telemetry::digest`] folds every event into a streaming [`Fnv`]
+//! state — key *names*, never interning-order ids — so two logs digest
+//! equal iff they carry the same records, regardless of thread count or
+//! what else the process interned first. The determinism suite compares
 //! digests across `--threads` settings.
 //!
 //! # Overhead
@@ -66,13 +66,12 @@ pub mod wan {
 
 use std::sync::{Arc, Mutex};
 
+use crate::hash::Fnv;
 use crate::time::{SimDuration, SimTime};
 
 pub use event::{Event, Payload, SpanKind};
 pub use intern::Key;
 pub use span::{assemble, assemble_lenient, JobBreakdown, Phase, Span, SpanError, SpanSet};
-
-use event::Fnv;
 
 /// A cheap-to-clone handle to a shared, append-only event log.
 ///
@@ -226,7 +225,7 @@ impl Telemetry {
         }
     }
 
-    /// A stable digest of the log: streaming FNV-1a over every event's
+    /// A stable digest of the log: streaming [`Fnv`] over every event's
     /// typed encoding, seeded with the record count. Key *names* are
     /// hashed (never interning-order ids), so the digest is invariant
     /// across thread counts and interning orders — the determinism suite
@@ -234,11 +233,11 @@ impl Telemetry {
     pub fn digest(&self) -> u64 {
         let g = self.events.lock().expect("telemetry lock poisoned");
         let mut h = Fnv::new();
-        h.u64(g.len() as u64);
+        h.write_u64(g.len() as u64);
         for e in g.iter() {
             e.fold_digest(&mut h);
         }
-        h.0
+        h.finish()
     }
 
     /// Render the whole log as text, one event per line.

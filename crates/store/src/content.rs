@@ -1,16 +1,19 @@
 //! Content identifiers.
 //!
-//! A [`ContentId`] is a 64-bit FNV-1a-style digest over a canonical byte
+//! A [`ContentId`] is a 64-bit [`Fnv`] digest over a canonical byte
 //! serialization of a dataset's content: FNV-1a's offset basis and
 //! xor-then-multiply step, but with the multiplier `0x1000_0000_01b3`
 //! (2^44 + 0x1b3), not the published 64-bit FNV prime (2^40 + 0x1b3).
-//! Every recorded id and digest depends on this multiplier, so it stays. Two datasets with the same bytes
-//! share an id regardless of which history, user, or upload produced
-//! them — the property the whole data plane is built on: caches, peer
-//! lookups, and object-store deduplication all key on content, never on
-//! the `DatasetId` a particular Galaxy instance happened to assign.
+//! Every recorded id and digest depends on this multiplier, so it stays.
+//! Two datasets with the same bytes share an id regardless of which
+//! history, user, or upload produced them — the property the whole data
+//! plane is built on: caches, peer lookups, and object-store
+//! deduplication all key on content, never on the `DatasetId` a
+//! particular Galaxy instance happened to assign.
 
 use std::fmt;
+
+use cumulus_simkit::hash::Fnv;
 
 /// A content-addressed identifier: the FNV-1a-style digest (see the
 /// module doc for the multiplier) of the content's canonical
@@ -71,9 +74,8 @@ pub fn cid_list(ids: impl IntoIterator<Item = ContentId>) -> String {
     out
 }
 
-/// An incremental FNV-1a-style hasher producing [`ContentId`]s: FNV-1a
-/// with the multiplier `0x1000_0000_01b3` in place of the 64-bit FNV
-/// prime.
+/// An incremental [`Fnv`] hasher producing [`ContentId`]s: FNV-1a with
+/// the multiplier `0x1000_0000_01b3` in place of the 64-bit FNV prime.
 ///
 /// Producers feed it a canonical serialization: a discriminant byte per
 /// enum variant, length prefixes before variable-length fields, and
@@ -81,29 +83,23 @@ pub fn cid_list(ids: impl IntoIterator<Item = ContentId>) -> String {
 /// structurally different contents can never collide by concatenation.
 #[derive(Debug, Clone)]
 pub struct ContentHasher {
-    state: u64,
+    state: Fnv,
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 impl ContentHasher {
     /// A fresh hasher.
     pub fn new() -> Self {
-        ContentHasher { state: FNV_OFFSET }
+        ContentHasher { state: Fnv::new() }
     }
 
     /// Feed raw bytes.
     pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state.write(bytes);
     }
 
     /// Feed a u64 (little-endian bytes).
     pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        self.state.write_u64(v);
     }
 
     /// Feed a float by bit pattern (`-0.0` and `0.0` hash differently;
@@ -120,7 +116,7 @@ impl ContentHasher {
 
     /// The digest so far.
     pub fn finish(&self) -> ContentId {
-        ContentId(self.state)
+        ContentId(self.state.finish())
     }
 }
 
