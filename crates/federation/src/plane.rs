@@ -231,10 +231,12 @@ impl Federation {
         nfs_concurrent: u32,
         now: SimTime,
     ) -> StagingStep {
-        let ladder: Vec<Rung> = self.sites[dst].plane.ladder().to_vec();
         let mut resolved = None;
         let mut remote_probed = false;
-        for rung in ladder {
+        // Indexed, not iterated: the probes below borrow the site mutably,
+        // and nothing they do changes its ladder.
+        for i in 0..self.sites[dst].plane.ladder().len() {
+            let rung = self.sites[dst].plane.ladder()[i];
             // The cross-site rung sits just above the terminal fallbacks:
             // cheaper than re-ingesting from the origin lab, costlier
             // than anything already inside the site.

@@ -1,8 +1,9 @@
 //! Workflow checkpoint/resume: the recovery half of the retry plane.
 //!
 //! A [`WorkflowCheckpoint`] is a restartable snapshot of a (possibly
-//! partial) workflow run, assembled from the provenance store plus the
-//! output datasets' content ids. After a disruption, [`resume_workflow`]
+//! partial) workflow run, assembled from the job table (each completed
+//! step's job record and the outputs naming it as their producer) plus
+//! the output datasets' content ids. After a disruption, [`resume_workflow`]
 //! consults the data plane to decide, step by step, whether the
 //! checkpointed outputs are still reachable — local cache, then a peer
 //! cache, then the object store — and re-executes only the lost suffix.
@@ -45,9 +46,10 @@ pub struct StepCheckpoint {
 
 /// A restartable snapshot of a workflow run.
 ///
-/// Only steps whose invocation can be re-identified from the provenance
-/// store — same tool, same resolved parameters, all outputs Ok — are
-/// recorded; anything else is treated as lost and re-executed on resume.
+/// Only steps whose invocation can be re-identified from the job table
+/// — same tool, same resolved parameters, all outputs Ok and produced by
+/// that job — are recorded; anything else is treated as lost and
+/// re-executed on resume.
 #[derive(Debug, Clone, Default)]
 pub struct WorkflowCheckpoint {
     /// The workflow this snapshot belongs to.

@@ -37,7 +37,10 @@ pub struct GalaxyJob {
     pub id: GalaxyJobId,
     /// The tool that ran.
     pub tool_id: String,
-    /// Tool version at submission.
+    /// Tool version: the registry's at submission, replaced on an Ok
+    /// completion by the version that actually ran (the registry may
+    /// have swapped the tool in between), so a finished job's record is
+    /// its outputs' provenance.
     pub tool_version: String,
     /// The submitting user.
     pub user: String,

@@ -20,7 +20,8 @@
 //! * [`routing`] — the invocation-routing seam: which site's pool runs
 //!   a submission (single-region deployments use [`SingleSite`]; the
 //!   federation crate plugs in its placement policies);
-//! * [`provenance`] — complete input/parameter/order capture per output;
+//! * [`provenance`] — lineage and replay plans, read from the job table
+//!   (a finished job record is its outputs' provenance);
 //! * [`sharing`] — histories/datasets/workflows shared via links, and
 //!   Pages embedding analysis artifacts.
 
@@ -49,7 +50,7 @@ pub use dataset::{Content, ContentBody, Dataset, DatasetId, DatasetState};
 pub use globus_tools::{get_data_tool, go_transfer_tool, register_globus_tools, send_data_tool};
 pub use history::{History, HistoryId};
 pub use job::{GalaxyJob, GalaxyJobId, GalaxyJobState};
-pub use provenance::{CyclicProvenance, ProvenanceRecord, ProvenanceStore};
+pub use provenance::CyclicProvenance;
 pub use registry::{RegistryError, ToolRegistry};
 pub use routing::{InvocationRequest, InvocationRouter, SingleSite, SiteSnapshot};
 pub use server::{GalaxyError, GalaxyServer};

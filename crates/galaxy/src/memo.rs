@@ -9,10 +9,11 @@
 //! runs each job for its simulated duration, so no simulated outcome
 //! moves; only host time does.
 //!
-//! Entries are found through the tool id and the content id of each
-//! dataset input (the ids `run_tool` hashes for the Condor ad), and then
+//! Entries are found through the content id of each dataset input, by
+//! parameter name (the ids `run_tool` hashes for the Condor ad), and then
 //! checked exactly, never trusting the 64-bit hash: same behavior
-//! allocation, same version, same value parameters, same input size and
+//! allocation (what a result depends on, so the tool id need not be in
+//! the key), same version, same value parameters, same input size and
 //! bit-for-bit equal input contents (at once when both are handles of one
 //! value, as every session's clone of a public bundle is). An input that
 //! changed between submit and completion leaves its key stale; the stale
@@ -30,14 +31,6 @@ use cumulus_store::ContentId;
 
 use crate::dataset::{Content, ContentBody};
 use crate::tool::{ToolBehavior, ToolDefinition, ToolError, ToolInvocation, ToolOutput};
-
-/// Where a run's entries live: the tool id and each dataset input's
-/// content id at submission, by parameter name.
-#[derive(Debug, PartialEq, Eq, Hash)]
-pub(crate) struct MemoKey {
-    pub(crate) tool_id: String,
-    pub(crate) inputs: BTreeMap<String, ContentId>,
-}
 
 /// One successful run, with everything its result depends on.
 struct MemoEntry {
@@ -66,10 +59,11 @@ impl MemoEntry {
     }
 }
 
-/// Successful tool runs, private to one server.
+/// Successful tool runs, private to one server, under each dataset
+/// input's content id at submission, by parameter name.
 #[derive(Default)]
 pub(crate) struct ToolMemo {
-    entries: HashMap<MemoKey, Vec<MemoEntry>>,
+    entries: HashMap<BTreeMap<String, ContentId>, Vec<MemoEntry>>,
 }
 
 impl ToolMemo {
@@ -79,7 +73,7 @@ impl ToolMemo {
     /// Errors are never stored.
     pub(crate) fn run(
         &mut self,
-        key: MemoKey,
+        key: BTreeMap<String, ContentId>,
         tool: &ToolDefinition,
         inv: &ToolInvocation,
     ) -> Result<Vec<ToolOutput>, ToolError> {

@@ -1,7 +1,7 @@
 //! The Galaxy application server.
 //!
-//! Owns users, histories, datasets, the tool panel, jobs, provenance, and
-//! sharing; dispatches tool executions to a Condor pool; and moves data in
+//! Owns users, histories, datasets, the tool panel, jobs, and sharing;
+//! dispatches tool executions to a Condor pool; and moves data in
 //! and out through the transfer substrate (Globus Transfer, FTP, HTTP).
 //!
 //! Execution model: `run_tool` resolves and validates parameters, creates
@@ -9,7 +9,8 @@
 //! boxes), and submits a Condor job sized by the tool's cost model. When
 //! the pool reports the job finished, `on_condor_completion` runs the
 //! tool's **real** behavior on the real input contents, fills in the
-//! outputs, and writes provenance records. Each distinct invocation runs
+//! outputs, and marks the job Ok. The finished job record is the outputs'
+//! provenance (see the `provenance` module). Each distinct invocation runs
 //! once: later identical completions share its outputs through the
 //! server's tool-run memo (see the `memo` module).
 
@@ -30,8 +31,7 @@ use cumulus_transfer::{
 use crate::dataset::{Content, ContentBody, Dataset, DatasetId, DatasetState};
 use crate::history::{History, HistoryId};
 use crate::job::{GalaxyJob, GalaxyJobId, GalaxyJobState};
-use crate::memo::{MemoKey, ToolMemo};
-use crate::provenance::{ProvenanceRecord, ProvenanceStore};
+use crate::memo::ToolMemo;
 use crate::registry::{RegistryError, ToolRegistry};
 use crate::sharing::{ShareItem, SharingModel};
 use crate::tool::{OutputMismatch, ParamKind, ToolInvocation, ToolOutput};
@@ -132,8 +132,6 @@ pub struct GalaxyServer {
     /// The tool panel.
     pub registry: ToolRegistry,
     jobs: BTreeMap<GalaxyJobId, GalaxyJob>,
-    /// Provenance records.
-    pub provenance: ProvenanceStore,
     /// Sharing model.
     pub sharing: SharingModel,
     condor_to_galaxy: BTreeMap<CondorJobId, InFlight>,
@@ -158,7 +156,6 @@ impl GalaxyServer {
             datasets: BTreeMap::new(),
             registry: ToolRegistry::new(),
             jobs: BTreeMap::new(),
-            provenance: ProvenanceStore::new(),
             sharing: SharingModel::new(),
             condor_to_galaxy: BTreeMap::new(),
             memo: ToolMemo::default(),
@@ -243,8 +240,8 @@ impl GalaxyServer {
     }
 
     /// Find the most recent successful run of `tool_id` with exactly these
-    /// resolved parameters whose outputs all still exist, are Ok, and carry
-    /// provenance pointing back at the job. This is how a workflow
+    /// resolved parameters whose outputs all still exist, are Ok, and name
+    /// the job as their producer. This is how a workflow
     /// checkpoint re-identifies a step's invocation after the fact, without
     /// threading workflow ids through the job table.
     pub fn find_completed_invocation(
@@ -260,8 +257,7 @@ impl GalaxyServer {
                 && j.outputs.iter().all(|o| {
                     self.datasets
                         .get(o)
-                        .is_some_and(|d| d.state == DatasetState::Ok)
-                        && self.provenance.of(*o).is_some_and(|r| r.job == j.id)
+                        .is_some_and(|d| d.state == DatasetState::Ok && d.produced_by == Some(j.id))
                 })
         })
     }
@@ -656,56 +652,54 @@ impl GalaxyServer {
             input_cids,
             output_names,
         } = self.condor_to_galaxy.remove(&condor_id)?;
-        let job = self.jobs.get(&job_id)?;
-        let (tool_id, params, input_ids, output_ids, started, history) = (
-            job.tool_id.clone(),
-            job.params.clone(),
-            job.inputs.clone(),
-            job.outputs.clone(),
-            job.submitted_at,
-            job.history,
-        );
-        let result = match self.registry.shared(&tool_id) {
+        // The job record is read in place: the registry, datasets, memo
+        // and users it works with are other fields of the server.
+        let job = self.jobs.get_mut(&job_id)?;
+        let result = match self.registry.shared(&job.tool_id) {
             Ok(tool) => {
                 // Build the invocation from the value parameters and the
                 // real input contents, lent by the datasets that hold them.
                 let mut inputs = BTreeMap::new();
                 let mut input_size = DataSize::ZERO;
-                for (name, ds_id) in &input_ids {
+                for (name, ds_id) in &job.inputs {
                     if let Some(ds) = self.datasets.get(ds_id) {
                         inputs.insert(name.clone(), &ds.content);
                         input_size += ds.size;
                     }
                 }
                 let invocation = ToolInvocation {
-                    params: params
+                    params: job
+                        .params
                         .iter()
-                        .filter(|(name, _)| !input_ids.contains_key(*name))
+                        .filter(|(name, _)| !job.inputs.contains_key(*name))
                         .map(|(name, value)| (name.clone(), value.clone()))
                         .collect(),
                     inputs,
                     input_size,
                 };
-                let key = MemoKey {
-                    tool_id,
-                    inputs: input_cids,
-                };
                 self.memo
-                    .run(key, tool, &invocation)
+                    .run(input_cids, tool, &invocation)
                     .map_err(|e| e.0)
                     .and_then(|outputs| {
-                        pair_outputs(&output_names, &output_ids, outputs).map_err(|m| m.to_string())
+                        pair_outputs(&output_names, &job.outputs, outputs)
+                            .map_err(|m| m.to_string())
                     })
-                    .map(|paired| (Arc::clone(tool), paired))
+                    .map(|paired| (tool, paired))
             }
             Err(e) => Err(e.to_string()),
         };
 
+        job.finished_at = Some(now);
         match result {
             Ok((tool, paired)) => {
+                job.state = GalaxyJobState::Ok;
+                // The record is the outputs' provenance, so it names the
+                // version that ran, which a registry swap after submission
+                // may have changed.
+                job.tool_version.clone_from(&tool.version);
                 // Outputs were inserted into the job's history, and a
                 // dataset enters exactly one history, so its owner pays.
-                let owner = self.histories.get(&history).map(|h| h.owner.as_str());
+                let owner = self.histories.get(&job.history).map(|h| h.owner.as_str());
                 for (ds_id, out) in paired {
                     let size = out.size.unwrap_or_else(|| out.content.natural_size());
                     if let Some(ds) = self.datasets.get_mut(&ds_id) {
@@ -717,31 +711,16 @@ impl GalaxyServer {
                     if let Some(user) = owner.and_then(|o| self.users.get_mut(o)) {
                         user.charge(size);
                     }
-                    self.provenance.record(ProvenanceRecord {
-                        dataset: ds_id,
-                        job: job_id,
-                        tool: (tool.id.clone(), tool.version.clone()),
-                        params: params.clone(),
-                        inputs: input_ids.clone(),
-                        span: (started, now),
-                    });
-                }
-                if let Some(job) = self.jobs.get_mut(&job_id) {
-                    job.state = GalaxyJobState::Ok;
-                    job.finished_at = Some(now);
                 }
             }
             Err(message) => {
-                for ds_id in &output_ids {
+                for ds_id in &job.outputs {
                     if let Some(ds) = self.datasets.get_mut(ds_id) {
                         ds.state = DatasetState::Error;
                     }
                 }
-                if let Some(job) = self.jobs.get_mut(&job_id) {
-                    job.state = GalaxyJobState::Error;
-                    job.finished_at = Some(now);
-                    job.error = Some(message);
-                }
+                job.state = GalaxyJobState::Error;
+                job.error = Some(message);
             }
         }
         Some(job_id)
@@ -939,10 +918,11 @@ mod tests {
             .unwrap();
         f.server.drive_jobs(t(0), &mut f.pool).unwrap();
         let out_id = f.server.job(job).unwrap().outputs[0];
-        let rec = f.server.provenance.of(out_id).expect("provenance exists");
-        assert_eq!(rec.tool.0, "wordcount");
+        let rec = f.server.provenance(out_id).expect("provenance exists");
+        assert_eq!(rec.id, job);
+        assert_eq!(rec.tool_id, "wordcount");
         assert_eq!(rec.inputs.get("input"), Some(&f.input));
-        assert_eq!(f.server.provenance.lineage(out_id).unwrap(), vec![f.input]);
+        assert_eq!(f.server.lineage(out_id).unwrap(), vec![f.input]);
     }
 
     #[test]
@@ -1037,7 +1017,7 @@ mod tests {
         assert_eq!(j.error, Some(want));
         let out = f.server.dataset(j.outputs[0]).unwrap();
         assert_eq!(out.state, DatasetState::Error);
-        assert!(f.server.provenance.of(j.outputs[0]).is_none());
+        assert!(f.server.provenance(j.outputs[0]).is_none());
     }
 
     /// A tool declaring outputs `a` and `b` that returns `returned`, each

@@ -149,7 +149,7 @@ pub struct WorkflowRunResult {
     /// Output datasets per step id.
     pub step_outputs: BTreeMap<String, Vec<DatasetId>>,
     /// A restartable snapshot of the completed run, assembled from the
-    /// provenance store and the output datasets' content ids. Feed it to
+    /// job table and the output datasets' content ids. Feed it to
     /// [`resume_workflow`](crate::checkpoint::resume_workflow) to rerun
     /// the workflow without repeating recoverable steps.
     pub checkpoint: WorkflowCheckpoint,
@@ -535,7 +535,7 @@ mod tests {
             Content::new(ContentBody::Text("ABC|cba".to_string()))
         );
         // Provenance spans the whole workflow.
-        let lineage = f.server.provenance.lineage(final_out).unwrap();
+        let lineage = f.server.lineage(final_out).unwrap();
         assert!(lineage.contains(&f.input));
         assert_eq!(lineage.len(), 3, "two intermediates + the input");
     }

@@ -5,12 +5,15 @@
 //! dataset ids and names, and a tool that fails on some inputs. Between a
 //! submit and its completion the sequences also rewrite input datasets in
 //! place and swap the registry for one whose tool has a different
-//! behavior under the same id and version.
+//! behavior under the same id, and on every second swap a new version.
 //!
 //! The reference needs no switch on the server: after every completion,
 //! each output dataset must equal, bit for bit, what the registered
 //! tool's behavior computes on the invocation rebuilt from that moment's
-//! datasets. A counting behavior then shows that repeats run once and
+//! datasets. Each Ok output's provenance must name what the test itself
+//! recorded at submission and completion (tool, the version that ran,
+//! parameters, inputs, times), and outputs of failed and pending jobs must
+//! have none. A counting behavior then shows that repeats run once and
 //! that distinct invocations run every time.
 
 use std::collections::BTreeMap;
@@ -18,9 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cumulus_galaxy::{
-    Content, ContentBody, CostModel, DatasetId, DatasetState, GalaxyJobId, GalaxyJobState,
-    GalaxyServer, HistoryId, OutputSpec, ParamSpec, ToolDefinition, ToolError, ToolInvocation,
-    ToolOutput, ToolRegistry,
+    Content, ContentBody, CostModel, CyclicProvenance, DatasetId, DatasetState, GalaxyJobId,
+    GalaxyJobState, GalaxyServer, HistoryId, OutputSpec, ParamSpec, ToolDefinition, ToolError,
+    ToolInvocation, ToolOutput, ToolRegistry,
 };
 use cumulus_htc::CondorPool;
 use cumulus_net::{DataSize, NodeId};
@@ -94,12 +97,13 @@ fn matrix_values<'a>(inv: &ToolInvocation<'a>, name: &str) -> Result<&'a [f64], 
 /// `probe`: a textual summary that shows every float's sign and last bit,
 /// plus the matrix scaled by the `scale` parameter. It returns its
 /// outputs in the reverse of their declared order. `tag` marks which
-/// registry generation built it.
+/// registry generation built it; every second generation bumps the
+/// version.
 fn probe_tool(tag: usize, runs: Arc<AtomicUsize>) -> ToolDefinition {
     ToolDefinition {
         id: "probe".to_string(),
         name: "probe".to_string(),
-        version: "1.0".to_string(),
+        version: format!("1.{}", tag / 2),
         description: "summarizes and scales a matrix".to_string(),
         params: vec![
             ParamSpec::dataset("a", "Matrix"),
@@ -198,7 +202,16 @@ fn flaky_tool(runs: Arc<AtomicUsize>) -> ToolDefinition {
     }
 }
 
-/// The server, a history, and one behavior-run counter per tool.
+/// What the test recorded about a job when it submitted it.
+struct Submitted {
+    tool_id: String,
+    params: BTreeMap<String, String>,
+    inputs: BTreeMap<String, DatasetId>,
+    at: SimTime,
+}
+
+/// The server, a history, one behavior-run counter per tool, and the
+/// test's own record of each job.
 struct World {
     server: GalaxyServer,
     pool: CondorPool,
@@ -207,6 +220,13 @@ struct World {
     pair_runs: Arc<AtomicUsize>,
     flaky_runs: Arc<AtomicUsize>,
     generation: usize,
+    /// Seconds on the test's clock; every submit and completion ticks it.
+    clock: u64,
+    submitted: BTreeMap<GalaxyJobId, Submitted>,
+    /// Completions with the version that ran, by job.
+    ran: BTreeMap<GalaxyJobId, (String, SimTime)>,
+    /// Ok completions whose version differs from the one at submission.
+    version_changes: usize,
 }
 
 impl World {
@@ -225,6 +245,10 @@ impl World {
             pair_runs,
             flaky_runs,
             generation: 0,
+            clock: 0,
+            submitted: BTreeMap::new(),
+            ran: BTreeMap::new(),
+            version_changes: 0,
         };
         world.server.registry = world.registry();
         world
@@ -232,7 +256,7 @@ impl World {
 
     /// A registry whose `probe` has a behavior of its own (a new
     /// allocation that tags its summary with the generation), under the
-    /// same id and version as every earlier one.
+    /// same id as every earlier one; see [`probe_tool`] for its version.
     fn registry(&self) -> ToolRegistry {
         let mut registry = ToolRegistry::new();
         let current = |id: &str| self.server.registry.tool(id).ok().cloned();
@@ -257,19 +281,56 @@ impl World {
             .unwrap()
     }
 
+    fn tick(&mut self) -> SimTime {
+        self.clock += 1;
+        t(self.clock)
+    }
+
     fn submit(&mut self, tool: &str, bindings: &[(&str, String)]) -> GalaxyJobId {
         let params: BTreeMap<String, String> = bindings
             .iter()
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect();
-        self.server
-            .run_tool(t(1), USER, self.history, tool, &params, &mut self.pool)
-            .unwrap()
+        let inputs = bindings
+            .iter()
+            .filter_map(|(k, v)| {
+                let id = v.strip_prefix("dataset-")?.parse().unwrap();
+                Some((k.to_string(), DatasetId(id)))
+            })
+            .collect();
+        let definition = self.server.registry.tool(tool).unwrap();
+        let submitted = Submitted {
+            tool_id: tool.to_string(),
+            params: definition.resolve_params(&params).unwrap(),
+            inputs,
+            at: self.tick(),
+        };
+        let job = self
+            .server
+            .run_tool(
+                submitted.at,
+                USER,
+                self.history,
+                tool,
+                &params,
+                &mut self.pool,
+            )
+            .unwrap();
+        self.submitted.insert(job, submitted);
+        job
     }
 
     fn complete(&mut self, job: GalaxyJobId) {
         let condor = self.server.job(job).unwrap().condor_job.unwrap();
-        assert_eq!(self.server.on_condor_completion(t(2), condor), Some(job));
+        let at_submit = self.server.job(job).unwrap().tool_version.clone();
+        let tool_id = &self.submitted[&job].tool_id;
+        let version = self.server.registry.tool(tool_id).unwrap().version.clone();
+        let now = self.tick();
+        assert_eq!(self.server.on_condor_completion(now, condor), Some(job));
+        if self.server.job(job).unwrap().state == GalaxyJobState::Ok && version != at_submit {
+            self.version_changes += 1;
+        }
+        self.ran.insert(job, (version, now));
     }
 
     fn set_content(&mut self, ds: DatasetId, content: Content) {
@@ -280,6 +341,7 @@ impl World {
     /// behavior computes on the invocation rebuilt from the datasets as
     /// they are now.
     fn check_against_reference(&self, job: GalaxyJobId) {
+        self.check_provenance(job);
         let job = self.server.job(job).unwrap();
         let tool = self.server.registry.tool(&job.tool_id).unwrap();
         let dataset = |id: &DatasetId| self.server.dataset(*id).unwrap();
@@ -329,6 +391,51 @@ impl World {
             }
         }
     }
+
+    /// An Ok job's outputs each have provenance naming what the test
+    /// recorded at submission and completion, and the job is the last
+    /// step of their replay plans; a failed job's outputs have none.
+    fn check_provenance(&self, job: GalaxyJobId) {
+        let want = &self.submitted[&job];
+        let (version, finished) = &self.ran[&job];
+        let record = self.server.job(job).unwrap();
+        for &out in &record.outputs {
+            if record.state == GalaxyJobState::Error {
+                assert!(self.server.provenance(out).is_none());
+                assert!(self.server.lineage(out).unwrap().is_empty());
+                continue;
+            }
+            let rec = self
+                .server
+                .provenance(out)
+                .expect("an Ok output has provenance");
+            assert_eq!(rec.id, job);
+            assert_eq!(rec.tool_id, want.tool_id);
+            assert_eq!(rec.tool_version, *version, "the version that ran");
+            assert_eq!(rec.params, want.params);
+            assert_eq!(rec.inputs, want.inputs);
+            assert_eq!(
+                (rec.submitted_at, rec.finished_at),
+                (want.at, Some(*finished))
+            );
+            let plan = self.server.replay_plan(out).unwrap();
+            assert_eq!(plan.last().map(|j| j.id), Some(job));
+        }
+    }
+
+    /// Outputs of jobs not yet completed have no provenance.
+    fn check_pending(&self, in_flight: &[GalaxyJobId]) {
+        for job in in_flight {
+            for &out in &self.server.job(*job).unwrap().outputs {
+                assert_eq!(
+                    self.server.dataset(out).unwrap().state,
+                    DatasetState::Pending
+                );
+                assert!(self.server.provenance(out).is_none());
+                assert!(self.server.replay_plan(out).unwrap().is_empty());
+            }
+        }
+    }
 }
 
 fn dataset_ref(id: DatasetId) -> String {
@@ -337,8 +444,9 @@ fn dataset_ref(id: DatasetId) -> String {
 
 /// One seeded sequence of uploads, submits, in-place edits, registry
 /// swaps and completions, checked against the reference after every
-/// completion. Returns how many completions it checked.
-fn run_sequence(seed: u64, ops: usize) -> usize {
+/// completion. Returns how many completions it checked and how many of
+/// those ran a version other than the one submitted.
+fn run_sequence(seed: u64, ops: usize) -> (usize, usize) {
     let mut rng = RngStream::derive(seed, "tool-memo-props");
     let pool = content_pool();
     let mut w = World::new();
@@ -373,6 +481,7 @@ fn run_sequence(seed: u64, ops: usize) -> usize {
             let job = in_flight.swap_remove(i);
             w.complete(job);
             w.check_against_reference(job);
+            w.check_pending(&in_flight);
             checked += 1;
             // Successful outputs join the pool of possible inputs.
             for &out in &w.server.job(job).unwrap().outputs {
@@ -397,16 +506,41 @@ fn run_sequence(seed: u64, ops: usize) -> usize {
         w.check_against_reference(job);
         checked += 1;
     }
-    checked
+    (checked, w.version_changes)
 }
 
 #[test]
 fn every_completion_equals_a_fresh_run_of_its_invocation() {
-    let mut checked = 0;
+    let (mut checked, mut version_changes) = (0, 0);
     for seed in 0..48 {
-        checked += run_sequence(seed, 160);
+        let (c, v) = run_sequence(seed, 160);
+        checked += c;
+        version_changes += v;
     }
     assert!(checked > 2_000, "only {checked} completions checked");
+    assert!(
+        version_changes > 0,
+        "no completion ran a version other than the one submitted"
+    );
+}
+
+#[test]
+fn a_forged_producer_is_a_typed_cycle() {
+    // The upload claims to come from the job that read it.
+    let mut w = World::new();
+    let ds = w.upload("x.tsv", matrix(&[0.0, 1.0]));
+    let job = w.submit("probe", &[("a", dataset_ref(ds))]);
+    w.complete(job);
+    let out = w.server.job(job).unwrap().outputs[0];
+    assert_eq!(w.server.lineage(out).unwrap(), vec![ds]);
+    w.server.dataset_mut(ds).unwrap().produced_by = Some(job);
+    for d in [ds, out] {
+        assert_eq!(w.server.lineage(d), Err(CyclicProvenance { dataset: ds }));
+        assert_eq!(
+            w.server.replay_plan(d).unwrap_err(),
+            CyclicProvenance { dataset: ds }
+        );
+    }
 }
 
 #[test]

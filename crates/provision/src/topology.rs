@@ -12,6 +12,16 @@ use cumulus_cloud::InstanceType;
 use crate::ini::{IniDoc, IniError};
 use crate::json::{Json, JsonError};
 
+/// The largest `cluster-nodes` count a `galaxy.conf` or a
+/// `gp-instance-update` delta may ask for. Both formats expand the count
+/// into one vector entry per worker before the cloud's instance limit
+/// (20 by default) can reject it, so an unchecked `4294967295` would ask
+/// for gigabytes first. The bound sits far above every cluster deployed
+/// in this workspace (the largest is 6 workers) and the default instance
+/// limit, so the cloud still decides every realistic request, while the
+/// largest vector it admits is a few kilobytes.
+pub const MAX_CLUSTER_NODES: u32 = 1_000;
+
 /// A full deployment specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
@@ -91,7 +101,7 @@ impl Topology {
         }
 
         let head_type = parse_type(doc.get("ec2", "instance-type").unwrap_or("t1.micro"))?;
-        let cluster_nodes = doc.get_u32(&section, "cluster-nodes").unwrap_or(0);
+        let node_count = cluster_nodes(doc.get_u32(&section, "cluster-nodes").unwrap_or(0))?;
         let worker_type = match doc.get(&section, "worker-instance-type") {
             Some(s) => parse_type(s)?,
             None => head_type,
@@ -107,7 +117,7 @@ impl Topology {
             nfs_node: doc.get_bool(&section, "nfs").unwrap_or(false),
             go_endpoint: doc.get(&section, "go-endpoint").map(str::to_string),
             head_type,
-            workers: vec![worker_type; cluster_nodes as usize],
+            workers: vec![worker_type; node_count],
             ami: doc
                 .get("ec2", "ami")
                 .unwrap_or(cumulus_cloud::GP_PUBLIC_AMI)
@@ -181,14 +191,7 @@ impl Topology {
                     Some(s) => parse_type(s)?,
                     None => self.head_type,
                 };
-                let n = n as usize;
-                if n >= next.workers.len() {
-                    while next.workers.len() < n {
-                        next.workers.push(add_type);
-                    }
-                } else {
-                    next.workers.truncate(n);
-                }
+                next.workers.resize(cluster_nodes(n)?, add_type);
             }
             if let Some(b) = domain.get("galaxy").and_then(Json::as_bool) {
                 next.galaxy = b;
@@ -306,6 +309,16 @@ impl std::fmt::Display for TopologyError {
 }
 
 impl std::error::Error for TopologyError {}
+
+/// `n` as a worker count, refused above [`MAX_CLUSTER_NODES`].
+fn cluster_nodes(n: u32) -> Result<usize, TopologyError> {
+    if n > MAX_CLUSTER_NODES {
+        return Err(TopologyError::Invalid(format!(
+            "cluster-nodes {n} exceeds the limit of {MAX_CLUSTER_NODES}"
+        )));
+    }
+    Ok(n as usize)
+}
 
 fn parse_type(s: &str) -> Result<InstanceType, TopologyError> {
     s.parse()
@@ -448,6 +461,30 @@ ssh-key: ~/.ssh/id_rsa
     fn identical_topologies_have_empty_delta() {
         let t = Topology::figure3();
         assert!(t.diff(&t.clone()).is_empty());
+    }
+
+    #[test]
+    fn oversized_cluster_counts_are_refused_before_allocating() {
+        let limit = MAX_CLUSTER_NODES.to_string();
+        let over = u32::MAX.to_string();
+        let ini = |n: &str| {
+            let line = format!("cluster-nodes: {n}");
+            GALAXY_CONF.replace("cluster-nodes: 2", &line)
+        };
+        let at_limit = Topology::from_ini(&ini(&limit)).unwrap();
+        assert_eq!(at_limit.workers.len(), MAX_CLUSTER_NODES as usize);
+        assert!(matches!(
+            Topology::from_ini(&ini(&over)).unwrap_err(),
+            TopologyError::Invalid(_)
+        ));
+        let json = |n: &str| format!(r#"{{"domains":{{"simple":{{"cluster-nodes":{n}}}}}}}"#);
+        let t = Topology::figure3();
+        let grown = t.with_json_update(&json(&limit)).unwrap();
+        assert_eq!(grown.workers.len(), MAX_CLUSTER_NODES as usize);
+        assert!(matches!(
+            t.with_json_update(&json(&over)).unwrap_err(),
+            TopologyError::Invalid(_)
+        ));
     }
 
     #[test]

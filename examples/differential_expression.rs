@@ -66,7 +66,6 @@ fn main() {
     let last_job = s.galaxy.job(_job2).unwrap();
     let lineage = s
         .galaxy
-        .provenance
         .lineage(last_job.outputs[0])
         .expect("tool-produced provenance is acyclic");
     println!(
@@ -74,15 +73,15 @@ fn main() {
         last_job.outputs[0],
         lineage.len()
     );
-    for rec in s
+    for job in s
         .galaxy
-        .provenance
         .replay_plan(last_job.outputs[0])
         .expect("tool-produced provenance is acyclic")
     {
+        let finished = job.finished_at.expect("a replayed job finished");
         println!(
             "  [{} - {}] {} v{}",
-            rec.span.0, rec.span.1, rec.tool.0, rec.tool.1
+            job.submitted_at, finished, job.tool_id, job.tool_version
         );
     }
 

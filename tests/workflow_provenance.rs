@@ -83,23 +83,23 @@ fn crdata_workflow_runs_end_to_end_with_full_provenance() {
 
     // Provenance: the corrected table's lineage reaches the uploaded CEL
     // bundle through the normalized matrix and the DE table.
-    let lineage = s.galaxy.provenance.lineage(corrected).unwrap();
+    let lineage = s.galaxy.lineage(corrected).unwrap();
     assert!(
         lineage.contains(&cel),
         "lineage misses the upload: {lineage:?}"
     );
     assert!(lineage.len() >= 3, "lineage too shallow: {lineage:?}");
     // Replay plan is in execution order and starts at the normalizer.
-    let plan = s.galaxy.provenance.replay_plan(corrected).unwrap();
-    assert_eq!(plan.first().unwrap().tool.0, "crdata_affyNormalize");
+    let plan = s.galaxy.replay_plan(corrected).unwrap();
+    assert_eq!(plan.first().unwrap().tool_id, "crdata_affyNormalize");
     assert_eq!(
-        plan.last().unwrap().tool.0,
+        plan.last().unwrap().tool_id,
         "crdata_multipleTestingCorrection"
     );
     // Every recorded step retains its exact parameters.
     let de_record = plan
         .iter()
-        .find(|r| r.tool.0 == "crdata_affyDifferentialExpression")
+        .find(|j| j.tool_id == "crdata_affyDifferentialExpression")
         .unwrap();
     assert_eq!(de_record.params.get("top").map(String::as_str), Some("100"));
     assert_eq!(
