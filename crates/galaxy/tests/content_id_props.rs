@@ -377,7 +377,7 @@ impl World {
             .collect::<Vec<_>>()
             .join(",");
         let condor = self.server.job(job).unwrap().condor_job.unwrap();
-        let ad = &self.pool.job(condor).unwrap().ad;
+        let ad = self.pool.job(condor).unwrap().ad();
         assert_eq!(ad.get(JOB_INPUT_CIDS_ATTR), Value::Str(want));
         job
     }

@@ -676,6 +676,36 @@ impl Expr {
         Ok(e)
     }
 
+    /// Append an injective byte encoding of the tree (prefix order, a tag
+    /// per node, attribute names length-prefixed as written, literals as
+    /// [`Value`] encodes them). Equal encodings mean equal trees with
+    /// bitwise-equal literals, so they compile to one program and evaluate
+    /// identically — the basis of the pool's autocluster interning.
+    pub(crate) fn fingerprint_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            Expr::Lit(v) => {
+                buf.push(0);
+                v.fingerprint_into(buf);
+            }
+            Expr::Attr(name) => {
+                buf.push(1);
+                buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
+                buf.extend_from_slice(name.as_bytes());
+            }
+            Expr::Unary(op, e) => {
+                buf.push(2);
+                buf.push(*op as u8);
+                e.fingerprint_into(buf);
+            }
+            Expr::Binary(op, l, r) => {
+                buf.push(3);
+                buf.push(*op as u8);
+                l.fingerprint_into(buf);
+                r.fingerprint_into(buf);
+            }
+        }
+    }
+
     /// A constant `true` expression.
     pub fn always() -> Expr {
         Expr::Lit(Value::Bool(true))
@@ -996,58 +1026,6 @@ impl CompiledExpr {
     /// True when the program is empty (never produced by `compile`).
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
-    }
-
-    /// Append an injective byte encoding of the program (instruction
-    /// count, then tagged instructions). Equal encodings mean the two
-    /// programs evaluate bitwise-identically on every input — the basis
-    /// of the pool's autocluster interning.
-    pub(crate) fn fingerprint_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.code.len() as u64).to_le_bytes());
-        for instr in &self.code {
-            match instr {
-                Instr::Lit(v) => {
-                    buf.push(0);
-                    v.fingerprint_into(buf);
-                }
-                Instr::Attr(scope, sym) => {
-                    buf.push(1);
-                    buf.push(*scope as u8);
-                    buf.extend_from_slice(&sym.0.to_le_bytes());
-                }
-                Instr::Unary(op) => {
-                    buf.push(2);
-                    buf.push(*op as u8);
-                }
-                Instr::Bin(op) => {
-                    buf.push(3);
-                    buf.push(*op as u8);
-                }
-                Instr::BinAttrLit(op, scope, sym, lit) => {
-                    buf.push(4);
-                    buf.push(*op as u8);
-                    buf.push(*scope as u8);
-                    buf.extend_from_slice(&sym.0.to_le_bytes());
-                    lit.fingerprint_into(buf);
-                }
-                Instr::BinLitAttr(op, lit, scope, sym) => {
-                    buf.push(5);
-                    buf.push(*op as u8);
-                    buf.push(*scope as u8);
-                    buf.extend_from_slice(&sym.0.to_le_bytes());
-                    lit.fingerprint_into(buf);
-                }
-                Instr::Truthy => buf.push(6),
-                Instr::AndShort(end) => {
-                    buf.push(7);
-                    buf.extend_from_slice(&end.to_le_bytes());
-                }
-                Instr::OrShort(end) => {
-                    buf.push(8);
-                    buf.extend_from_slice(&end.to_le_bytes());
-                }
-            }
-        }
     }
 
     /// Evaluate with a caller-provided scratch stack (the matchmaker

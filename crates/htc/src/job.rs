@@ -1,13 +1,14 @@
 //! Jobs and their lifecycle.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use cumulus_simkit::time::{SimDuration, SimTime};
 
-use crate::classad::{ClassAd, CompiledExpr, Expr, ParseError, Value};
+use crate::classad::{ClassAd, Expr, ParseError, Value};
 use crate::machine::MachineName;
-use crate::pool::{parse_cid, sym_input_cids, sym_owner};
+use crate::pool::sym_owner;
+use crate::signature::Signature;
 
 /// Identifier for a submitted job (cluster id, in Condor terms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,21 +67,14 @@ pub enum JobState {
     Removed,
 }
 
-/// A submitted job.
+/// A submitted job: its own ids, times and state, plus a handle to the
+/// matchmaking signature it shares with its autocluster.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Id assigned at submission.
     pub id: JobId,
-    /// Submitting user.
-    pub owner: String,
     /// When it entered the queue.
     pub submitted_at: SimTime,
-    /// Matchmaking requirements (evaluated against machine ads).
-    pub requirements: Expr,
-    /// Preference among matching machines (higher is better).
-    pub rank: Expr,
-    /// The job's own ad (request attributes etc.).
-    pub ad: ClassAd,
     /// The work it performs.
     pub work: WorkSpec,
     /// Current state.
@@ -93,27 +87,18 @@ pub struct Job {
     pub started_at: Option<SimTime>,
     /// Times this job has been evicted and requeued.
     pub evictions: u32,
-    /// Why the job is [`JobState::Held`], when a reason was given
-    /// (e.g. a retry-backoff hold from the recovery plane). Cleared on
-    /// release.
-    pub held_reason: Option<String>,
-    /// `requirements` compiled at build time (the matchmaker hot path).
-    pub(crate) compiled_req: CompiledExpr,
-    /// `rank` compiled at build time.
-    pub(crate) compiled_rank: CompiledExpr,
-    /// Well-formed ids of the `InputCids` job-ad attribute, in declaration
-    /// order with duplicates preserved (each counts toward the bonus).
-    pub(crate) input_cids: Vec<u64>,
     /// Bumped every time the job is (re)scheduled; lets the settle heap
     /// detect stale entries after evictions or deadline extensions.
     pub(crate) run_gen: u64,
-    /// Autocluster id assigned at submission: jobs whose (requirements,
-    /// rank, ad) fingerprints are bitwise-equal share a cluster, so the
-    /// negotiator can reuse one job's verdict and score per machine for
-    /// the whole cluster within a cycle.
+    /// Autocluster id assigned at submission: jobs whose builders set
+    /// bitwise-equal (requirements, rank, ad, owner) share a cluster, so
+    /// the negotiator can reuse one job's verdict and score per machine
+    /// for the whole cluster within a cycle.
     pub(crate) cluster: u32,
-    /// The pool's dense index for `owner`, assigned at submission.
+    /// The pool's dense index for the owner, assigned at submission.
     pub(crate) owner_ix: u32,
+    /// The autocluster's signature, one allocation for all its jobs.
+    pub(crate) sig: Arc<Signature>,
 }
 
 impl Job {
@@ -134,6 +119,51 @@ impl Job {
             rank,
             ad: ClassAd::new(),
         }
+    }
+
+    /// A freshly submitted, idle job of autocluster `cluster`.
+    pub(crate) fn submitted(
+        id: JobId,
+        submitted_at: SimTime,
+        work: WorkSpec,
+        cluster: u32,
+        owner_ix: u32,
+        sig: Arc<Signature>,
+    ) -> Job {
+        Job {
+            id,
+            submitted_at,
+            work,
+            state: JobState::Idle,
+            running_on: None,
+            finish_at: None,
+            started_at: None,
+            evictions: 0,
+            run_gen: 0,
+            cluster,
+            owner_ix,
+            sig,
+        }
+    }
+
+    /// Submitting user.
+    pub fn owner(&self) -> &str {
+        self.sig.owner()
+    }
+
+    /// Matchmaking requirements (evaluated against machine ads).
+    pub fn requirements(&self) -> &Expr {
+        &self.sig.requirements
+    }
+
+    /// Preference among matching machines (higher is better).
+    pub fn rank(&self) -> &Expr {
+        &self.sig.rank
+    }
+
+    /// The job's own ad (request attributes, `Owner`, etc.).
+    pub fn ad(&self) -> &ClassAd {
+        &self.sig.ad
     }
 
     /// Total queue latency: submission to completion, if completed.
@@ -185,44 +215,27 @@ impl JobBuilder {
         self
     }
 
-    /// Finalize into a `Job` (the pool assigns the id and timestamps at
-    /// submission).
-    pub(crate) fn build(self, id: JobId, submitted_at: SimTime) -> Job {
+    /// Split into the work and the signature's requirements, rank and ad,
+    /// with the owner written to the ad's `Owner` attribute (over any
+    /// `attr` of that name).
+    pub(crate) fn into_parts(self) -> (WorkSpec, Expr, Expr, ClassAd) {
         let mut ad = self.ad;
-        ad.set_sym(sym_owner(), Value::Str(self.owner.clone()));
-        let compiled_req = self.requirements.compile();
-        let compiled_rank = self.rank.compile();
-        let input_cids = match ad.lookup(sym_input_cids()) {
-            Some(Value::Str(s)) => s.split(',').filter_map(parse_cid).collect(),
-            _ => Vec::new(),
-        };
-        Job {
-            id,
-            owner: self.owner,
-            submitted_at,
-            requirements: self.requirements,
-            rank: self.rank,
-            ad,
-            work: self.work,
-            state: JobState::Idle,
-            running_on: None,
-            finish_at: None,
-            started_at: None,
-            evictions: 0,
-            held_reason: None,
-            compiled_req,
-            compiled_rank,
-            input_cids,
-            run_gen: 0,
-            cluster: 0,
-            owner_ix: 0,
-        }
+        ad.set_sym(sym_owner(), Value::Str(self.owner));
+        (self.work, self.requirements, self.rank, ad)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::Autoclusters;
+
+    /// A job as submission would make it, interned into a fresh table.
+    fn build(builder: JobBuilder) -> Job {
+        let (work, requirements, rank, ad) = builder.into_parts();
+        let (cluster, sig) = Autoclusters::default().intern(requirements, rank, ad);
+        Job::submitted(JobId(1), SimTime::ZERO, work, cluster, 0, sig)
+    }
 
     #[test]
     fn workspec_amdahl_arithmetic() {
@@ -254,18 +267,19 @@ mod tests {
 
     #[test]
     fn builder_populates_ad() {
-        let j = Job::new("user1", WorkSpec::serial(5.0))
-            .requirements("Memory >= 1024")
-            .attr("RequestMemory", Value::Int(1024))
-            .build(JobId(1), SimTime::ZERO);
-        assert_eq!(j.ad.get("owner"), Value::Str("user1".to_string()));
-        assert_eq!(j.ad.get("RequestMemory"), Value::Int(1024));
+        let j = build(
+            Job::new("user1", WorkSpec::serial(5.0))
+                .requirements("Memory >= 1024")
+                .attr("RequestMemory", Value::Int(1024)),
+        );
+        assert_eq!(j.ad().get("owner"), Value::Str("user1".to_string()));
+        assert_eq!(j.ad().get("RequestMemory"), Value::Int(1024));
         assert_eq!(j.state, JobState::Idle);
     }
 
     #[test]
     fn turnaround_only_when_completed() {
-        let mut j = Job::new("u", WorkSpec::serial(1.0)).build(JobId(1), SimTime::ZERO);
+        let mut j = build(Job::new("u", WorkSpec::serial(1.0)));
         assert_eq!(j.turnaround(), None);
         j.state = JobState::Completed;
         j.finish_at = Some(SimTime::ZERO + SimDuration::from_secs(30));

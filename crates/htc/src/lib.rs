@@ -30,6 +30,7 @@ pub mod job;
 pub mod machine;
 pub mod pool;
 pub mod retry;
+mod signature;
 
 pub use classad::{ClassAd, CompiledExpr, Expr, ParseError, Symbol, Value};
 pub use dag::{DagError, DagRun, NodeStatus};

@@ -20,6 +20,7 @@ use crate::classad::{ClassAd, Symbol, Value};
 use crate::idle::IdleOrder;
 use crate::job::{Job, JobBuilder, JobId, JobState};
 use crate::machine::{Machine, MachineName};
+use crate::signature::Autoclusters;
 
 /// Job-ad attribute listing the job's input content ids, comma-joined
 /// (data-aware scheduling; unset = no affinity). Each id is exactly 16
@@ -223,7 +224,7 @@ const SCORED: u8 = 2;
 
 /// The negotiator's autocluster memo, indexed `[row][slab index]`: a
 /// job's verdict and score against a machine depend only on its cluster
-/// (bitwise-identical requirements/rank/ad) and the machine's ad, and
+/// (one shared signature) and the machine's ad, and
 /// neither changes mid-cycle — so each (cluster, machine) pair is
 /// evaluated at most once per cycle however many cluster-mates queue.
 ///
@@ -291,6 +292,9 @@ pub struct CondorPool {
     jobs: BTreeMap<JobId, Job>,
     /// Completed jobs, append-only, retired out of the hot map.
     history: BTreeMap<JobId, Job>,
+    /// Why a live job was held, for jobs held with a reason: set by
+    /// `hold_with_reason`, cleared on release, kept through removal.
+    held_reasons: BTreeMap<JobId, String>,
     /// Machine slab; `None` slots are free for reuse.
     machines: Vec<Option<MachineSlot>>,
     /// Name → slab index (name-ordered iteration).
@@ -328,12 +332,11 @@ pub struct CondorPool {
     running: usize,
     /// Machines currently draining (guards the settle sweep).
     draining_count: usize,
-    /// Autocluster interning table: fingerprint of a job's (requirements,
-    /// rank, ad) → cluster id. Append-only; bounded by the number of
-    /// distinct job shapes ever submitted (Condor's autoclusters exploit
-    /// the same redundancy), which grows with every fresh input set, so
-    /// no per-cycle cost may scale with it.
-    clusters: HashMap<Vec<u8>, u32>,
+    /// Autocluster interning table: one shared signature per distinct
+    /// job shape ever submitted (Condor's autoclusters exploit the same
+    /// redundancy). It grows with every fresh input set, so no per-cycle
+    /// cost may scale with it.
+    clusters: Autoclusters,
     /// Per-cycle (cluster, machine) verdicts, stamped so none outlives
     /// the cycle that computed it.
     memo: NegotiationMemo,
@@ -701,19 +704,15 @@ impl CondorPool {
     pub fn submit(&mut self, builder: JobBuilder, now: SimTime) -> JobId {
         let id = JobId(self.next_job_id);
         self.next_job_id += 1;
-        let mut job = builder.build(id, now);
-        // Intern the job into its autocluster. Equal fingerprints mean
-        // bitwise-identical (requirements, rank, ad) — evaluation is a
-        // pure function of those plus the machine ad, so cluster-mates
-        // are interchangeable to the matchmaker.
-        let mut key = Vec::with_capacity(96);
-        job.compiled_req.fingerprint_into(&mut key);
-        job.compiled_rank.fingerprint_into(&mut key);
-        job.ad.fingerprint_into(&mut key);
-        let next = self.clusters.len() as u32;
-        job.cluster = *self.clusters.entry(key).or_insert(next);
-        job.owner_ix = self.intern_owner(&job.owner);
-        self.idle_index_insert(job.owner_ix, now, id);
+        // Intern the job into its autocluster: bitwise-equal (requirements,
+        // rank, ad) share one signature. Evaluation is a pure function of
+        // those plus the machine ad, so cluster-mates are interchangeable
+        // to the matchmaker.
+        let (work, requirements, rank, ad) = builder.into_parts();
+        let (cluster, sig) = self.clusters.intern(requirements, rank, ad);
+        let owner_ix = self.intern_owner(sig.owner());
+        self.idle_index_insert(owner_ix, now, id);
+        let job = Job::submitted(id, now, work, cluster, owner_ix, sig);
         self.jobs.insert(id, job);
         self.telemetry
             .span_open(now, "htc", span_keys::JOB_SUBMITTED, SpanKind::Job, id.0);
@@ -767,17 +766,19 @@ impl CondorPool {
     /// via [`CondorPool::held_reason`] until the job is released.
     pub fn hold_with_reason(&mut self, id: JobId, reason: &str) -> Result<(), PoolError> {
         self.hold(id)?;
-        if let Some(job) = self.jobs.get_mut(&id) {
-            if job.state == JobState::Held {
-                job.held_reason = Some(reason.to_string());
-            }
+        if self
+            .jobs
+            .get(&id)
+            .is_some_and(|j| j.state == JobState::Held)
+        {
+            self.held_reasons.insert(id, reason.to_string());
         }
         Ok(())
     }
 
     /// Why a job is held, if it is held and a reason was recorded.
     pub fn held_reason(&self, id: JobId) -> Option<&str> {
-        self.jobs.get(&id).and_then(|j| j.held_reason.as_deref())
+        self.held_reasons.get(&id).map(String::as_str)
     }
 
     /// Release a held job.
@@ -788,8 +789,8 @@ impl CondorPool {
         let job = self.jobs.get_mut(&id).expect("checked above");
         if job.state == JobState::Held {
             job.state = JobState::Idle;
-            job.held_reason = None;
             let (owner, submitted_at) = (job.owner_ix, job.submitted_at);
+            self.held_reasons.remove(&id);
             self.idle_index_insert(owner, submitted_at, id);
         }
         Ok(())
@@ -804,9 +805,12 @@ impl CondorPool {
             let mut job = self.history.remove(&id).ok_or(PoolError::UnknownJob(id))?;
             job.state = JobState::Removed;
             job.running_on = None;
-            job.finish_at = None;
+            let finished = job.finish_at.take();
             self.jobs.insert(id, job);
-            self.last_completion = self.history.values().filter_map(|j| j.finish_at).max();
+            // Only the latest finisher's removal can lower the maximum.
+            if finished == self.last_completion {
+                self.last_completion = self.history.values().filter_map(|j| j.finish_at).max();
+            }
             return Ok(());
         }
         let job = self.jobs.get_mut(&id).expect("checked above");
@@ -937,6 +941,7 @@ impl CondorPool {
                     break 'users;
                 }
                 let job = &self.jobs[&id];
+                let sig = &*job.sig;
                 let cluster_memo = memo.row(job.cluster, self.machines.len());
                 // Pick the best accepting machine. The accepting list is
                 // name-sorted, so keeping the first strict maximum
@@ -950,13 +955,13 @@ impl CondorPool {
                         _ => {
                             let slot = self.slot(i);
                             let m = &slot.machine;
-                            if !job.compiled_req.eval_bool(&m.ad, &job.ad, &mut stack) {
+                            if !sig.compiled_req.eval_bool(&m.ad, &sig.ad, &mut stack) {
                                 cluster_memo[i] = (NO_MATCH, 0.0);
                                 continue;
                             }
-                            let mut score = job.compiled_rank.eval_rank(&m.ad, &job.ad, &mut stack);
-                            if !job.input_cids.is_empty() && !slot.cache_cids.is_empty() {
-                                let overlap = job
+                            let mut score = sig.compiled_rank.eval_rank(&m.ad, &sig.ad, &mut stack);
+                            if !sig.input_cids.is_empty() && !slot.cache_cids.is_empty() {
+                                let overlap = sig
                                     .input_cids
                                     .iter()
                                     .filter(|&c| slot.cache_cids.binary_search(c).is_ok())
@@ -965,7 +970,7 @@ impl CondorPool {
                             }
                             debug_assert_eq!(
                                 score,
-                                job.rank.eval_rank(&m.ad, &job.ad) + cache_affinity(&m.ad, &job.ad),
+                                sig.rank.eval_rank(&m.ad, &sig.ad) + cache_affinity(&m.ad, &sig.ad),
                                 "compiled negotiation diverged from the reference path"
                             );
                             cluster_memo[i] = (SCORED, score);
@@ -1406,6 +1411,26 @@ mod tests {
         pool.remove_job(id).unwrap();
         assert_eq!(pool.free_slots(), 1);
         assert_eq!(pool.job(id).unwrap().state, JobState::Removed);
+    }
+
+    #[test]
+    fn removing_retired_jobs_lowers_last_completion_only_for_the_latest() {
+        let mut pool = CondorPool::new();
+        pool.add_machine(Machine::new("w", 1.0, 1700, 3)).unwrap();
+        let ids: Vec<JobId> = [10.0, 30.0, 20.0]
+            .into_iter()
+            .map(|secs| pool.submit(Job::new("u", WorkSpec::serial(secs)), t(0)))
+            .collect();
+        pool.run_until_drained(t(0)).expect("drains");
+        assert_eq!(pool.last_completion_at(), Some(t(30)));
+        // The latest finisher leaves: the next latest takes over.
+        pool.remove_job(ids[1]).unwrap();
+        assert_eq!(pool.last_completion_at(), Some(t(20)));
+        // A non-latest one leaves: the maximum stands.
+        pool.remove_job(ids[0]).unwrap();
+        assert_eq!(pool.last_completion_at(), Some(t(20)));
+        pool.remove_job(ids[2]).unwrap();
+        assert_eq!(pool.last_completion_at(), None);
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn negotiation_never_oversubscribes_slots() {
                 .find(|m| m.name == mat.machine)
                 .expect("matched machine is in the pool");
             assert!(
-                job.requirements.eval_bool(&machine.ad, &job.ad),
+                job.requirements().eval_bool(&machine.ad, job.ad()),
                 "case {case}"
             );
         }

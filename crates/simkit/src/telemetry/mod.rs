@@ -64,7 +64,8 @@ pub mod wan {
     pub const EGRESS_USD: &str = "wan.egress_usd";
 }
 
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::hash::Fnv;
 use crate::time::{SimDuration, SimTime};
@@ -107,13 +108,14 @@ impl Telemetry {
         self.enabled
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().expect("telemetry lock poisoned")
+    }
+
     /// Append an event (no-op when disabled).
     pub fn emit(&self, event: Event) {
         if self.enabled {
-            self.events
-                .lock()
-                .expect("telemetry lock poisoned")
-                .push(event);
+            self.lock().push(event);
         }
     }
 
@@ -190,7 +192,7 @@ impl Telemetry {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("telemetry lock poisoned").len()
+        self.lock().len()
     }
 
     /// Whether the log is empty.
@@ -198,22 +200,36 @@ impl Telemetry {
         self.len() == 0
     }
 
-    /// Snapshot of all events, in emission order.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("telemetry lock poisoned").clone()
+    /// All events in emission order, read in place: the guard holds the
+    /// log's lock until dropped, so emitting through any handle sharing
+    /// this log while it is alive deadlocks.
+    pub fn events(&self) -> Events<'_> {
+        Events(self.lock())
     }
 
     /// Append all of `other`'s events to `self` (replica merge). The
-    /// other log is left untouched.
+    /// other log is left untouched; extending a log with itself (or a
+    /// clone sharing it) doubles it.
     pub fn extend(&self, other: &Telemetry) {
         if !self.enabled {
             return;
         }
-        let snapshot = other.events();
-        self.events
-            .lock()
-            .expect("telemetry lock poisoned")
-            .extend(snapshot);
+        let (mine, theirs) = (Arc::as_ptr(&self.events), Arc::as_ptr(&other.events));
+        if mine == theirs {
+            let mut log = self.lock();
+            let n = log.len();
+            log.extend_from_within(..n);
+            return;
+        }
+        // Lock in address order, so two merges running in opposite
+        // directions cannot deadlock.
+        let (mut log, src) = if mine < theirs {
+            (self.lock(), other.lock())
+        } else {
+            let src = other.lock();
+            (self.lock(), src)
+        };
+        log.extend_from_slice(&src);
     }
 
     /// An independent deep copy (same records, separate storage) that
@@ -221,7 +237,7 @@ impl Telemetry {
     pub fn snapshot(&self) -> Telemetry {
         Telemetry {
             enabled: self.enabled,
-            events: Arc::new(Mutex::new(self.events())),
+            events: Arc::new(Mutex::new(self.events().to_vec())),
         }
     }
 
@@ -231,7 +247,7 @@ impl Telemetry {
     /// across thread counts and interning orders — the determinism suite
     /// compares it across `--threads` settings.
     pub fn digest(&self) -> u64 {
-        let g = self.events.lock().expect("telemetry lock poisoned");
+        let g = self.lock();
         let mut h = Fnv::new();
         h.write_u64(g.len() as u64);
         for e in g.iter() {
@@ -242,7 +258,7 @@ impl Telemetry {
 
     /// Render the whole log as text, one event per line.
     pub fn render(&self) -> String {
-        let g = self.events.lock().expect("telemetry lock poisoned");
+        let g = self.lock();
         let mut out = String::new();
         for e in g.iter() {
             out.push_str(&e.to_string());
@@ -255,6 +271,19 @@ impl Telemetry {
     /// spans. See [`span::assemble_lenient`].
     pub fn spans(&self) -> Result<SpanSet, SpanError> {
         assemble_lenient(&self.events())
+    }
+}
+
+/// The event log read in place ([`Telemetry::events`]): derefs to the
+/// events in emission order and holds the log's lock until dropped.
+#[derive(Debug)]
+pub struct Events<'a>(MutexGuard<'a, Vec<Event>>);
+
+impl Deref for Events<'_> {
+    type Target = [Event];
+
+    fn deref(&self) -> &[Event] {
+        &self.0
     }
 }
 
@@ -297,9 +326,12 @@ mod tests {
         let tel = Telemetry::enabled();
         tel.record(t(1), "test", Key::intern("telemetry.mod.a"), Payload::None);
         let snap = tel.snapshot();
+        let digest = snap.digest();
         tel.record(t(2), "test", Key::intern("telemetry.mod.b"), Payload::None);
+        tel.extend(&snap);
         assert_eq!(snap.len(), 1);
-        assert_eq!(tel.len(), 2);
+        assert_eq!(snap.digest(), digest);
+        assert_eq!(tel.len(), 3);
     }
 
     #[test]
@@ -340,6 +372,51 @@ mod tests {
         assert_eq!(a.len(), 2);
         let all = a.events();
         assert_eq!(all[1].at, t(2));
+    }
+
+    /// A fixed log touching every payload shape the digest and the
+    /// renderer distinguish.
+    fn pinned_log() -> Telemetry {
+        let tel = Telemetry::enabled();
+        tel.record(
+            t(1),
+            "htc",
+            Key::intern("telemetry.mod.count"),
+            Payload::Count(7),
+        );
+        tel.record(
+            t(2),
+            "store",
+            Key::intern("telemetry.mod.dur"),
+            Payload::Duration(SimDuration::from_micros(1_500_000)),
+        );
+        tel.span_open(t(3), "htc", "telemetry.mod.open", SpanKind::Job, 9);
+        tel.span_close(t(4), "htc", "telemetry.mod.close", SpanKind::Job, 9);
+        tel
+    }
+
+    #[test]
+    fn extend_with_itself_doubles_without_deadlock() {
+        let tel = pinned_log();
+        let before: Vec<Event> = tel.events().to_vec();
+        tel.extend(&tel.clone());
+        let after = tel.events();
+        assert_eq!(after.len(), 2 * before.len());
+        assert_eq!(&after[..before.len()], &before[..]);
+        assert_eq!(&after[before.len()..], &before[..]);
+    }
+
+    #[test]
+    fn digest_and_render_are_pinned() {
+        let tel = pinned_log();
+        assert_eq!(tel.digest(), 0xca4e_55d3_75d2_3b1a);
+        assert_eq!(
+            tel.render(),
+            "[00:00:01.000] htc        telemetry.mod.count n=7\n\
+             [00:00:02.000] store      telemetry.mod.dur dur=1.5s\n\
+             [00:00:03.000] htc        telemetry.mod.open open job:9\n\
+             [00:00:04.000] htc        telemetry.mod.close close job:9\n"
+        );
     }
 
     #[test]
