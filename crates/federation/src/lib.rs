@@ -10,13 +10,13 @@
 //!
 //! Three pieces sit on top of the sites:
 //!
-//! * **a cross-site staging rung** — each site's
-//!   [`DataPlane`](cumulus_store::DataPlane) ladder gains one rung,
-//!   spliced in just above the terminal NFS/GridFTP fallbacks: a replica
+//! * **a cross-site staging source** — each site's
+//!   [`DataPlane`](cumulus_store::DataPlane) climb takes one more
+//!   source, probed just before its terminal NFS/GridFTP rung: a replica
 //!   directory keyed by [`ContentId`](cumulus_store::ContentId) finds
 //!   the content at a peer site, the WAN model prices and times the
-//!   crossing, and the object replicates into the destination bucket so
-//!   the next consumer stays local;
+//!   crossing, and the object lands in the destination bucket so the
+//!   next consumer stays local;
 //! * **site selection** — a [`Placer`] implements the galaxy-side
 //!   [`InvocationRouter`](cumulus_galaxy::routing::InvocationRouter)
 //!   seam with the four [`PlacementPolicy`]s of the E15 grid

@@ -1,21 +1,21 @@
 //! The federated control plane.
 //!
 //! A [`Federation`] owns the sites, the WAN topology, the replica
-//! directory, and the egress ledger, and drives each site's staging
-//! ladder with one extra rung spliced in: when a site's own sources
-//! (cache, peer, object store) miss, the plane consults the directory
-//! and — before falling back to the terminal NFS/GridFTP rungs — pulls
-//! the content from the lowest-indexed remote site that holds it,
-//! paying the source site's GET, the WAN crossing (tuned TCP capped by
-//! the source bucket's bandwidth), and the egress tariff, then
-//! replicates the object into the destination site's bucket (a billed
-//! PUT) so the next consumer stays local.
+//! directory, and the egress ledger. Staging runs each site's own
+//! [`DataPlane`](cumulus_store::DataPlane) climb with one extra source:
+//! when the site's own rungs (cache, peer, object store) miss, and
+//! before the terminal NFS/GridFTP rung, the plane consults the
+//! directory and pulls the content from the lowest-indexed remote site
+//! that holds it. The pull pays the source site's GET, the WAN crossing
+//! (tuned TCP capped by the source bucket's bandwidth), and the egress
+//! tariff. The climb then lands the object in the destination bucket (a
+//! billed PUT) and cache, and the plane registers the new replica, so
+//! the next consumer stays local.
 //!
-//! With one site the remote rung never resolves (the directory holds no
-//! *other* site), every probe and counter falls through exactly as the
-//! single-region [`DataPlane`](cumulus_store::DataPlane) would, and the
-//! equivalence suite holds a
-//! 1-site federation byte-identical to the E13 grid.
+//! With one site the remote source never resolves (the directory holds
+//! no *other* site), so a 1-site federation stages exactly as the bare
+//! data plane does; the equivalence suite holds it byte-identical to
+//! the E13 grid.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,7 +24,7 @@ use cumulus_galaxy::routing::{InvocationRequest, InvocationRouter, SiteSnapshot}
 use cumulus_simkit::metrics::{MetricId, Metrics};
 use cumulus_simkit::telemetry::{wan as wan_keys, Key, Payload, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
-use cumulus_store::staging::{Rung, StagingPlan, StagingSource, StagingStep};
+use cumulus_store::staging::{StagingPlan, StagingSource};
 use cumulus_store::{ContentId, DataSize, InputSpec};
 
 use crate::site::{Site, SiteConfig};
@@ -201,10 +201,10 @@ impl Federation {
         pick
     }
 
-    /// Resolve staging for one job matched to `worker` at site `dst`,
-    /// climbing the site's ladder with the cross-site rung spliced in
-    /// before the first terminal rung. `now` timestamps the egress
-    /// charges and WAN events of any crossing this plan causes.
+    /// Resolve staging for one job matched to `worker` at site `dst`:
+    /// the site's own climb, with the cross-site pull as its extra source
+    /// just before the terminal rung. `now` timestamps the egress charges
+    /// and WAN events of any crossing this plan causes.
     pub fn stage_job(
         &mut self,
         dst: usize,
@@ -213,142 +213,37 @@ impl Federation {
         nfs_concurrent: u32,
         now: SimTime,
     ) -> StagingPlan {
-        let mut plan = StagingPlan::default();
-        for input in inputs {
-            let step = self.stage_input(dst, worker, *input, nfs_concurrent, now);
-            plan.total += step.duration;
-            plan.steps.push(step);
-        }
-        self.sites[dst].plane.record_staging_secs(plan.total);
-        plan
-    }
-
-    fn stage_input(
-        &mut self,
-        dst: usize,
-        worker: &str,
-        input: InputSpec,
-        nfs_concurrent: u32,
-        now: SimTime,
-    ) -> StagingStep {
-        let mut resolved = None;
-        let mut remote_probed = false;
-        // Indexed, not iterated: the probes below borrow the site mutably,
-        // and nothing they do changes its ladder.
-        for i in 0..self.sites[dst].plane.ladder().len() {
-            let rung = self.sites[dst].plane.ladder()[i];
-            // The cross-site rung sits just above the terminal fallbacks:
-            // cheaper than re-ingesting from the origin lab, costlier
-            // than anything already inside the site.
-            if matches!(rung, Rung::Nfs | Rung::Ingest) && !remote_probed {
-                remote_probed = true;
-                if let Some(hit) = self.try_remote(dst, worker, input, now) {
-                    resolved = Some(hit);
-                    break;
-                }
-            }
-            if let Some(hit) = self.sites[dst]
-                .plane
-                .try_rung(rung, worker, input, nfs_concurrent)
-            {
-                if rung != Rung::LocalCache {
-                    self.sites[dst].plane.admit(worker, input.cid, input.size);
-                }
-                if rung == Rung::Ingest {
-                    // Ingest lands the bytes in the site bucket: register
-                    // the replica so other sites can pull it over the WAN
-                    // instead of repeating the origin transfer.
-                    self.directory.entry(input.cid).or_default().insert(dst);
-                }
-                resolved = Some(hit);
-                break;
-            }
-        }
-        if resolved.is_none() && !remote_probed {
-            resolved = self.try_remote(dst, worker, input, now);
-        }
-        let (source, duration) = resolved.unwrap_or_else(|| {
-            panic!(
-                "no rung (nor any remote replica) could stage {} at site {}",
-                input.cid, self.sites[dst].config.name
-            )
-        });
-        let step = StagingStep {
-            cid: input.cid,
-            size: input.size,
-            source,
-            duration,
+        let (head, rest) = self.sites.split_at_mut(dst);
+        let (site, tail) = rest.split_first_mut().expect("destination site exists");
+        let mut remote = Remote {
+            head,
+            tail,
+            dst_name: &site.config.name,
+            wan: &self.wan,
+            directory: &self.directory,
+            wan_metrics: &self.wan_metrics,
+            telemetry: &self.telemetry,
+            egress_ledger: &mut self.egress_ledger,
+            ids: self.ids,
+            now,
         };
-        self.sites[dst].plane.record_step(&step);
-        step
-    }
-
-    /// The cross-site rung: pull `input` to site `dst` from the
-    /// lowest-indexed other site holding it, if any. Pays the source
-    /// GET, the WAN crossing, and the egress tariff; replicates into the
-    /// destination bucket (billed PUT) and admits into `worker`'s cache.
-    fn try_remote(
-        &mut self,
-        dst: usize,
-        worker: &str,
-        input: InputSpec,
-        now: SimTime,
-    ) -> Option<(StagingSource, SimDuration)> {
-        let src = *self
-            .directory
-            .get(&input.cid)?
-            .iter()
-            .find(|&&s| s != dst)?;
-        let src_name = self.sites[src].config.name.clone();
-        let dst_name = self.sites[dst].config.name.clone();
-        let link = self
-            .wan
-            .between(&src_name, &dst_name)
-            .unwrap_or_else(|| panic!("no WAN link between {src_name} and {dst_name}"));
-
-        // The source bucket serves (and bills) the GET; the crossing
-        // itself runs at the WAN rate capped by that bucket's ceiling.
-        let source_store = &mut self.sites[src].plane.object;
-        source_store.get(input.cid)?;
-        let cap_mbps = source_store.config.bandwidth_mbps;
-        let request_latency = source_store.config.request_latency;
-        let duration = request_latency + link.crossing_duration(input.size, cap_mbps);
-
-        let bytes = input.size.as_bytes();
-        self.egress_ledger
-            .charge_egress(now, bytes, link.egress_usd_per_gb, &src_name, &dst_name);
-        self.wan_metrics.incr_id(self.ids.bytes_egress, bytes);
-        self.wan_metrics.incr_id(self.ids.bytes_ingress, bytes);
-        self.wan_metrics.incr_id(self.ids.crossings, 1);
-        self.wan_metrics
-            .record_id(self.ids.crossing_secs, duration.as_secs_f64());
-        self.wan_metrics
-            .record_id(self.ids.egress_usd, link.egress_cost(bytes));
-        if self.telemetry.is_enabled() {
-            self.telemetry.record(
-                now,
-                wan_keys::CATEGORY,
-                Key::intern(wan_keys::CROSSING_DONE),
-                Payload::Bytes(bytes),
-            );
+        let plan = site
+            .plane
+            .stage_job_with(worker, inputs, nfs_concurrent, |input| {
+                remote.try_remote(input)
+            });
+        for step in &plan.steps {
+            if matches!(
+                step.source,
+                StagingSource::Ingest | StagingSource::RemoteSite(_)
+            ) {
+                // The bytes landed in the site bucket: register the
+                // replica so other sites pull it over the WAN instead of
+                // repeating the origin transfer.
+                self.directory.entry(step.cid).or_default().insert(dst);
+            }
         }
-
-        // Replicate at the destination: a real PUT (billed at the
-        // destination bucket) plus directory and cache admission, so the
-        // next consumer at `dst` pays a local GET, not another crossing.
-        self.sites[dst].plane.object.put(input.cid, input.size);
-        self.directory.entry(input.cid).or_default().insert(dst);
-        self.sites[dst].plane.admit(worker, input.cid, input.size);
-        if self.telemetry.is_enabled() {
-            self.telemetry.record(
-                now,
-                wan_keys::CATEGORY,
-                Key::intern(wan_keys::REPLICATED),
-                Payload::Bytes(bytes),
-            );
-        }
-
-        Some((StagingSource::RemoteSite(src_name), duration))
+        plan
     }
 
     /// Makespan end: the latest completion across every site's pool.
@@ -370,6 +265,84 @@ impl Federation {
         for site in &mut self.sites {
             site.close_billing(at);
         }
+    }
+}
+
+/// The cross-site source of one destination site's climb: the other
+/// sites, split around the destination so its data plane stays borrowed
+/// by the climb, plus the WAN state and meters.
+struct Remote<'a> {
+    /// Sites `0..dst`.
+    head: &'a mut [Site],
+    /// Sites `dst + 1..`.
+    tail: &'a mut [Site],
+    dst_name: &'a str,
+    wan: &'a WanTopology,
+    directory: &'a BTreeMap<ContentId, BTreeSet<usize>>,
+    wan_metrics: &'a Metrics,
+    telemetry: &'a Telemetry,
+    egress_ledger: &'a mut BillingLedger,
+    ids: WanMetricIds,
+    now: SimTime,
+}
+
+impl Remote<'_> {
+    /// Pull `input` from the lowest-indexed other site holding it, if
+    /// any. Pays the source GET, the WAN crossing, and the egress
+    /// tariff; the climb then lands the bytes at the destination.
+    fn try_remote(&mut self, input: InputSpec) -> Option<(StagingSource, SimDuration)> {
+        let dst = self.head.len();
+        let src = *self
+            .directory
+            .get(&input.cid)?
+            .iter()
+            .find(|&&s| s != dst)?;
+        let source = if src < dst {
+            &mut self.head[src]
+        } else {
+            &mut self.tail[src - dst - 1]
+        };
+        let src_name = source.config.name.clone();
+        let dst_name = self.dst_name;
+        let link = self
+            .wan
+            .between(&src_name, dst_name)
+            .unwrap_or_else(|| panic!("no WAN link between {src_name} and {dst_name}"));
+
+        // The source bucket serves (and bills) the GET; the crossing
+        // itself runs at the WAN rate capped by that bucket's ceiling.
+        let source_store = &mut source.plane.object;
+        source_store.get(input.cid)?;
+        let cap_mbps = source_store.config.bandwidth_mbps;
+        let request_latency = source_store.config.request_latency;
+        let duration = request_latency + link.crossing_duration(input.size, cap_mbps);
+
+        let bytes = input.size.as_bytes();
+        self.egress_ledger.charge_egress(
+            self.now,
+            bytes,
+            link.egress_usd_per_gb,
+            &src_name,
+            dst_name,
+        );
+        self.wan_metrics.incr_id(self.ids.bytes_egress, bytes);
+        self.wan_metrics.incr_id(self.ids.bytes_ingress, bytes);
+        self.wan_metrics.incr_id(self.ids.crossings, 1);
+        self.wan_metrics
+            .record_id(self.ids.crossing_secs, duration.as_secs_f64());
+        self.wan_metrics
+            .record_id(self.ids.egress_usd, link.egress_cost(bytes));
+        if self.telemetry.is_enabled() {
+            for key in [wan_keys::CROSSING_DONE, wan_keys::REPLICATED] {
+                self.telemetry.record(
+                    self.now,
+                    wan_keys::CATEGORY,
+                    Key::intern(key),
+                    Payload::Bytes(bytes),
+                );
+            }
+        }
+        Some((StagingSource::RemoteSite(src_name), duration))
     }
 }
 

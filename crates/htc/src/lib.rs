@@ -16,9 +16,6 @@
 //!   elastic scale-up/down), eviction on abrupt host loss, and the
 //!   synchronous drain loop ([`CondorPool::drain`]) every batch caller
 //!   runs on;
-//! * [`retry`] — job-level retry over the pool: a `Held(reason)`-aware
-//!   resubmit loop with per-job attempt counters and dead-lettering,
-//!   consuming the shared `cumulus_simkit::retry` plane;
 //! * [`dag`] — DAGMan-lite dependency bookkeeping for workflow DAGs.
 
 #![warn(missing_docs)]
@@ -29,7 +26,6 @@ mod idle;
 pub mod job;
 pub mod machine;
 pub mod pool;
-pub mod retry;
 mod signature;
 
 pub use classad::{ClassAd, CompiledExpr, Expr, ParseError, Symbol, Value};
@@ -40,4 +36,3 @@ pub use pool::{
     parse_cid, CondorPool, Match, PoolError, CACHE_AFFINITY_BONUS, JOB_INPUT_CIDS_ATTR,
     MACHINE_CACHE_CIDS_ATTR, NEGOTIATION_INTERVAL,
 };
-pub use retry::{JobRetryTracker, RetryReport};

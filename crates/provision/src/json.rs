@@ -153,6 +153,7 @@ impl Json {
         let mut p = JsonParser {
             src: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -162,6 +163,11 @@ impl Json {
         Ok(v)
     }
 }
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so an unbounded depth lets a
+/// hostile document overflow the stack; every topology is far shallower.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parse errors with byte offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,6 +189,8 @@ impl std::error::Error for JsonError {}
 struct JsonParser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -225,8 +233,19 @@ impl<'a> JsonParser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -454,6 +473,27 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for open in ["[", "{\"a\":"] {
+            let hostile = open.repeat(1_000_000);
+            let err = Json::parse(&hostile).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let at_limit = |open: &str, leaf: &str, close: &str| {
+            format!(
+                "{}{leaf}{}",
+                open.repeat(MAX_DEPTH),
+                close.repeat(MAX_DEPTH)
+            )
+        };
+        let arrays = Json::parse(&at_limit("[", "", "]")).unwrap();
+        assert_eq!(arrays.render(), at_limit("[", "", "]"));
+        let objects = Json::parse(&at_limit("{\"a\":", "1", "}")).unwrap();
+        assert_eq!(objects.render(), at_limit("{\"a\":", "1", "}"));
+        assert!(Json::parse(&at_limit("[", "[]", "]")).is_err());
     }
 
     #[test]

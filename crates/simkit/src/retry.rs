@@ -1,9 +1,8 @@
-//! A shared retry/backoff plane for every failure-prone subsystem.
+//! A shared retry/backoff plane for failure-prone subsystems.
 //!
-//! Before this module existed each layer owned its own retry knobs: the
-//! transfer service had a local exponential-backoff policy, the Condor pool
-//! counted evictions ad hoc, and the Galaxy workflow runner had no recovery
-//! at all. This module gives them one typed vocabulary:
+//! The transfer service and Galaxy workflow recovery (and E14's retry
+//! policies) share one typed vocabulary; the Condor pool requeues evicted
+//! jobs with no retry budget:
 //!
 //! * [`RetryPolicy`] — how many attempts are allowed, how the backoff grows,
 //!   optional deterministic seeded jitter, and an optional hard deadline.

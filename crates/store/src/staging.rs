@@ -11,14 +11,13 @@
 //! 5. **GridFTP ingest** — a Globus transfer from the origin site, the
 //!    fallback when the content has never entered the cloud.
 //!
-//! The ladder is an ordered, configurable list of [`Rung`]s — each
-//! [`SharingBackend`] installs its default order ([byte-identical to the
-//! historical hardcoded sequence](SharingBackend::default_ladder)), and
-//! callers that need a different climb (the federation layer splices a
-//! cross-site rung before the terminal fallbacks) swap it with
-//! [`DataPlane::set_ladder`] or drive single rungs through
-//! [`DataPlane::try_rung`]. The caller charges `plan.total` before job
-//! start.
+//! Each [`SharingBackend`] fixes its rung order
+//! ([`SharingBackend::default_ladder`]), and one climb walks it. A
+//! caller may pass one more source, probed once per input just before
+//! the ladder's terminal rung: the federation layer's cross-site pull
+//! ([`DataPlane::stage_job_with`]). Bytes that arrive from outside the
+//! site, by ingest or by that source, land in the bucket and the worker
+//! cache. The caller charges `plan.total` before job start.
 
 use cumulus_net::{DataSize, Rate, TcpConfig};
 use cumulus_nfs::SharedFs;
@@ -90,9 +89,9 @@ impl SharingBackend {
 }
 
 /// One rung of the staging source ladder. A [`DataPlane`] climbs its
-/// configured rung list in order and charges the first rung that can
+/// backend's rung list in order and charges the first rung that can
 /// produce the bytes. [`Rung::Nfs`] and [`Rung::Ingest`] are *terminal*:
-/// they never refuse, so any ladder ending in one always resolves.
+/// they never refuse, and every ladder ends in exactly one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung {
     /// The worker's own cache (free; counts a hit/miss per probe).
@@ -118,8 +117,8 @@ pub enum StagingSource {
     /// Fetched from the object store.
     ObjectStore,
     /// Fetched from the named remote site's object store over the WAN
-    /// (produced by the federation layer's cross-site rung, never by a
-    /// single-site ladder).
+    /// (produced only by a cross-site source passed to
+    /// [`DataPlane::stage_job_with`]).
     RemoteSite(String),
     /// Staged through the shared filesystem.
     Nfs,
@@ -185,7 +184,6 @@ pub struct DataPlane {
     pub object: ObjectStore,
     /// The per-worker caches.
     pub fleet: CacheFleet,
-    ladder: Vec<Rung>,
     metrics: Metrics,
     ids: StagingMetricIds,
 }
@@ -231,32 +229,16 @@ impl DataPlane {
             nfs: SharedFs::new(nfs_bandwidth_mbps),
             object: ObjectStore::new(object_config),
             fleet: CacheFleet::new(cache_capacity, eviction),
-            ladder: backend.default_ladder().to_vec(),
             metrics: Metrics::new(),
             ids: StagingMetricIds::register(),
         }
     }
 
-    /// The active source ladder, in climb order.
-    pub fn ladder(&self) -> &[Rung] {
-        &self.ladder
-    }
-
-    /// Replace the source ladder. The list must be non-empty; a ladder
-    /// whose last rung is not terminal ([`Rung::Nfs`] / [`Rung::Ingest`])
-    /// is allowed — such planes are only safe to drive rung-by-rung via
-    /// [`DataPlane::try_rung`], since [`DataPlane::stage_job`] panics if
-    /// every rung refuses an input.
-    pub fn set_ladder(&mut self, ladder: Vec<Rung>) {
-        assert!(!ladder.is_empty(), "the staging ladder cannot be empty");
-        self.ladder = ladder;
-    }
-
     /// Whether staged bytes are admitted into the worker caches — true
-    /// exactly when the ladder probes [`Rung::LocalCache`], so a plane
+    /// exactly for the one backend whose ladder reads them, so a plane
     /// without the cache rung never warms state it would never read.
     pub fn caching_enabled(&self) -> bool {
-        self.ladder.contains(&Rung::LocalCache)
+        self.backend == SharingBackend::CachedObjectStore
     }
 
     /// Route all counters (NFS, object store, caches, staging) to one
@@ -309,35 +291,60 @@ impl DataPlane {
         inputs: &[InputSpec],
         nfs_concurrent: u32,
     ) -> StagingPlan {
+        self.stage_job_with(worker, inputs, nfs_concurrent, |_| None)
+    }
+
+    /// [`DataPlane::stage_job`] with one more source: `cross_site` is
+    /// probed once per input, after the site's own rungs miss and before
+    /// the terminal rung. A hit is charged as returned and then lands
+    /// like an ingest: written to the bucket (a billed PUT) and admitted
+    /// to `worker`'s cache. The source does its own metering.
+    pub fn stage_job_with(
+        &mut self,
+        worker: &str,
+        inputs: &[InputSpec],
+        nfs_concurrent: u32,
+        mut cross_site: impl FnMut(InputSpec) -> Option<(StagingSource, SimDuration)>,
+    ) -> StagingPlan {
         let mut plan = StagingPlan::default();
         for input in inputs {
-            let step = self.stage_input(worker, *input, nfs_concurrent);
+            let step = self.stage_input(worker, *input, nfs_concurrent, &mut cross_site);
             plan.total += step.duration;
             plan.steps.push(step);
         }
-        self.record_staging_secs(plan.total);
+        self.metrics
+            .record_id(self.ids.staging_secs, plan.total.as_secs_f64());
         plan
     }
 
-    fn stage_input(&mut self, worker: &str, input: InputSpec, nfs_concurrent: u32) -> StagingStep {
-        let mut resolved = None;
-        for i in 0..self.ladder.len() {
-            let rung = self.ladder[i];
-            if let Some(hit) = self.try_rung(rung, worker, input, nfs_concurrent) {
-                if rung != Rung::LocalCache {
-                    self.admit(worker, input.cid, input.size);
-                }
-                resolved = Some(hit);
-                break;
-            }
+    /// The climb: the site's own rungs in order, then `cross_site`, then
+    /// the terminal rung, which never refuses.
+    fn stage_input(
+        &mut self,
+        worker: &str,
+        input: InputSpec,
+        nfs_concurrent: u32,
+        cross_site: &mut impl FnMut(InputSpec) -> Option<(StagingSource, SimDuration)>,
+    ) -> StagingStep {
+        let (&terminal, own) = self
+            .backend
+            .default_ladder()
+            .split_last()
+            .expect("every ladder ends in a terminal rung");
+        let (source, duration) = own
+            .iter()
+            .find_map(|&rung| self.try_rung(rung, worker, input, nfs_concurrent))
+            .or_else(|| cross_site(input))
+            .or_else(|| self.try_rung(terminal, worker, input, nfs_concurrent))
+            .expect("terminal rungs never refuse");
+        if matches!(source, StagingSource::Ingest | StagingSource::RemoteSite(_)) {
+            // Bytes from outside the site land in its bucket, so the next
+            // consumer pays a GET, not another transfer.
+            self.object.put(input.cid, input.size);
         }
-        let (source, duration) = resolved.unwrap_or_else(|| {
-            panic!(
-                "no rung in {:?} could stage {} — ladders driven through \
-                 stage_job must end in a terminal rung (Nfs or Ingest)",
-                self.ladder, input.cid
-            )
-        });
+        if source != StagingSource::LocalCache {
+            self.admit(worker, input.cid, input.size);
+        }
         let step = StagingStep {
             cid: input.cid,
             size: input.size,
@@ -351,13 +358,9 @@ impl DataPlane {
     /// Probe a single rung for `input` on `worker`: `Some((source, time))`
     /// when the rung can produce the bytes, `None` when it refuses (cache
     /// miss, no peer holds the content, object store doesn't have it).
-    /// [`Rung::Nfs`] and [`Rung::Ingest`] never refuse.
-    ///
-    /// This is the building block for external ladder drivers (the
-    /// federation layer interleaves its cross-site rung between these
-    /// probes); such callers are responsible for [`DataPlane::admit`] and
-    /// [`DataPlane::record_step`] on the winning rung.
-    pub fn try_rung(
+    /// [`Rung::Nfs`] and [`Rung::Ingest`] never refuse. A probe prices
+    /// and bills the fetch; landing the bytes is the climb's job.
+    fn try_rung(
         &mut self,
         rung: Rung,
         worker: &str,
@@ -382,21 +385,20 @@ impl DataPlane {
                 StagingSource::Nfs,
                 self.nfs.stage(size.as_bytes(), nfs_concurrent),
             )),
-            Rung::Ingest => Some(self.ingest(cid, size)),
+            Rung::Ingest => Some((StagingSource::Ingest, self.ingest_duration(size))),
         }
     }
 
     /// Admit freshly fetched bytes into `worker`'s cache — a no-op unless
-    /// the ladder probes [`Rung::LocalCache`], so cacheless planes never
-    /// warm state they would never read.
-    pub fn admit(&mut self, worker: &str, cid: ContentId, size: DataSize) {
+    /// [`DataPlane::caching_enabled`].
+    fn admit(&mut self, worker: &str, cid: ContentId, size: DataSize) {
         if self.caching_enabled() {
             self.fleet.insert(worker, cid, size);
         }
     }
 
     /// Attribute one resolved step's bytes to its per-source counter.
-    pub fn record_step(&mut self, step: &StagingStep) {
+    fn record_step(&mut self, step: &StagingStep) {
         let key = match &step.source {
             StagingSource::LocalCache => self.ids.bytes_local,
             StagingSource::Peer(_) => self.ids.bytes_peer,
@@ -406,22 +408,6 @@ impl DataPlane {
             StagingSource::Ingest => self.ids.bytes_ingest,
         };
         self.metrics.incr_id(key, step.size.as_bytes());
-    }
-
-    /// Record one job's total staging time (what [`DataPlane::stage_job`]
-    /// does internally; external ladder drivers call it per assembled
-    /// plan).
-    pub fn record_staging_secs(&mut self, total: SimDuration) {
-        self.metrics
-            .record_id(self.ids.staging_secs, total.as_secs_f64());
-    }
-
-    /// Last-resort GridFTP ingest; the content lands in the object store
-    /// so the next consumer pays a GET, not another WAN crossing.
-    fn ingest(&mut self, cid: ContentId, size: DataSize) -> (StagingSource, SimDuration) {
-        let d = self.ingest_duration(size);
-        self.object.put(cid, size);
-        (StagingSource::Ingest, d)
     }
 }
 
@@ -508,6 +494,7 @@ mod tests {
         assert_eq!(a.steps[0].source, StagingSource::ObjectStore);
         assert_eq!(b.steps[0].source, StagingSource::ObjectStore);
         assert_eq!(p.object.gets(), 2, "every job pays the GET");
+        assert!(!p.fleet.contains("w-0", cid(1)), "nothing was admitted");
     }
 
     #[test]
@@ -555,39 +542,53 @@ mod tests {
             ]
         );
         let p = plane(SharingBackend::CachedObjectStore);
-        assert_eq!(
-            p.ladder(),
-            SharingBackend::CachedObjectStore.default_ladder()
-        );
         assert!(p.caching_enabled());
         assert!(!plane(SharingBackend::Nfs).caching_enabled());
     }
 
     #[test]
-    fn custom_ladder_order_is_respected() {
+    fn cross_site_source_is_probed_once_before_the_terminal_rung() {
+        let remote = |probes: &mut Vec<ContentId>, input: InputSpec| {
+            probes.push(input.cid);
+            (input.cid == cid(2)).then(|| {
+                let source = StagingSource::RemoteSite("far".to_string());
+                (source, SimDuration::from_secs(3))
+            })
+        };
         let mut p = plane(SharingBackend::CachedObjectStore);
-        p.seed_dataset(cid(1), mb(100));
-        // Prefer the NFS export over the object store, keeping admission.
-        p.set_ladder(vec![Rung::LocalCache, Rung::Nfs]);
-        let cold = p.stage_job("w-0", &[input(1, 100)], 1);
-        assert_eq!(cold.steps[0].source, StagingSource::Nfs);
-        // The NFS fetch warmed the cache: the next stage is free.
-        let warm = p.stage_job("w-0", &[input(1, 100)], 1);
-        assert_eq!(warm.steps[0].source, StagingSource::LocalCache);
-        assert_eq!(p.object.gets(), 0, "the object store was never consulted");
-    }
+        p.seed_dataset(cid(1), mb(10));
+        let mut probes = Vec::new();
+        let plan = p.stage_job_with("w-0", &[input(1, 10), input(2, 10), input(3, 10)], 1, |i| {
+            remote(&mut probes, i)
+        });
+        let sources: Vec<_> = plan.steps.iter().map(|s| s.source.clone()).collect();
+        assert_eq!(
+            sources,
+            [
+                StagingSource::ObjectStore,
+                StagingSource::RemoteSite("far".to_string()),
+                StagingSource::Ingest
+            ]
+        );
+        // The bucket hit never reached the source; each miss probed it once.
+        assert_eq!(probes, [cid(2), cid(3)]);
+        assert_eq!(plan.steps[1].duration, SimDuration::from_secs(3));
+        // A remote hit lands like an ingest: a billed PUT and a cache entry.
+        assert_eq!(p.object.puts(), 2);
+        assert!(p.object.contains(cid(2)));
+        assert!(p.fleet.contains("w-0", cid(2)));
 
-    #[test]
-    fn cacheless_ladder_never_admits() {
-        let mut p = plane(SharingBackend::CachedObjectStore);
-        p.seed_dataset(cid(1), mb(100));
-        p.set_ladder(vec![Rung::Nfs]);
-        p.stage_job("w-0", &[input(1, 100)], 1);
-        // Restore the cached ladder: nothing was admitted above, so the
-        // climb falls through to the object store, not the local cache.
-        p.set_ladder(SharingBackend::CachedObjectStore.default_ladder().to_vec());
-        let next = p.stage_job("w-0", &[input(1, 100)], 1);
-        assert_eq!(next.steps[0].source, StagingSource::ObjectStore);
+        // On the NFS backend the source sits before the export.
+        let mut nfs = plane(SharingBackend::Nfs);
+        let plan = nfs.stage_job_with("w-0", &[input(2, 10), input(3, 10)], 1, |i| {
+            remote(&mut probes, i)
+        });
+        assert_eq!(
+            plan.steps[0].source,
+            StagingSource::RemoteSite("far".to_string())
+        );
+        assert_eq!(plan.steps[1].source, StagingSource::Nfs);
+        assert!(!nfs.fleet.contains("w-0", cid(2)), "NFS planes never cache");
     }
 
     #[test]
@@ -602,7 +603,10 @@ mod tests {
         assert!(d > SimDuration::ZERO);
         let (source, _) = p.try_rung(Rung::Ingest, "w-0", spec, 1).unwrap();
         assert_eq!(source, StagingSource::Ingest);
-        assert!(p.object.contains(cid(7)), "ingest lands in the bucket");
+        assert!(
+            !p.object.contains(cid(7)),
+            "a probe does not land the bytes"
+        );
     }
 
     #[test]
