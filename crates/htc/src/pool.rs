@@ -272,6 +272,57 @@ impl NegotiationMemo {
     }
 }
 
+/// Completed jobs by id: slot `id − 1` holds job `id` once it completes
+/// (`None` while it is live, or after a retired job is removed).
+///
+/// Ids are dense from 1, so a table indexed by id wastes no slots, and a
+/// slot costs one `Job` (the signature `Arc` gives `Option` a niche); a
+/// B-tree filled in id order leaves its leaves half full, twice the bytes
+/// per job. The table grows in fixed pages rather than one doubling
+/// vector: pages of one size are reused whole from one episode to the
+/// next, where a vector's ever larger reallocations leave the heap
+/// fragmented and raise the peak of long runs.
+#[derive(Debug, Default)]
+struct RetiredJobs {
+    pages: Vec<Box<[Option<Job>]>>,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Job>>() == std::mem::size_of::<Job>());
+
+impl RetiredJobs {
+    /// Jobs per page (60 KB of 120-byte records).
+    const PAGE: usize = 512;
+
+    /// The page and slot of `id`. Id 0 is never issued and has none.
+    fn slot(id: JobId) -> Option<(usize, usize)> {
+        let i = usize::try_from(id.0.checked_sub(1)?).ok()?;
+        Some((i / Self::PAGE, i % Self::PAGE))
+    }
+
+    fn get(&self, id: JobId) -> Option<&Job> {
+        let (page, slot) = Self::slot(id)?;
+        self.pages.get(page)?[slot].as_ref()
+    }
+
+    fn take(&mut self, id: JobId) -> Option<Job> {
+        let (page, slot) = Self::slot(id)?;
+        self.pages.get_mut(page)?[slot].take()
+    }
+
+    fn insert(&mut self, job: Job) {
+        let (page, slot) = Self::slot(job.id).expect("issued job ids start at 1");
+        while self.pages.len() <= page {
+            self.pages.push((0..Self::PAGE).map(|_| None).collect());
+        }
+        self.pages[page][slot] = Some(job);
+    }
+
+    /// Retired jobs in id order.
+    fn iter(&self) -> impl Iterator<Item = &Job> {
+        self.pages.iter().flat_map(|page| page.iter().flatten())
+    }
+}
+
 /// The central manager's state.
 ///
 /// Internally the pool is fully indexed so a negotiation cycle never
@@ -280,18 +331,18 @@ impl NegotiationMemo {
 /// for wait percentiles), accepting machines live in a name-sorted list
 /// updated on every slot/draining transition (`accepting`), running jobs
 /// sit in a generation-counted finish-time min-heap (`finish_heap`), and
-/// completed jobs retire out of the hot map into an append-only
-/// `history`. All user-visible orderings (match order, settle order,
-/// usage-charge order) are identical to the original scan-everything
-/// implementation — the differential suite in
+/// completed jobs retire out of the hot map into `history`, a paged
+/// table indexed by job id. All user-visible orderings (match order,
+/// settle order, usage-charge order) are identical to the original
+/// scan-everything implementation — the differential suite in
 /// `tests/matchmaker_differential.rs` holds the two to the same answers.
 #[derive(Debug, Default)]
 pub struct CondorPool {
     /// Live jobs: idle, running, held, and removed. Completed jobs move
     /// to `history`.
     jobs: BTreeMap<JobId, Job>,
-    /// Completed jobs, append-only, retired out of the hot map.
-    history: BTreeMap<JobId, Job>,
+    /// Completed jobs, retired out of the hot map.
+    history: RetiredJobs,
     /// Why a live job was held, for jobs held with a reason: set by
     /// `hold_with_reason`, cleared on release, kept through removal.
     held_reasons: BTreeMap<JobId, String>,
@@ -669,7 +720,7 @@ impl CondorPool {
     /// job, in submission order.
     pub fn completed_waits(&self) -> Vec<SimDuration> {
         self.history
-            .values()
+            .iter()
             .filter_map(|j| j.started_at.map(|s| s.since(j.submitted_at)))
             .collect()
     }
@@ -723,16 +774,16 @@ impl CondorPool {
     pub fn job(&self, id: JobId) -> Result<&Job, PoolError> {
         self.jobs
             .get(&id)
-            .or_else(|| self.history.get(&id))
+            .or_else(|| self.history.get(id))
             .ok_or(PoolError::UnknownJob(id))
     }
 
     /// All jobs in a given state.
     pub fn jobs_in_state(&self, state: JobState) -> Vec<JobId> {
-        // Completed jobs all live in the history map; every other state
+        // Completed jobs all live in the history table; every other state
         // lives in the hot map. Both iterate in submission (id) order.
         if state == JobState::Completed {
-            return self.history.keys().copied().collect();
+            return self.history.iter().map(|j| j.id).collect();
         }
         self.jobs
             .values()
@@ -802,14 +853,14 @@ impl CondorPool {
             // Removing a retired job un-completes it: pull it back into
             // the hot map as Removed, exactly like the pre-history
             // behaviour where Completed → Removed happened in place.
-            let mut job = self.history.remove(&id).ok_or(PoolError::UnknownJob(id))?;
+            let mut job = self.history.take(id).ok_or(PoolError::UnknownJob(id))?;
             job.state = JobState::Removed;
             job.running_on = None;
             let finished = job.finish_at.take();
             self.jobs.insert(id, job);
             // Only the latest finisher's removal can lower the maximum.
             if finished == self.last_completion {
-                self.last_completion = self.history.values().filter_map(|j| j.finish_at).max();
+                self.last_completion = self.history.iter().filter_map(|j| j.finish_at).max();
             }
             return Ok(());
         }
@@ -849,7 +900,7 @@ impl CondorPool {
     pub fn extend_job(&mut self, id: JobId, extra: SimDuration) -> Result<SimTime, PoolError> {
         let Some(job) = self.jobs.get_mut(&id) else {
             // Retired jobs exist but are no longer running.
-            return match self.history.contains_key(&id) {
+            return match self.history.get(id).is_some() {
                 true => Err(PoolError::NotRunning(id)),
                 false => Err(PoolError::UnknownJob(id)),
             };
@@ -1082,7 +1133,7 @@ impl CondorPool {
             });
             self.telemetry
                 .span_close(finish, "htc", span_keys::JOB_COMPLETED, SpanKind::Job, id.0);
-            self.history.insert(id, job);
+            self.history.insert(job);
         }
         // Remove drained machines that are now idle (the draining counter
         // lets completion-only settles skip the sweep entirely).
@@ -1411,6 +1462,111 @@ mod tests {
         pool.remove_job(id).unwrap();
         assert_eq!(pool.free_slots(), 1);
         assert_eq!(pool.job(id).unwrap().state, JobState::Removed);
+    }
+
+    /// A pool that has issued ids 1–4: three retired, one live (idle).
+    fn pool_with_retired_and_live_jobs() -> CondorPool {
+        let mut pool = CondorPool::new();
+        pool.add_machine(small_machine("w")).unwrap();
+        for _ in 0..3 {
+            pool.submit(Job::new("u", WorkSpec::serial(5.0)), t(0));
+        }
+        pool.run_until_drained(t(0)).expect("drains");
+        pool.remove_machine("w", t(100)).unwrap();
+        pool.submit(Job::new("u", WorkSpec::serial(5.0)), t(100));
+        assert_eq!(pool.jobs_in_state(JobState::Completed).len(), 3);
+        pool
+    }
+
+    /// Ids the pool never issued: zero, the ones right past the last
+    /// issued, and the far end of the range (`id − 1` must not underflow
+    /// or index past the retired-job table).
+    const UNISSUED: [JobId; 5] = [
+        JobId(0),
+        JobId(5),
+        JobId(6),
+        JobId(u64::MAX - 1),
+        JobId(u64::MAX),
+    ];
+
+    #[test]
+    fn job_rejects_unissued_ids() {
+        let pool = pool_with_retired_and_live_jobs();
+        for id in UNISSUED {
+            assert_eq!(pool.job(id).err(), Some(PoolError::UnknownJob(id)));
+        }
+    }
+
+    #[test]
+    fn hold_rejects_unissued_ids() {
+        let mut pool = pool_with_retired_and_live_jobs();
+        for id in UNISSUED {
+            assert_eq!(pool.hold(id), Err(PoolError::UnknownJob(id)));
+        }
+    }
+
+    #[test]
+    fn release_rejects_unissued_ids() {
+        let mut pool = pool_with_retired_and_live_jobs();
+        for id in UNISSUED {
+            assert_eq!(pool.release(id), Err(PoolError::UnknownJob(id)));
+        }
+    }
+
+    #[test]
+    fn remove_job_rejects_unissued_ids() {
+        let mut pool = pool_with_retired_and_live_jobs();
+        for id in UNISSUED {
+            assert_eq!(pool.remove_job(id), Err(PoolError::UnknownJob(id)));
+        }
+        assert_eq!(pool.jobs_in_state(JobState::Completed).len(), 3);
+    }
+
+    #[test]
+    fn extend_job_rejects_unissued_ids() {
+        let mut pool = pool_with_retired_and_live_jobs();
+        for id in UNISSUED {
+            assert_eq!(
+                pool.extend_job(id, SimDuration::from_secs(1)),
+                Err(PoolError::UnknownJob(id))
+            );
+        }
+        // Issued ids keep their own answers: retired and idle jobs are
+        // known but not running.
+        for id in [JobId(1), JobId(4)] {
+            assert_eq!(
+                pool.extend_job(id, SimDuration::from_secs(1)),
+                Err(PoolError::NotRunning(id))
+            );
+        }
+    }
+
+    #[test]
+    fn retired_jobs_are_found_across_page_boundaries() {
+        let mut pool = CondorPool::new();
+        for _ in 0..2 * RetiredJobs::PAGE + 2 {
+            pool.submit(Job::new("u", WorkSpec::serial(5.0)), t(0));
+        }
+        let page = RetiredJobs::PAGE as u64;
+        let ids = [1, page, page + 1, 2 * page + 2].map(JobId);
+        let mut table = RetiredJobs::default();
+        for id in ids.into_iter().rev() {
+            table.insert(pool.job(id).unwrap().clone());
+        }
+        let order: Vec<JobId> = table.iter().map(|j| j.id).collect();
+        assert_eq!(order, ids);
+        for id in ids {
+            assert_eq!(table.get(id).map(|j| j.id), Some(id));
+        }
+        for id in [0, 2, 2 * page, 2 * page + 3, 3 * page + 1, u64::MAX].map(JobId) {
+            assert!(table.get(id).is_none(), "{id}");
+        }
+        assert_eq!(
+            table.take(JobId(page + 1)).map(|j| j.id),
+            Some(JobId(page + 1))
+        );
+        assert!(table.get(JobId(page + 1)).is_none());
+        assert_eq!(table.iter().count(), 3);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! distinct name for the whole process; after that, carrying a name
 //! around is a `u32` copy and comparing two names is an integer compare.
 //!
+//! Event categories (`"htc"`, `"store"`, …) are interned too, into a
+//! separate lock-free table of 256 entries, so an
+//! [`Event`](super::Event) stores a `u16` instead of a 16-byte `&str` and
+//! recording one takes no lock beyond the log's own.
+//!
 //! The numeric ids depend on interning *order*, which differs between
 //! runs that touch names in different sequences (parallel sweeps, test
 //! interleavings). They are therefore an implementation detail: anything
@@ -87,6 +92,41 @@ impl Key {
     }
 }
 
+/// Capacity of the category table. Categories are `&'static str`
+/// component names, a vocabulary fixed when the program is compiled (a
+/// dozen today), so a small fixed table never fills in practice.
+pub(crate) const CATEGORY_SLOTS: usize = 256;
+
+/// Category names in interning order. Each slot is written once; readers
+/// need only the slot's atomic load, never a lock.
+static CATEGORIES: [OnceLock<&'static str>; CATEGORY_SLOTS] =
+    [const { OnceLock::new() }; CATEGORY_SLOTS];
+
+/// Id of the category `name`, interning it on first sight.
+///
+/// Scans the slots in order and claims the first empty one. A thread only
+/// moves past a slot once it holds a different name, so two threads
+/// interning one new name meet at the same slot and never duplicate it.
+///
+/// # Panics
+///
+/// If more than [`CATEGORY_SLOTS`] distinct categories are interned.
+pub(crate) fn intern_category(name: &'static str) -> u16 {
+    for (id, slot) in CATEGORIES.iter().enumerate() {
+        if *slot.get_or_init(|| name) == name {
+            return id as u16;
+        }
+    }
+    panic!("more than {CATEGORY_SLOTS} distinct telemetry categories");
+}
+
+/// The name behind a category id from [`intern_category`].
+pub(crate) fn category_name(id: u16) -> &'static str {
+    CATEGORIES[usize::from(id)]
+        .get()
+        .expect("category ids come from intern_category")
+}
+
 impl fmt::Debug for Key {
     // Show the name, not the interning-order-dependent id.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -120,6 +160,37 @@ mod tests {
         assert_eq!(Key::find("telemetry.test.never-interned"), None);
         let k = Key::intern("telemetry.test.beta");
         assert_eq!(Key::find("telemetry.test.beta"), Some(k));
+    }
+
+    #[test]
+    fn categories_intern_once_by_content() {
+        let a = intern_category("telemetry.test.cat");
+        // An equal name at a different address maps to the same id.
+        let copy: &'static str = Box::leak(String::from("telemetry.test.cat").into_boxed_str());
+        assert_eq!(intern_category(copy), a);
+        assert_ne!(intern_category("telemetry.test.Cat"), a);
+        assert_eq!(category_name(a), "telemetry.test.cat");
+    }
+
+    #[test]
+    fn concurrent_interning_of_one_new_category_agrees() {
+        let barrier = std::sync::Barrier::new(4);
+        let ids: Vec<u16> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        intern_category("telemetry.test.race")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("interning thread panicked"))
+                .collect()
+        });
+        assert!(ids.iter().all(|&id| id == ids[0]), "{ids:?}");
+        assert_eq!(category_name(ids[0]), "telemetry.test.race");
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! the hot path; rendering, digesting, span assembly, and metric
 //! derivation all happen after the fact, from the same records.
 //!
+//! # Memory
+//!
+//! An episode's log and its assembled spans are kept whole until the
+//! report is built, so their records are sized for long episodes: an
+//! [`Event`] is 32 bytes (the category interned to a `u16`, the payload
+//! packed into a tag and two words), and a [`Span`] keeps up to two
+//! phases inline (a job's `job.matched` and `job.staged`), so assembly
+//! allocates nothing per job span.
+//!
 //! Two consumers sit on top:
 //!
 //! * [`Metrics`](crate::metrics::Metrics) — the counter/gauge/sample
@@ -119,16 +128,12 @@ impl Telemetry {
         }
     }
 
-    /// Build and append an event in one call (no-op when disabled; the
-    /// payload is only constructed after the enabled check when the
-    /// caller uses a closure-free literal, which is the common case).
+    /// Build and append an event in one call (no-op when disabled: the
+    /// category is only interned after the enabled check).
     pub fn record(&self, at: SimTime, category: &'static str, key: Key, payload: Payload) {
-        self.emit(Event {
-            at,
-            category,
-            key,
-            payload,
-        });
+        if self.enabled {
+            self.lock().push(Event::new(at, category, key, payload));
+        }
     }
 
     /// Open a lifecycle span (interns `key`; no-op when disabled).

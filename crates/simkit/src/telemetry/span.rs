@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -91,6 +93,76 @@ pub struct Phase {
     pub dur: SimDuration,
 }
 
+/// A span's phase boundaries, in event order.
+///
+/// Derefs to `[Phase]`. Up to two phases are stored inline; a job span
+/// holds exactly two (`job.matched`, `job.staged`) unless it was evicted,
+/// so assembling an episode's job spans allocates nothing per span. A
+/// third phase moves them all to the heap. (Shrinking a `Vec` after the
+/// fact does not return the memory: the freed tails stay resident.)
+#[derive(Clone, Default)]
+pub struct Phases(PhaseStore);
+
+#[derive(Clone, Default)]
+enum PhaseStore {
+    #[default]
+    None,
+    One([Phase; 1]),
+    Two([Phase; 2]),
+    Heap(Vec<Phase>),
+}
+
+const _: () = assert!(std::mem::size_of::<Phases>() == 2 * std::mem::size_of::<Phase>() + 8);
+
+impl Phases {
+    /// Append a phase.
+    pub(crate) fn push(&mut self, p: Phase) {
+        self.0 = match std::mem::take(&mut self.0) {
+            PhaseStore::None => PhaseStore::One([p]),
+            PhaseStore::One([a]) => PhaseStore::Two([a, p]),
+            PhaseStore::Two([a, b]) => PhaseStore::Heap(vec![a, b, p]),
+            PhaseStore::Heap(mut v) => {
+                v.push(p);
+                PhaseStore::Heap(v)
+            }
+        };
+    }
+}
+
+impl Deref for Phases {
+    type Target = [Phase];
+
+    fn deref(&self) -> &[Phase] {
+        match &self.0 {
+            PhaseStore::None => &[],
+            PhaseStore::One(p) => p,
+            PhaseStore::Two(p) => p,
+            PhaseStore::Heap(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Phases {
+    type Item = &'a Phase;
+    type IntoIter = std::slice::Iter<'a, Phase>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Phases {
+    fn eq(&self, other: &Phases) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Phases {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A closed lifecycle span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
@@ -105,7 +177,7 @@ pub struct Span {
     /// When the span opened.
     pub opened_at: SimTime,
     /// Phase boundaries, in event order.
-    pub phases: Vec<Phase>,
+    pub phases: Phases,
     /// The closing event's key (distinguishes outcomes: completed vs
     /// removed, terminated vs preempted).
     pub close_key: Key,
@@ -210,7 +282,7 @@ struct OpenSpan {
     category: &'static str,
     open_key: Key,
     opened_at: SimTime,
-    phases: Vec<Phase>,
+    phases: Phases,
     last_at: SimTime,
 }
 
@@ -241,7 +313,7 @@ pub fn assemble_lenient(events: &[Event]) -> Result<SpanSet, SpanError> {
     let mut open: BTreeMap<(u8, u64), OpenSpan> = BTreeMap::new();
     let mut set = SpanSet::default();
     for e in events {
-        match e.payload {
+        match e.payload() {
             Payload::SpanOpen { kind, id } => {
                 let slot = (kind.code(), id);
                 if open.contains_key(&slot) {
@@ -250,10 +322,10 @@ pub fn assemble_lenient(events: &[Event]) -> Result<SpanSet, SpanError> {
                 open.insert(
                     slot,
                     OpenSpan {
-                        category: e.category,
+                        category: e.category(),
                         open_key: e.key,
                         opened_at: e.at,
-                        phases: Vec::new(),
+                        phases: Phases::default(),
                         last_at: e.at,
                     },
                 );
@@ -297,12 +369,7 @@ pub fn assemble_lenient(events: &[Event]) -> Result<SpanSet, SpanError> {
     }
     // BTreeMap order: (kind code, id) — deterministic.
     for (&(code, id), s) in &open {
-        let kind = match code {
-            1 => SpanKind::Job,
-            2 => SpanKind::Workflow,
-            3 => SpanKind::Transfer,
-            _ => SpanKind::Instance,
-        };
+        let kind = SpanKind::from_code(code).expect("open spans are keyed by a kind code");
         set.open.push((kind, id, s.opened_at));
     }
     Ok(set)
@@ -345,7 +412,9 @@ impl JobBreakdown {
     /// Decompose a job span. Returns `None` if the span has no
     /// `job.matched` phase (a job that closed without ever running).
     pub fn of(span: &Span) -> Option<JobBreakdown> {
-        let matched = Key::find(keys::JOB_MATCHED)?;
+        static MATCHED: OnceLock<Key> = OnceLock::new();
+        static STAGED: OnceLock<Key> = OnceLock::new();
+        let matched = find_cached(&MATCHED, keys::JOB_MATCHED)?;
         let mut first_match: Option<SimTime> = None;
         let mut last_match: Option<SimTime> = None;
         for p in span.phases_named(matched) {
@@ -357,7 +426,7 @@ impl JobBreakdown {
         let (first, last) = (first_match?, last_match?);
         // Staging of the surviving attempt: staged phases at/after the
         // last match. Earlier (aborted) attempts' staging is repair time.
-        let staging = Key::find(keys::JOB_STAGED)
+        let staging = find_cached(&STAGED, keys::JOB_STAGED)
             .map(|staged| {
                 span.phases_named(staged)
                     .filter(|p| p.at >= last)
@@ -372,6 +441,17 @@ impl JobBreakdown {
             compute: run.saturating_sub(staging),
         })
     }
+}
+
+/// [`Key::find`] once per process: a hit is kept in `cell`, a miss is
+/// not (the name may be interned later), so a report reading thousands of
+/// spans takes the key table's lock once, not twice per span.
+fn find_cached(cell: &OnceLock<Key>, name: &str) -> Option<Key> {
+    if let Some(&k) = cell.get() {
+        return Some(k);
+    }
+    let k = Key::find(name)?;
+    Some(*cell.get_or_init(|| k))
 }
 
 #[cfg(test)]
@@ -503,6 +583,41 @@ mod tests {
             assemble(&regress.events()),
             Err(SpanError::NonMonotone { .. })
         ));
+    }
+
+    #[test]
+    fn two_phases_stay_inline_and_a_third_spills() {
+        let tel = Telemetry::enabled();
+        job_events(&tel);
+        let span = assemble(&tel.events()).unwrap().remove(0);
+        assert_eq!(span.phases.len(), 2);
+        // The phase slice lies inside the span itself: no heap chunk.
+        let base = &span as *const Span as usize;
+        let at = span.phases.as_ptr() as usize;
+        assert!((base..base + std::mem::size_of::<Span>()).contains(&at));
+
+        let mut phases = Phases::default();
+        let mut model = Vec::new();
+        for i in 0..5u64 {
+            let p = Phase {
+                key: Key::intern(keys::JOB_EVICTED),
+                at: t(i),
+                dur: SimDuration::from_secs(i),
+            };
+            phases.push(p);
+            model.push(p);
+            assert_eq!(&phases[..], &model[..]);
+            assert_eq!((&phases).into_iter().count(), model.len());
+        }
+    }
+
+    #[test]
+    fn a_missed_key_lookup_is_not_cached() {
+        let cell = OnceLock::new();
+        assert_eq!(find_cached(&cell, "telemetry.span.later"), None);
+        let k = Key::intern("telemetry.span.later");
+        assert_eq!(find_cached(&cell, "telemetry.span.later"), Some(k));
+        assert_eq!(cell.get(), Some(&k));
     }
 
     #[test]
