@@ -62,9 +62,11 @@ fn chain(n: u64) -> u64 {
 }
 
 /// Churn: a driver tick that keeps ~2k events live, scheduling bursts of
-/// near-future events and cancelling a third of the backlog as it goes.
-/// This is the shape of the autoscale controller + service models: dense
-/// small-delay scheduling with constant retirement.
+/// events up to 500 µs ahead and cancelling a third of the backlog as it
+/// goes. A stress shape for cancellation: no experiment driver schedules
+/// this densely (the autoscale controller ticks every 60 s of simulated
+/// time, and a `galaxy-elastic` episode puts 2 of ~9,545 inserts under
+/// 1 ms ahead, both at delta 0).
 fn churn(n: u64) -> u64 {
     const BURST: u64 = 8;
     const CANCEL_PER_TICK: usize = 3;
@@ -110,9 +112,10 @@ fn churn(n: u64) -> u64 {
 }
 
 /// Recurring ticks: `streams` concurrent `schedule_every` loops with
-/// co-prime-ish sub-millisecond intervals, each firing `ticks` times — the
-/// metrics-scraper / negotiator-cycle / TCP-tick pattern that dominates the
-/// experiment drivers.
+/// co-prime-ish sub-millisecond intervals, each firing `ticks` times. A
+/// stress shape for recurrence: the experiment drivers' recurring loops
+/// are the Condor negotiator (every 20 s) and the autoscale controller
+/// (every 60 s), one of each per episode.
 fn recurring(streams: u64, ticks: u64) -> u64 {
     let mut sim = Sim::new(0u64);
     for s in 0..streams {
@@ -128,9 +131,9 @@ fn recurring(streams: u64, ticks: u64) -> u64 {
     sim.world
 }
 
-/// Far-horizon: every delay overshoots the bucket ring, forcing the far
-/// heap — the engine's worst case, the other side of the drain-scatter
-/// tradeoff.
+/// Far-horizon: every delay is 2 ms to ~1 s, so each pop sifts entries
+/// spread over a wide time range — the closest of the five workloads to
+/// the experiment drivers, whose deltas run from seconds to minutes.
 fn far(n: u64) -> u64 {
     struct W {
         fired: u64,
@@ -144,7 +147,7 @@ fn far(n: u64) -> u64 {
         }
         sim.world.budget -= 1;
         sim.world.x = lcg(sim.world.x);
-        let d = 2_000 + (sim.world.x >> 33) % 1_000_000; // always ≥ ring span
+        let d = 2_000 + (sim.world.x >> 33) % 1_000_000; // 2 ms to ~1 s
         sim.schedule_in(SimDuration::from_micros(d), tick);
         if sim.world.budget > 0 {
             sim.world.budget -= 1;
@@ -197,7 +200,7 @@ fn main() {
     let samples: u32 = if quick { 2 } else { 7 };
     let scale: u64 = if quick { 10 } else { 1 };
 
-    println!("== des_kernel (slab/ring/index-heap engine) ==");
+    println!("== des_kernel (slab + index-heap engine) ==");
 
     let drain_n = 100_000 / scale;
     let chain_n = 100_000 / scale;

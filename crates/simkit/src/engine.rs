@@ -15,34 +15,17 @@
 //!
 //! # Queue internals
 //!
-//! Handlers live in a **slab** of reusable slots; the pending order is kept
-//! in two side structures that store only compact `(time, seq, slot, gen)`
-//! index entries, never the handlers themselves:
-//!
-//! * a **bucket ring** — a cyclic array of `RING_BUCKETS` one-microsecond
-//!   buckets that absorbs every event scheduled less than `RING_BUCKETS` µs
-//!   ahead of the clock in O(1) (the dominant pattern: recurring controller
-//!   ticks, service-completion chains, back-to-back `schedule_now` work);
-//! * a **far heap** — a binary min-heap of the same 24-byte entries for
-//!   everything beyond the ring's window.
-//!
-//! Firing pops the earlier of the two tiers (ties broken by sequence
-//! number, so FIFO-within-timestamp holds across tiers). Cancellation bumps
-//! the slot's generation counter and drops the handler immediately; index
-//! entries whose generation no longer matches are purged lazily when the
-//! scan or the heap reaches them. See DESIGN.md "Event-queue internals".
+//! Handlers live in a **slab** of reusable slots. The pending order is one
+//! binary min-heap of compact `(time, seq, slot, gen)` index entries, never
+//! the handlers themselves, so firing pops the earliest `(time, seq)`.
+//! Cancellation bumps the slot's generation counter and drops the handler
+//! immediately; a heap entry whose generation no longer matches its slot is
+//! discarded when it reaches the top. See DESIGN.md "Event-queue internals".
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
-
-/// Number of one-microsecond buckets in the near-future ring. Must be a
-/// power of two. Events scheduled less than this many microseconds ahead
-/// of the clock go to the ring; everything else goes to the far heap.
-const RING_BUCKETS: usize = 1024;
-const RING_MASK: u64 = (RING_BUCKETS - 1) as u64;
-const RING_SPAN_US: u64 = RING_BUCKETS as u64;
 
 /// Opaque handle to a scheduled event; used for cancellation.
 ///
@@ -55,13 +38,6 @@ pub struct EventId {
     gen: u32,
 }
 
-impl EventId {
-    /// The raw sequence number (unique per simulation run).
-    pub fn raw(self) -> u64 {
-        self.seq
-    }
-}
-
 type Handler<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
 /// One slab slot: the boxed handler plus the generation counter that makes
@@ -71,71 +47,15 @@ struct Slot<W> {
     handler: Option<Handler<W>>,
 }
 
-/// A compact index entry: everything the ordering tiers need to know about
-/// a pending event, without touching the handler.
-#[derive(Debug, Clone, Copy)]
+/// A compact index entry: everything the queue needs to know about a
+/// pending event, without touching the handler. Ordered by `(at_us, seq)`:
+/// `seq` is unique, so `slot` and `gen` never decide a comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at_us: u64,
     seq: u64,
     slot: u32,
     gen: u32,
-}
-
-/// Far-heap wrapper: `BinaryHeap` is a max-heap, so invert the comparison
-/// to pop the earliest `(time, seq)` first.
-struct FarEntry(Entry);
-
-impl PartialEq for FarEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at_us == other.0.at_us && self.0.seq == other.0.seq
-    }
-}
-impl Eq for FarEntry {}
-impl PartialOrd for FarEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FarEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .at_us
-            .cmp(&self.0.at_us)
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
-    }
-}
-
-/// One ring bucket: entries in insertion (= sequence) order, consumed from
-/// `head`. All live entries in a bucket share the same firing time, because
-/// live ring entries always lie within one window-length of the clock and
-/// the window maps injectively onto the ring.
-#[derive(Default)]
-struct Bucket {
-    entries: Vec<Entry>,
-    head: usize,
-}
-
-impl Bucket {
-    #[inline]
-    fn exhausted(&self) -> bool {
-        self.head == self.entries.len()
-    }
-
-    #[inline]
-    fn reset_if_exhausted(&mut self) {
-        if self.head > 0 && self.exhausted() {
-            self.entries.clear();
-            self.head = 0;
-        }
-    }
-}
-
-/// Which tier holds the next event (result of a successful peek).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Ring,
-    Far,
 }
 
 /// Why [`Sim::run`] returned.
@@ -156,21 +76,11 @@ pub struct Sim<W> {
     now: SimTime,
     slots: Vec<Slot<W>>,
     free: Vec<u32>,
-    ring: Vec<Bucket>,
-    /// Entries (live + stale) currently in the ring.
-    ring_len: usize,
-    /// Ring scan cursor, in absolute microseconds. Invariant: no live ring
-    /// entry fires before `max(scan_us, now)`.
-    scan_us: u64,
-    far: BinaryHeap<FarEntry>,
+    /// Min-heap (via `Reverse`) of live and cancelled index entries.
+    queue: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
     /// Pending (scheduled, not yet fired, not cancelled) events.
     live: usize,
-    /// Cancelled entries still lingering in the ring or the far heap.
-    /// Fired entries leave their tier immediately, so when this is zero
-    /// every queued index entry is live and generation checks can be
-    /// skipped on the peek path.
-    stale: usize,
     steps_executed: u64,
     halt: bool,
     /// The world under simulation. Public: event handlers and drivers
@@ -185,13 +95,9 @@ impl<W> Sim<W> {
             now: SimTime::ZERO,
             slots: Vec::new(),
             free: Vec::new(),
-            ring: (0..RING_BUCKETS).map(|_| Bucket::default()).collect(),
-            ring_len: 0,
-            scan_us: 0,
-            far: BinaryHeap::new(),
+            queue: BinaryHeap::new(),
             next_seq: 0,
             live: 0,
-            stale: 0,
             steps_executed: 0,
             halt: false,
             world,
@@ -234,7 +140,6 @@ impl<W> Sim<W> {
     }
 
     fn insert(&mut self, at: SimTime, handler: Handler<W>) -> EventId {
-        let at_us = at.as_micros();
         let seq = self.next_seq;
         self.next_seq += 1;
 
@@ -258,24 +163,12 @@ impl<W> Sim<W> {
         };
         let gen = self.slots[slot as usize].gen;
         self.live += 1;
-
-        let entry = Entry {
-            at_us,
+        self.queue.push(Reverse(Entry {
+            at_us: at.as_micros(),
             seq,
             slot,
             gen,
-        };
-        if at_us - self.now.as_micros() < RING_SPAN_US {
-            let bucket = &mut self.ring[(at_us & RING_MASK) as usize];
-            bucket.reset_if_exhausted();
-            bucket.entries.push(entry);
-            self.ring_len += 1;
-            if at_us < self.scan_us {
-                self.scan_us = at_us;
-            }
-        } else {
-            self.far.push(FarEntry(entry));
-        }
+        }));
         EventId { seq, slot, gen }
     }
 
@@ -353,7 +246,6 @@ impl<W> Sim<W> {
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(id.slot);
         self.live -= 1;
-        self.stale += 1;
         true
     }
 
@@ -362,93 +254,23 @@ impl<W> Sim<W> {
         self.halt = true;
     }
 
-    /// Position [`scan_us`](Sim::scan_us) on the ring bucket holding the
-    /// earliest live ring entry and return its `(time, seq)`, purging stale
-    /// entries on the way. `None` when the ring holds no live entry.
-    fn ring_peek(&mut self) -> Option<(u64, u64)> {
-        if self.ring_len == 0 {
-            return None;
-        }
-        let now_us = self.now.as_micros();
-        if self.scan_us < now_us {
-            self.scan_us = now_us;
-        }
-        // Every live ring entry fires within [now, now + RING_SPAN_US), so
-        // one full sweep of the ring must find one (or purge everything).
-        for _ in 0..=RING_BUCKETS {
-            let bucket = &mut self.ring[(self.scan_us & RING_MASK) as usize];
-            while let Some(entry) = bucket.entries.get(bucket.head) {
-                if self.stale == 0 || self.slots[entry.slot as usize].gen == entry.gen {
-                    debug_assert_eq!(
-                        entry.at_us, self.scan_us,
-                        "live ring entry outside its bucket's time"
-                    );
-                    return Some((entry.at_us, entry.seq));
-                }
-                bucket.head += 1; // stale: purge lazily
-                self.ring_len -= 1;
-                self.stale -= 1;
+    /// The earliest live entry, without consuming it. Cancelled entries on
+    /// top of the heap are discarded on the way.
+    fn peek_live(&mut self) -> Option<Entry> {
+        while let Some(&Reverse(entry)) = self.queue.peek() {
+            if self.slots[entry.slot as usize].gen == entry.gen {
+                return Some(entry);
             }
-            bucket.reset_if_exhausted();
-            if self.ring_len == 0 {
-                return None;
-            }
-            self.scan_us += 1;
-        }
-        unreachable!("ring scan swept the full window without finding a live entry");
-    }
-
-    /// Peek the earliest live far-heap entry, popping stale ones.
-    fn far_peek(&mut self) -> Option<(u64, u64)> {
-        while let Some(top) = self.far.peek() {
-            let entry = top.0;
-            if self.stale == 0 || self.slots[entry.slot as usize].gen == entry.gen {
-                return Some((entry.at_us, entry.seq));
-            }
-            self.far.pop();
-            self.stale -= 1;
+            self.queue.pop();
         }
         None
     }
 
-    /// The earliest pending event across both tiers, without consuming it.
-    fn peek_next(&mut self) -> Option<(u64, u64, Tier)> {
-        let ring = self.ring_peek();
-        let far = self.far_peek();
-        match (ring, far) {
-            (None, None) => None,
-            (Some((at, seq)), None) => Some((at, seq, Tier::Ring)),
-            (None, Some((at, seq))) => Some((at, seq, Tier::Far)),
-            (Some((rat, rseq)), Some((fat, fseq))) => {
-                if (rat, rseq) < (fat, fseq) {
-                    Some((rat, rseq, Tier::Ring))
-                } else {
-                    Some((fat, fseq, Tier::Far))
-                }
-            }
-        }
-    }
-
-    /// Remove the entry a successful [`peek_next`](Sim::peek_next) found.
-    /// Must be called with no intervening queue mutation.
-    fn take_peeked(&mut self, tier: Tier) -> Entry {
-        match tier {
-            Tier::Ring => {
-                let bucket = &mut self.ring[(self.scan_us & RING_MASK) as usize];
-                let entry = bucket.entries[bucket.head];
-                bucket.head += 1;
-                self.ring_len -= 1;
-                entry
-            }
-            Tier::Far => self.far.pop().expect("peeked").0,
-        }
-    }
-
-    /// Fire one popped entry: release its slot, advance the clock, run the
-    /// handler.
+    /// Fire the entry [`peek_live`](Sim::peek_live) just returned: pop it,
+    /// release its slot, advance the clock, run the handler.
     fn execute(&mut self, entry: Entry) {
+        self.queue.pop();
         let slot = &mut self.slots[entry.slot as usize];
-        debug_assert_eq!(slot.gen, entry.gen, "popped a stale entry");
         let handler = slot.handler.take().expect("live slot holds a handler");
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(entry.slot);
@@ -465,10 +287,9 @@ impl<W> Sim<W> {
     /// Execute the single next event, if any. Returns `false` when the queue
     /// is empty.
     pub fn step(&mut self) -> bool {
-        let Some((_, _, tier)) = self.peek_next() else {
+        let Some(entry) = self.peek_live() else {
             return false;
         };
-        let entry = self.take_peeked(tier);
         self.execute(entry);
         true
     }
@@ -485,15 +306,12 @@ impl<W> Sim<W> {
             if budget == 0 {
                 return RunOutcome::StepBudgetExhausted;
             }
-            // Peek to honour the horizon without consuming the event; the
-            // same peek positions the pop, so each event is located once.
-            match self.peek_next() {
+            match self.peek_live() {
                 None => return RunOutcome::QueueEmpty,
-                Some((at_us, _, _)) if at_us > horizon.as_micros() => {
+                Some(entry) if entry.at_us > horizon.as_micros() => {
                     return RunOutcome::HorizonReached;
                 }
-                Some((_, _, tier)) => {
-                    let entry = self.take_peeked(tier);
+                Some(entry) => {
                     self.execute(entry);
                     budget -= 1;
                 }
@@ -507,10 +325,24 @@ impl<W> Sim<W> {
     }
 
     /// Advance simulated time to `at` even if no event is scheduled there.
-    /// Useful for "the experiment ends at t" bookkeeping. Events scheduled
-    /// before `at` are *not* executed; prefer [`run`](Sim::run) first.
+    /// Useful for "the experiment ends at t" bookkeeping, or for starting an
+    /// episode at a later instant. Run the queue up to `at` first: an event
+    /// due exactly at `at` stays pending and fires on the next run.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current time, or if a pending event is
+    /// due before `at` — it would otherwise fire later with the clock
+    /// running backwards.
     pub fn fast_forward(&mut self, at: SimTime) {
         assert!(at >= self.now, "cannot fast-forward into the past");
+        if let Some(next) = self.peek_live() {
+            assert!(
+                next.at_us >= at.as_micros(),
+                "cannot fast-forward past a pending event: next at {} but fast-forward to {}",
+                SimTime::from_micros(next.at_us),
+                at
+            );
+        }
         self.now = at;
     }
 }
@@ -520,6 +352,11 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// A distance in microseconds that the tests below straddle: chains
+    /// longer than it, events just inside and just beyond it, and one
+    /// timestamp reached both from further than it and from nearer.
+    const SPAN_US: u64 = 1024;
 
     #[derive(Default)]
     struct World {
@@ -559,29 +396,25 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_by_schedule_order_across_tiers() {
-        // The same timestamp reached through the ring (scheduled when it
-        // was near) and the far heap (scheduled when it was far) must still
-        // fire in schedule order.
+    fn ties_break_by_schedule_order_from_any_distance() {
+        // The same timestamp scheduled from far ahead (twice) and from 10 µs
+        // ahead must still fire in schedule order.
         let mut sim = Sim::new(World::default());
-        let t = RING_SPAN_US + 50;
-        sim.schedule_at(s(t), |sim| sim.world.log.push((0, "far-first"))); // far tier
+        let t = SPAN_US + 50;
+        sim.schedule_at(s(t), |sim| sim.world.log.push((0, "far-first")));
         sim.schedule_at(s(1), move |sim| {
-            // now = 1: t is still beyond the window? t - 1 > RING_SPAN_US,
-            // so this one lands in the far heap too...
             sim.world.log.push((1, "early"));
             sim.schedule_at(s(t), |sim| sim.world.log.push((0, "far-second")));
         });
         sim.schedule_at(s(t - 10), move |sim| {
-            // now = t-10: t is 10 µs ahead → ring tier.
             sim.world.log.push((2, "near"));
-            sim.schedule_at(s(t), |sim| sim.world.log.push((0, "ring-third")));
+            sim.schedule_at(s(t), |sim| sim.world.log.push((0, "near-third")));
         });
         sim.run_to_completion();
         let names: Vec<_> = sim.world.log.iter().map(|(_, n)| *n).collect();
         assert_eq!(
             names,
-            vec!["early", "near", "far-first", "far-second", "ring-third"]
+            vec!["early", "near", "far-first", "far-second", "near-third"]
         );
     }
 
@@ -610,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_far_event_prevents_firing() {
+    fn cancelling_a_distant_event_prevents_firing() {
         let mut sim = Sim::new(World::default());
         let id = sim.schedule_at(s(10_000_000), |sim| sim.world.log.push((0, "cancelled")));
         sim.schedule_at(s(20_000_000), |sim| sim.world.log.push((0, "kept")));
@@ -658,7 +491,9 @@ mod tests {
         let old = sim.schedule_at(s(10), |sim| sim.world.log.push((10, "old")));
         assert!(sim.cancel(old));
         // The freed slot is reused by the next schedule.
-        let _new = sim.schedule_at(s(20), |sim| sim.world.log.push((20, "new")));
+        let _new = sim.schedule_at(s(20), |sim| {
+            sim.world.log.push((sim.now().as_micros(), "new"))
+        });
         assert!(!sim.cancel(old), "stale id must not hit the recycled slot");
         sim.run_to_completion();
         assert_eq!(sim.world.log, vec![(20, "new")]);
@@ -777,9 +612,36 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_across_its_window() {
-        // Chain far past the ring span so buckets are reused many times.
-        let mut sim = Sim::new((0u64, 5 * RING_SPAN_US));
+    #[should_panic(expected = "cannot fast-forward past a pending event")]
+    fn fast_forward_past_a_pending_event_panics() {
+        let mut sim = Sim::new(World::default());
+        sim.schedule_at(s(10), |sim| {
+            sim.world.log.push((sim.now().as_micros(), "x"))
+        });
+        sim.fast_forward(s(100));
+    }
+
+    #[test]
+    fn fast_forward_to_a_pending_events_time_is_allowed() {
+        let mut sim = Sim::new(World::default());
+        sim.schedule_at(s(100), |sim| {
+            sim.world.log.push((sim.now().as_micros(), "due"))
+        });
+        // A cancelled event before the target does not block it.
+        let cancelled = sim.schedule_at(s(10), |sim| sim.world.log.push((10, "cancelled")));
+        assert!(sim.cancel(cancelled));
+        sim.fast_forward(s(100));
+        assert_eq!(sim.now(), s(100));
+        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.run_to_completion(), RunOutcome::QueueEmpty);
+        assert_eq!(sim.world.log, vec![(100, "due")]);
+        assert_eq!(sim.now(), s(100));
+    }
+
+    #[test]
+    fn long_self_rescheduling_chain_fires_every_link() {
+        // A chain of 3 µs steps running for many multiples of `SPAN_US`.
+        let mut sim = Sim::new((0u64, 5 * SPAN_US));
         fn tick(sim: &mut Sim<(u64, u64)>) {
             sim.world.0 += 1;
             if sim.world.0 < sim.world.1 {
@@ -788,33 +650,30 @@ mod tests {
         }
         sim.schedule_now(tick);
         assert_eq!(sim.run_to_completion(), RunOutcome::QueueEmpty);
-        assert_eq!(sim.world.0, 5 * RING_SPAN_US);
-        assert_eq!(sim.now().as_micros(), (5 * RING_SPAN_US - 1) * 3);
+        assert_eq!(sim.world.0, 5 * SPAN_US);
+        assert_eq!(sim.now().as_micros(), (5 * SPAN_US - 1) * 3);
     }
 
     #[test]
-    fn events_exactly_on_the_window_boundary_fire_in_order() {
+    fn events_one_microsecond_apart_fire_in_order() {
         let mut sim = Sim::new(World::default());
-        // One event just inside the ring window, one exactly on the
-        // boundary (far tier), one beyond — all from time zero.
-        sim.schedule_at(s(RING_SPAN_US - 1), |sim| sim.world.log.push((0, "in")));
-        sim.schedule_at(s(RING_SPAN_US), |sim| sim.world.log.push((0, "edge")));
-        sim.schedule_at(s(RING_SPAN_US + 1), |sim| sim.world.log.push((0, "out")));
+        // Three consecutive microseconds around `SPAN_US`, from time zero.
+        sim.schedule_at(s(SPAN_US - 1), |sim| sim.world.log.push((0, "in")));
+        sim.schedule_at(s(SPAN_US), |sim| sim.world.log.push((0, "edge")));
+        sim.schedule_at(s(SPAN_US + 1), |sim| sim.world.log.push((0, "out")));
         sim.run_to_completion();
         let names: Vec<_> = sim.world.log.iter().map(|(_, n)| *n).collect();
         assert_eq!(names, vec!["in", "edge", "out"]);
     }
 
     #[test]
-    fn late_insert_behind_the_scan_cursor_still_fires() {
-        // After the engine has peeked ahead (advancing the scan cursor), an
-        // insert between `now` and the cursor must still be found.
+    fn insert_after_a_horizon_stop_fires_before_the_peeked_event() {
+        // After a run stops at its horizon with the event at 100 peeked but
+        // unconsumed, an insert between `now` and 100 must fire first.
         let mut sim = Sim::new(World::default());
         sim.schedule_at(s(0), |sim| sim.world.log.push((0, "first")));
         sim.schedule_at(s(100), |sim| sim.world.log.push((100, "later")));
-        // Run past the first event; the ring scan has advanced toward 100.
         assert_eq!(sim.run(s(50), u64::MAX), RunOutcome::HorizonReached);
-        // Insert behind the cursor.
         sim.schedule_at(s(30), |sim| sim.world.log.push((30, "behind")));
         sim.run_to_completion();
         assert_eq!(

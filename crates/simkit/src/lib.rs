@@ -14,10 +14,8 @@
 //!   single master seed. Two runs with the same seed produce identical event
 //!   traces, and the parallel replica runner preserves this property.
 //! * **Speed.** The event queue is a slab of reusable handler slots ordered
-//!   by a compact index heap, fronted by a near-future bucket ring that
-//!   absorbs dense small-delay scheduling (recurring ticks, service chains)
-//!   in O(1); cancellation is an O(1) generation-counter flip. See
-//!   [`engine`] for the internals.
+//!   by one compact index heap; cancellation is an O(1) generation-counter
+//!   flip. See [`engine`] for the internals.
 //! * **Simplicity over framework-ness.** Events are plain `FnOnce(&mut
 //!   Sim<W>)` closures; the world `W` is an ordinary struct owned by the
 //!   engine. No actor runtime, no async.

@@ -2,17 +2,17 @@
 //!
 //! Random schedule/cancel/step interleavings — generated from seeded
 //! in-repo [`RngStream`]s, so every case is reproducible — run against
-//! both the production [`Sim`] (slab + index heap + bucket ring) and a
+//! both the production [`Sim`] (handler slab + one index heap) and a
 //! trivially-correct reference model (a list keyed by `(time, schedule
 //! order)`). The two must agree on *everything* observable: the exact
 //! fire sequence, every `cancel` return value, and the pending-event
 //! count at every step.
 //!
-//! Delays are drawn so the sweep crosses the engine's internal tiers:
-//! same-instant events, near-future deltas that land in the bucket ring,
-//! boundary-straddling deltas, and far-horizon deltas that go to the
-//! heap. Some events schedule follow-ups from inside their handler, which
-//! exercises in-run insertion behind the ring's scan cursor. Recurring
+//! Delays are drawn from microseconds to seconds: same-instant events,
+//! sub-millisecond deltas, deltas around one millisecond, and far-horizon
+//! deltas, so equal timestamps are reached from every distance. Some
+//! events schedule follow-ups from inside their handler, which exercises
+//! in-run insertion ahead of already-queued later events. Recurring
 //! [`Sim::schedule_every`] streams with periods drawn the same way run
 //! among them: some are cancelled mid-run through their `EventId` (which
 //! names only the first tick), and every one stops by returning `false`,
@@ -168,15 +168,15 @@ fn schedule_every_real(
     )
 }
 
-/// A delay that sweeps across queue tiers: same-instant, in-ring,
-/// boundary, and far-heap.
+/// A delay that sweeps from the same instant to seconds ahead: zero,
+/// sub-millisecond, around one millisecond, and far-horizon.
 fn pick_delay(rng: &mut RngStream) -> u64 {
     match rng.uniform_int(0, 9) {
         0 => 0,
-        1..=5 => rng.uniform_int(1, 900),        // bucket ring
-        6 | 7 => rng.uniform_int(900, 1_200),    // straddles the ring window
-        8 => rng.uniform_int(1_200, 50_000),     // far heap
-        _ => rng.uniform_int(50_000, 5_000_000), // deep far heap
+        1..=5 => rng.uniform_int(1, 900),        // sub-millisecond
+        6 | 7 => rng.uniform_int(900, 1_200),    // around one millisecond
+        8 => rng.uniform_int(1_200, 50_000),     // tens of milliseconds
+        _ => rng.uniform_int(50_000, 5_000_000), // up to seconds
     }
 }
 
