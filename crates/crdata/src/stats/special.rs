@@ -204,8 +204,194 @@ pub fn f_cdf(x: f64, d1: f64, d2: f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use cumulus_simkit::rng::RngStream;
+
+    /// Reference: the scalar incomplete beta as first written, evaluating
+    /// all three log-gammas on every call.
+    pub(crate) fn reference_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
+        assert!(a > 0.0 && b > 0.0, "incomplete_beta requires a,b > 0");
+        if x <= 0.0 {
+            return 0.0;
+        }
+        if x >= 1.0 {
+            return 1.0;
+        }
+        let ln_front =
+            ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+        let front = ln_front.exp();
+        if x < (a + 1.0) / (a + b + 2.0) {
+            front * reference_beta_cf(a, b, x) / a
+        } else {
+            1.0 - front * reference_beta_cf(b, a, 1.0 - x) / b
+        }
+    }
+
+    fn reference_beta_cf(a: f64, b: f64, x: f64) -> f64 {
+        const MAX_ITER: usize = 300;
+        const EPS: f64 = 3e-14;
+        const FPMIN: f64 = 1e-300;
+
+        let qab = a + b;
+        let qap = a + 1.0;
+        let qam = a - 1.0;
+        let mut c = 1.0;
+        let mut d = 1.0 - qab * x / qap;
+        if d.abs() < FPMIN {
+            d = FPMIN;
+        }
+        d = 1.0 / d;
+        let mut h = d;
+        for m in 1..=MAX_ITER {
+            let m = m as f64;
+            let m2 = 2.0 * m;
+            let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
+            d = 1.0 + aa * d;
+            if d.abs() < FPMIN {
+                d = FPMIN;
+            }
+            c = 1.0 + aa / c;
+            if c.abs() < FPMIN {
+                c = FPMIN;
+            }
+            d = 1.0 / d;
+            h *= d * c;
+            let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
+            d = 1.0 + aa * d;
+            if d.abs() < FPMIN {
+                d = FPMIN;
+            }
+            c = 1.0 + aa / c;
+            if c.abs() < FPMIN {
+                c = FPMIN;
+            }
+            d = 1.0 / d;
+            let del = d * c;
+            h *= del;
+            if (del - 1.0).abs() < EPS {
+                break;
+            }
+        }
+        h
+    }
+
+    /// Reference: Student's t CDF over [`reference_incomplete_beta`].
+    pub(crate) fn reference_t_cdf(t: f64, df: f64) -> f64 {
+        assert!(df > 0.0, "t_cdf requires df > 0");
+        let x = df / (df + t * t);
+        let p = 0.5 * reference_incomplete_beta(df / 2.0, 0.5, x);
+        if t > 0.0 {
+            1.0 - p
+        } else {
+            p
+        }
+    }
+
+    /// Reference: the two-sided p-value over [`reference_t_cdf`].
+    pub(crate) fn reference_t_two_sided_p(t: f64, df: f64) -> f64 {
+        let tail = 1.0 - reference_t_cdf(t.abs(), df);
+        (2.0 * tail).clamp(0.0, 1.0)
+    }
+
+    /// The neighbouring doubles of a positive finite `v`, one ULP away.
+    fn ulp_neighbours(v: f64) -> [f64; 2] {
+        [
+            f64::from_bits(v.to_bits() - 1),
+            f64::from_bits(v.to_bits() + 1),
+        ]
+    }
+
+    /// Seeded degrees of freedom: Welch-shaped ones in (1, 2] (two
+    /// samples a group), integers, and large ones.
+    pub(crate) fn df_cases(rng: &mut RngStream) -> Vec<f64> {
+        let mut dfs = vec![1.0, 2.0, ulp_neighbours(1.0)[1], ulp_neighbours(2.0)[0]];
+        dfs.extend((0..40).map(|_| rng.uniform_range(1.0, 2.0)));
+        dfs.extend((1..=40).map(f64::from));
+        dfs.extend([50.0, 120.5, 1e3, 1e4, 1e6, 1e9, 1e15]);
+        dfs.extend((0..10).map(|_| rng.uniform_range(2.0, 500.0)));
+        dfs
+    }
+
+    /// Seeded t statistics of both signs: zeros, tiny, ordinary and huge
+    /// magnitudes (up to ones whose square overflows).
+    pub(crate) fn t_cases(rng: &mut RngStream) -> Vec<f64> {
+        let mut mags = vec![
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-150,
+            1e-12,
+            1e-6,
+            1e6,
+            1e10,
+            1e150,
+            1e155,
+            1e300,
+            f64::MAX,
+        ];
+        mags.extend((0..30).map(|_| rng.normal(0.0, 4.0).abs()));
+        mags.extend((0..10).map(|_| rng.uniform_range(0.0, 200.0)));
+        mags.iter().flat_map(|&m| [m, -m]).collect()
+    }
+
+    #[test]
+    fn t_p_values_are_bitwise_the_reference() {
+        for seed in 0..4 {
+            let mut rng = RngStream::derive(seed, "t-p-values");
+            let dfs = df_cases(&mut rng);
+            let ts = t_cases(&mut rng);
+            for &df in &dfs {
+                for &t in &ts {
+                    let got = (t_cdf(t, df).to_bits(), t_two_sided_p(t, df).to_bits());
+                    let want = (
+                        reference_t_cdf(t, df).to_bits(),
+                        reference_t_two_sided_p(t, df).to_bits(),
+                    );
+                    assert_eq!(got, want, "seed {seed} t {t:e} df {df}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incomplete_beta_is_bitwise_the_reference_on_both_sides_of_the_switch() {
+        let mut rng = RngStream::derive(7, "incomplete-beta");
+        let mut shapes: Vec<(f64, f64)> = (0..60)
+            .map(|_| (rng.uniform_range(0.5, 1.0), 0.5))
+            .collect();
+        shapes.extend(
+            (0..40).map(|_| (rng.uniform_range(0.05, 40.0), rng.uniform_range(0.05, 40.0))),
+        );
+        shapes.extend([(0.5, 0.5), (1.0, 0.5), (1e6, 0.5), (0.5, 1e6), (2.5, 1.5)]);
+        for &(a, b) in &shapes {
+            let switch = (a + 1.0) / (a + b + 2.0);
+            let mut xs = vec![
+                0.0,
+                -0.5,
+                1.0,
+                1.5,
+                5e-324,
+                1e-300,
+                1e-12,
+                1.0 - 1e-12,
+                ulp_neighbours(1.0)[0],
+                switch,
+                switch - 1e-9,
+                switch + 1e-9,
+            ];
+            xs.extend(ulp_neighbours(switch));
+            xs.extend((0..20).map(|_| rng.uniform()));
+            for &x in &xs {
+                assert_eq!(
+                    incomplete_beta(a, b, x).to_bits(),
+                    reference_incomplete_beta(a, b, x).to_bits(),
+                    "a {a} b {b} x {x:e} (switch {switch})"
+                );
+            }
+        }
+    }
 
     #[test]
     fn ln_gamma_known_values() {

@@ -119,6 +119,92 @@ pub fn one_sample_t_test(xs: &[f64], mu0: f64) -> Option<TTestResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::special::tests::reference_t_two_sided_p;
+    use cumulus_simkit::rng::RngStream;
+
+    /// Reference: Welch's test as first written, with `variance`
+    /// recomputing each group's mean and the reference p-value.
+    fn reference_welch_t_test(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
+        fn mean(xs: &[f64]) -> f64 {
+            xs.iter().sum::<f64>() / xs.len() as f64
+        }
+        fn variance(xs: &[f64]) -> Option<f64> {
+            if xs.len() < 2 {
+                return None;
+            }
+            let m = mean(xs);
+            Some(xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() as f64 - 1.0))
+        }
+        if group1.len() < 2 || group2.len() < 2 {
+            return None;
+        }
+        let m1 = mean(group1);
+        let m2 = mean(group2);
+        let v1 = variance(group1)?;
+        let v2 = variance(group2)?;
+        let n1 = group1.len() as f64;
+        let n2 = group2.len() as f64;
+        let se2 = v1 / n1 + v2 / n2;
+        if se2 == 0.0 {
+            return None;
+        }
+        let t = (m1 - m2) / se2.sqrt();
+        let df = se2 * se2 / ((v1 / n1).powi(2) / (n1 - 1.0) + (v2 / n2).powi(2) / (n2 - 1.0));
+        Some(TTestResult {
+            t,
+            df,
+            p: reference_t_two_sided_p(t, df),
+            mean_diff: m1 - m2,
+        })
+    }
+
+    fn bits(r: Option<TTestResult>) -> Option<[u64; 4]> {
+        r.map(|r| [r.t, r.df, r.p, r.mean_diff].map(f64::to_bits))
+    }
+
+    /// One seeded group: mostly two log2 intensities (the four-CEL shape),
+    /// sometimes empty, single, constant, nearly constant or wider.
+    fn group(rng: &mut RngStream) -> Vec<f64> {
+        let n = match rng.uniform_int(0, 9) {
+            0 => rng.uniform_int(0, 1) as usize,
+            1 | 2 => rng.uniform_int(3, 6) as usize,
+            _ => 2,
+        };
+        let centre = rng.normal(7.0, 1.5);
+        match rng.uniform_int(0, 7) {
+            0 => vec![centre; n],
+            1 => (0..n)
+                .map(|i| f64::from_bits(centre.to_bits() + i as u64))
+                .collect(),
+            2 => (0..n).map(|_| rng.normal(0.0, 1e6)).collect(),
+            3 => (0..n)
+                .map(|_| if rng.chance(0.5) { 0.0 } else { -0.0 })
+                .collect(),
+            _ => (0..n).map(|_| rng.normal(centre, 0.25)).collect(),
+        }
+    }
+
+    #[test]
+    fn welch_is_bitwise_the_reference() {
+        let mut nones = 0;
+        for seed in 0..4_000 {
+            let mut rng = RngStream::derive(seed, "welch-differential");
+            let g1 = group(&mut rng);
+            let g2 = if rng.chance(0.1) {
+                g1.clone()
+            } else {
+                group(&mut rng)
+            };
+            let want = reference_welch_t_test(&g2, &g1);
+            nones += usize::from(want.is_none());
+            assert_eq!(
+                bits(welch_t_test(&g2, &g1)),
+                bits(want),
+                "seed {seed}: {g2:?} vs {g1:?}"
+            );
+        }
+        assert!(nones > 200, "the cases reach the None rows ({nones})");
+    }
 
     #[test]
     fn welch_reference_example() {
