@@ -20,7 +20,7 @@ use cumulus_crdata::stats::cluster::{hierarchical, Linkage};
 use cumulus_crdata::stats::distance::Metric;
 use cumulus_crdata::stats::fdr::{adjust, Adjustment};
 use cumulus_crdata::stats::norm;
-use cumulus_crdata::stats::ttest::welch_t_test;
+use cumulus_crdata::stats::ttest::{welch_t_test, welch_t_tests};
 use cumulus_crdata::svg::{scatter_plot, PlotPoint};
 use cumulus_galaxy::{ToolDefinition, ToolInvocation};
 use cumulus_net::DataSize;
@@ -170,13 +170,14 @@ fn main() {
         m.values[0]
     });
     let welch = |m: &cumulus_crdata::LabelledMatrix| -> (Vec<f64>, Vec<f64>) {
-        (0..m.nrows())
-            .map(|r| {
-                // Columns are g1_1, g1_2, g2_1, g2_2; the tool tests g2
-                // against g1.
-                let (g1, g2) = m.row(r).split_at(2);
-                welch_t_test(g2, g1).map_or((0.0, 1.0), |t| (t.mean_diff, t.p))
-            })
+        // Columns are g1_1, g1_2, g2_1, g2_2; the tool tests g2 against g1.
+        let rows = (0..m.nrows()).map(|r| {
+            let (g1, g2) = m.row(r).split_at(2);
+            (g2, g1)
+        });
+        welch_t_tests(rows)
+            .into_iter()
+            .map(|t| t.map_or((0.0, 1.0), |t| (t.mean_diff, t.p)))
             .unzip()
     };
     h.bench("welch_2000x4", 50, || welch(&m));

@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod datagen;
+mod decimal;
 pub mod genomics;
 pub mod matrix;
 pub mod stats;

@@ -163,20 +163,25 @@ impl LabelledMatrix {
     /// `groupA_1`, `groupB_2`, …). Returns `(group names, per-group column
     /// indices)` with groups in first-appearance order.
     pub fn groups_from_col_names(&self) -> (Vec<String>, Vec<Vec<usize>>) {
-        let mut names: Vec<String> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (c, col) in self.col_names.iter().enumerate() {
-            let g = col.split('_').next().unwrap_or(col).to_string();
-            match names.iter().position(|n| *n == g) {
-                Some(i) => groups[i].push(c),
-                None => {
-                    names.push(g);
-                    groups.push(vec![c]);
-                }
+        sample_groups(&self.col_names)
+    }
+}
+
+/// [`LabelledMatrix::groups_from_col_names`] over column names alone.
+pub fn sample_groups(col_names: &[String]) -> (Vec<String>, Vec<Vec<usize>>) {
+    let mut names: Vec<String> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (c, col) in col_names.iter().enumerate() {
+        let g = col.split('_').next().unwrap_or(col).to_string();
+        match names.iter().position(|n| *n == g) {
+            Some(i) => groups[i].push(c),
+            None => {
+                names.push(g);
+                groups.push(vec![c]);
             }
         }
-        (names, groups)
     }
+    (names, groups)
 }
 
 #[cfg(test)]

@@ -11,10 +11,14 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Sample variance (n−1 denominator); `None` with fewer than two values.
 pub fn variance(xs: &[f64]) -> Option<f64> {
+    variance_about(xs, mean(xs))
+}
+
+/// [`variance`] for a caller that already holds `m = mean(xs)`.
+pub(crate) fn variance_about(xs: &[f64], m: f64) -> Option<f64> {
     if xs.len() < 2 {
         return None;
     }
-    let m = mean(xs);
     Some(xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() as f64 - 1.0))
 }
 

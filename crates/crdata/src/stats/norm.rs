@@ -10,16 +10,30 @@ use super::order::ascending_order;
 /// log₂-transform all values (values are clamped to ≥ 1 first, as raw
 /// intensities are positive).
 pub fn log2_transform(m: &mut LabelledMatrix) {
-    m.map_in_place(|v| v.max(1.0).log2());
+    log2_values(&mut m.values);
+}
+
+/// [`log2_transform`] on a matrix's values.
+pub(crate) fn log2_values(values: &mut [f64]) {
+    for v in values {
+        *v = v.max(1.0).log2();
+    }
 }
 
 /// Simple RMA-style background correction: subtract a per-column
 /// background (the 2nd percentile) and clamp at a small positive floor.
 pub fn background_correct(m: &mut LabelledMatrix) {
     let ncols = m.ncols();
+    background_correct_values(&mut m.values, ncols);
+}
+
+/// [`background_correct`] on the row-major values of a matrix with
+/// `ncols` columns.
+fn background_correct_values(values: &mut [f64], ncols: usize) {
     for c in 0..ncols {
-        let bg = super::describe::quantile(&m.col(c), 0.02).unwrap_or(0.0);
-        for v in m.values.iter_mut().skip(c).step_by(ncols) {
+        let col: Vec<f64> = values.iter().skip(c).step_by(ncols).copied().collect();
+        let bg = super::describe::quantile(&col, 0.02).unwrap_or(0.0);
+        for v in values.iter_mut().skip(c).step_by(ncols) {
             *v = (*v - bg).max(1.0);
         }
     }
@@ -33,22 +47,28 @@ pub fn background_correct(m: &mut LabelledMatrix) {
 /// the rank means are summed column by column, so every sum adds the same
 /// values in the same order whatever ranks the columns.
 pub fn quantile_normalize(m: &mut LabelledMatrix) {
-    let nrows = m.nrows();
     let ncols = m.ncols();
-    if nrows == 0 || ncols < 2 {
+    quantile_normalize_values(&mut m.values, ncols);
+}
+
+/// [`quantile_normalize`] on the row-major values of a matrix with
+/// `ncols` columns.
+fn quantile_normalize_values(values: &mut [f64], ncols: usize) {
+    if ncols < 2 || values.is_empty() {
         return;
     }
+    let nrows = values.len() / ncols;
     // Rank each column.
     let orders: Vec<Vec<usize>> = (0..ncols)
         .map(|c| {
-            ascending_order(m.values.iter().skip(c).step_by(ncols).copied()).expect("finite values")
+            ascending_order(values.iter().skip(c).step_by(ncols).copied()).expect("finite values")
         })
         .collect();
     // Mean of each rank across columns.
     let mut rank_means = vec![0.0; nrows];
     for (c, order) in orders.iter().enumerate() {
         for (rank, &row) in order.iter().enumerate() {
-            rank_means[rank] += m.values[row * ncols + c];
+            rank_means[rank] += values[row * ncols + c];
         }
     }
     for v in &mut rank_means {
@@ -57,7 +77,7 @@ pub fn quantile_normalize(m: &mut LabelledMatrix) {
     // Assign rank means back.
     for (c, order) in orders.iter().enumerate() {
         for (rank, &row) in order.iter().enumerate() {
-            m.values[row * ncols + c] = rank_means[rank];
+            values[row * ncols + c] = rank_means[rank];
         }
     }
 }
@@ -97,9 +117,15 @@ pub fn median_center_cols(m: &mut LabelledMatrix) {
 /// The full RMA-like pipeline used by `affyNormalize`: background
 /// correction → quantile normalization → log₂.
 pub fn rma_like(m: &mut LabelledMatrix) {
-    background_correct(m);
-    quantile_normalize(m);
-    log2_transform(m);
+    let ncols = m.ncols();
+    rma_like_values(&mut m.values, ncols);
+}
+
+/// [`rma_like`] on the row-major values of a matrix with `ncols` columns.
+pub(crate) fn rma_like_values(values: &mut [f64], ncols: usize) {
+    background_correct_values(values, ncols);
+    quantile_normalize_values(values, ncols);
+    log2_values(values);
 }
 
 #[cfg(test)]

@@ -22,8 +22,9 @@ fn order_key(v: f64) -> u64 {
 /// a stable sort by `partial_cmp` gives. `None` if a value is NaN, which
 /// has no place in that order.
 pub fn ascending_order(values: impl IntoIterator<Item = f64>) -> Option<Vec<usize>> {
-    let mut keys = Vec::new();
-    for (i, v) in values.into_iter().enumerate() {
+    let values = values.into_iter();
+    let mut keys = Vec::with_capacity(values.size_hint().0);
+    for (i, v) in values.enumerate() {
         if v.is_nan() {
             return None;
         }

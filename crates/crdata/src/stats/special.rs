@@ -34,72 +34,109 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
+/// `ln Γ(1/2)`, bit for bit what [`ln_gamma`]`(0.5)` returns. [`t_cdf`]
+/// passes `b = 1/2` to the incomplete beta on every call, so it takes
+/// this constant instead of evaluating the Lanczos sum again.
+const LN_GAMMA_HALF: f64 = 0.572_364_942_924_699_5;
+
+/// Cases [`t_two_sided_p_many`] evaluates side by side.
+const LANES: usize = 4;
+
 /// Regularized incomplete beta function `I_x(a, b)` via the continued
 /// fraction (Lentz's method).
 pub fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "incomplete_beta requires a,b > 0");
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x >= 1.0 {
-        return 1.0;
-    }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
-    let front = ln_front.exp();
-    // Evaluate the continued fraction on whichever side converges fast
-    // (Numerical Recipes' symmetric form — no recursion).
-    if x < (a + 1.0) / (a + b + 2.0) {
-        front * beta_cf(a, b, x) / a
-    } else {
-        1.0 - front * beta_cf(b, a, 1.0 - x) / b
-    }
+    incomplete_beta_lanes([a], [b], [ln_gamma(b)], [x])[0]
 }
 
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
+/// `I_x(a, b)` of `N` independent cases, given `ln Γ(b)` of each. Lane
+/// `l` is bit for bit the one-lane evaluation of `(a[l], b[l], x[l])`.
+fn incomplete_beta_lanes<const N: usize>(
+    a: [f64; N],
+    b: [f64; N],
+    ln_gamma_b: [f64; N],
+    x: [f64; N],
+) -> [f64; N] {
+    let mut out = [0.0; N];
+    let mut front = [0.0; N];
+    let mut left = [true; N];
+    let mut live = [false; N];
+    // Continued-fraction arguments; lanes at `x <= 0` or `x >= 1` keep
+    // these placeholders and are never live.
+    let (mut cf_a, mut cf_b, mut cf_x) = ([1.0; N], [1.0; N], [0.0; N]);
+    for l in 0..N {
+        let (a, b, x) = (a[l], b[l], x[l]);
+        if x <= 0.0 {
+            continue;
+        }
+        if x >= 1.0 {
+            out[l] = 1.0;
+            continue;
+        }
+        let ln_front =
+            ln_gamma(a + b) - ln_gamma(a) - ln_gamma_b[l] + a * x.ln() + b * (1.0 - x).ln();
+        front[l] = ln_front.exp();
+        live[l] = true;
+        // Evaluate the continued fraction on whichever side converges fast
+        // (Numerical Recipes' symmetric form — no recursion).
+        left[l] = x < (a + 1.0) / (a + b + 2.0);
+        (cf_a[l], cf_b[l], cf_x[l]) = if left[l] { (a, b, x) } else { (b, a, 1.0 - x) };
+    }
+    let h = beta_cf(cf_a, cf_b, cf_x, live);
+    for l in 0..N {
+        if live[l] {
+            out[l] = if left[l] {
+                front[l] * h[l] / a[l]
+            } else {
+                1.0 - front[l] * h[l] / b[l]
+            };
+        }
+    }
+    out
+}
+
+/// Lentz's continued fraction of `N` independent cases in lock step.
+///
+/// Each lane performs the scalar recurrence's operations in their scalar
+/// order and stops updating after the step at which it converges (or at
+/// the iteration cap, which all lanes share), so its result is bit for
+/// bit the one-lane evaluation. Interleaving lanes only lets their
+/// dependent divisions overlap. Lanes not `live` are never updated.
+fn beta_cf<const N: usize>(a: [f64; N], b: [f64; N], x: [f64; N], mut live: [bool; N]) -> [f64; N] {
     const MAX_ITER: usize = 300;
     const EPS: f64 = 3e-14;
     const FPMIN: f64 = 1e-300;
+    let floor = |v: f64| if v.abs() < FPMIN { FPMIN } else { v };
 
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < FPMIN {
-        d = FPMIN;
-    }
-    d = 1.0 / d;
+    let qab: [f64; N] = std::array::from_fn(|l| a[l] + b[l]);
+    let qap: [f64; N] = std::array::from_fn(|l| a[l] + 1.0);
+    let qam: [f64; N] = std::array::from_fn(|l| a[l] - 1.0);
+    let mut c = [1.0; N];
+    let mut d: [f64; N] = std::array::from_fn(|l| 1.0 / floor(1.0 - qab[l] * x[l] / qap[l]));
     let mut h = d;
     for m in 1..=MAX_ITER {
+        if !live.contains(&true) {
+            break;
+        }
         let m = m as f64;
         let m2 = 2.0 * m;
-        // Even step.
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        // Odd step.
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
+        for l in 0..N {
+            // Even step.
+            let aa = m * (b[l] - m) * x[l] / ((qam[l] + m2) * (a[l] + m2));
+            let d_even = 1.0 / floor(1.0 + aa * d[l]);
+            let c_even = floor(1.0 + aa / c[l]);
+            let h_even = h[l] * (d_even * c_even);
+            // Odd step.
+            let aa = -(a[l] + m) * (qab[l] + m) * x[l] / ((a[l] + m2) * (qap[l] + m2));
+            let d_odd = 1.0 / floor(1.0 + aa * d_even);
+            let c_odd = floor(1.0 + aa / c_even);
+            let del = d_odd * c_odd;
+            if live[l] {
+                (d[l], c[l], h[l]) = (d_odd, c_odd, h_even * del);
+                // A NaN step keeps iterating, as the scalar loop's
+                // `< EPS` exit test does.
+                live[l] = (del - 1.0).abs() >= EPS || del.is_nan();
+            }
         }
     }
     h
@@ -169,20 +206,54 @@ pub fn normal_cdf(z: f64) -> f64 {
 
 /// Student's t CDF with `df` degrees of freedom.
 pub fn t_cdf(t: f64, df: f64) -> f64 {
-    assert!(df > 0.0, "t_cdf requires df > 0");
-    let x = df / (df + t * t);
-    let p = 0.5 * incomplete_beta(df / 2.0, 0.5, x);
-    if t > 0.0 {
-        1.0 - p
-    } else {
-        p
+    t_cdf_lanes([t], [df])[0]
+}
+
+/// Student's t CDF of `N` independent cases; lane `l` is bit for bit
+/// `t_cdf(t[l], df[l])`.
+fn t_cdf_lanes<const N: usize>(t: [f64; N], df: [f64; N]) -> [f64; N] {
+    let mut a = [0.0; N];
+    let mut x = [0.0; N];
+    for l in 0..N {
+        assert!(df[l] > 0.0, "t_cdf requires df > 0");
+        x[l] = df[l] / (df[l] + t[l] * t[l]);
+        a[l] = df[l] / 2.0;
     }
+    let ib = incomplete_beta_lanes(a, [0.5; N], [LN_GAMMA_HALF; N], x);
+    std::array::from_fn(|l| {
+        let p = 0.5 * ib[l];
+        if t[l] > 0.0 {
+            1.0 - p
+        } else {
+            p
+        }
+    })
 }
 
 /// Two-sided p-value for a t statistic.
 pub fn t_two_sided_p(t: f64, df: f64) -> f64 {
-    let tail = 1.0 - t_cdf(t.abs(), df);
-    (2.0 * tail).clamp(0.0, 1.0)
+    t_two_sided_p_lanes([t], [df])[0]
+}
+
+fn t_two_sided_p_lanes<const N: usize>(t: [f64; N], df: [f64; N]) -> [f64; N] {
+    t_cdf_lanes(t.map(f64::abs), df).map(|cdf| (2.0 * (1.0 - cdf)).clamp(0.0, 1.0))
+}
+
+/// Two-sided p-values of many `(t, df)` pairs: element `i` is bit for bit
+/// `t_two_sided_p(t[i], df[i])`. The continued fractions of [`LANES`]
+/// pairs run in lock step, so their divisions overlap.
+pub fn t_two_sided_p_many(t: &[f64], df: &[f64]) -> Vec<f64> {
+    assert_eq!(t.len(), df.len(), "one df per t statistic");
+    let mut out = Vec::with_capacity(t.len());
+    for (t, df) in t.chunks(LANES).zip(df.chunks(LANES)) {
+        // A short last chunk is padded with `t = 0, df = 1`, whose
+        // incomplete beta needs no continued fraction.
+        let (mut tl, mut dl) = ([0.0; LANES], [1.0; LANES]);
+        tl[..t.len()].copy_from_slice(t);
+        dl[..df.len()].copy_from_slice(df);
+        out.extend_from_slice(&t_two_sided_p_lanes(tl, dl)[..t.len()]);
+    }
+    out
 }
 
 /// Chi-square CDF with `df` degrees of freedom.
@@ -353,6 +424,50 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ln_gamma_half_is_the_lanczos_value() {
+        assert_eq!(LN_GAMMA_HALF.to_bits(), ln_gamma(0.5).to_bits());
+    }
+
+    #[test]
+    fn batched_p_values_are_bitwise_the_reference_at_every_length() {
+        for seed in 0..4 {
+            let mut rng = RngStream::derive(seed, "t-p-batches");
+            let dfs = df_cases(&mut rng);
+            let ts = t_cases(&mut rng);
+            // Every (t, df) case, shuffled so each meets varied neighbours
+            // in its lane group.
+            let mut cases: Vec<(f64, f64)> = dfs
+                .iter()
+                .flat_map(|&df| ts.iter().map(move |&t| (t, df)))
+                .collect();
+            rng.shuffle(&mut cases);
+            // Lengths below, at and past multiples of the lane count.
+            let mut lengths: Vec<usize> = (0..=3 * LANES + 1).collect();
+            lengths.extend([97, 1_001, cases.len()]);
+            for len in lengths {
+                let (t, df): (Vec<f64>, Vec<f64>) = cases[..len].iter().copied().unzip();
+                let got = t_two_sided_p_many(&t, &df);
+                assert_eq!(got.len(), len);
+                for (i, p) in got.iter().enumerate() {
+                    assert_eq!(
+                        p.to_bits(),
+                        reference_t_two_sided_p(t[i], df[i]).to_bits(),
+                        "seed {seed} len {len} at {i}: t {:e} df {}",
+                        t[i],
+                        df[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "t_cdf requires df > 0")]
+    fn batched_p_value_of_nan_df_still_panics() {
+        t_two_sided_p_many(&[1.0, 2.0, 3.0], &[1.5, f64::NAN, 2.0]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! t-tests: the statistical engine behind `affyDifferentialExpression.R`
 //! ("conducts two-group differential expression on Affymetrix CEL files").
 
-use super::describe::{mean, variance};
-use super::special::t_two_sided_p;
+use super::describe::{mean, variance_about};
+use super::special::{t_two_sided_p, t_two_sided_p_many};
 
 /// A test result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,13 +23,41 @@ pub struct TTestResult {
 /// Returns `None` when either group has fewer than two observations or
 /// both variances are zero.
 pub fn welch_t_test(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
+    let mut r = welch_statistic(group1, group2)?;
+    r.p = t_two_sided_p(r.t, r.df);
+    Some(r)
+}
+
+/// [`welch_t_test`] on many pairs of groups: element `i` is bit for bit
+/// `welch_t_test` of pair `i`. The p-values come from
+/// [`t_two_sided_p_many`], which evaluates several side by side.
+pub fn welch_t_tests<'a>(
+    pairs: impl IntoIterator<Item = (&'a [f64], &'a [f64])>,
+) -> Vec<Option<TTestResult>> {
+    let mut results: Vec<Option<TTestResult>> = pairs
+        .into_iter()
+        .map(|(g1, g2)| welch_statistic(g1, g2))
+        .collect();
+    let (t, df): (Vec<f64>, Vec<f64>) = results.iter().flatten().map(|r| (r.t, r.df)).unzip();
+    for (r, p) in results
+        .iter_mut()
+        .flatten()
+        .zip(t_two_sided_p_many(&t, &df))
+    {
+        r.p = p;
+    }
+    results
+}
+
+/// Welch's t, degrees of freedom and mean difference, with `p` left NaN.
+fn welch_statistic(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
     if group1.len() < 2 || group2.len() < 2 {
         return None;
     }
     let m1 = mean(group1);
     let m2 = mean(group2);
-    let v1 = variance(group1)?;
-    let v2 = variance(group2)?;
+    let v1 = variance_about(group1, m1)?;
+    let v2 = variance_about(group2, m2)?;
     let n1 = group1.len() as f64;
     let n2 = group2.len() as f64;
     let se2 = v1 / n1 + v2 / n2;
@@ -41,7 +69,7 @@ pub fn welch_t_test(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
     Some(TTestResult {
         t,
         df,
-        p: t_two_sided_p(t, df),
+        p: f64::NAN,
         mean_diff: m1 - m2,
     })
 }
@@ -53,8 +81,8 @@ pub fn pooled_t_test(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
     }
     let m1 = mean(group1);
     let m2 = mean(group2);
-    let v1 = variance(group1)?;
-    let v2 = variance(group2)?;
+    let v1 = variance_about(group1, m1)?;
+    let v2 = variance_about(group2, m2)?;
     let n1 = group1.len() as f64;
     let n2 = group2.len() as f64;
     let df = n1 + n2 - 2.0;
@@ -80,7 +108,7 @@ pub fn paired_t_test(before: &[f64], after: &[f64]) -> Option<TTestResult> {
     }
     let diffs: Vec<f64> = before.iter().zip(after).map(|(a, b)| a - b).collect();
     let md = mean(&diffs);
-    let vd = variance(&diffs)?;
+    let vd = variance_about(&diffs, md)?;
     if vd == 0.0 {
         return None;
     }
@@ -101,7 +129,7 @@ pub fn one_sample_t_test(xs: &[f64], mu0: f64) -> Option<TTestResult> {
         return None;
     }
     let m = mean(xs);
-    let v = variance(xs)?;
+    let v = variance_about(xs, m)?;
     if v == 0.0 {
         return None;
     }
@@ -204,6 +232,25 @@ mod tests {
             );
         }
         assert!(nones > 200, "the cases reach the None rows ({nones})");
+    }
+
+    #[test]
+    fn batched_welch_is_bitwise_the_reference_at_every_length() {
+        let mut rng = RngStream::derive(11, "welch-batches");
+        let pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..600)
+            .map(|_| (group(&mut rng), group(&mut rng)))
+            .collect();
+        for len in (0..=13).chain([255, 600]) {
+            let got = welch_t_tests(pairs[..len].iter().map(|(a, b)| (&a[..], &b[..])));
+            assert_eq!(got.len(), len);
+            for (i, (g1, g2)) in pairs[..len].iter().enumerate() {
+                assert_eq!(
+                    bits(got[i]),
+                    bits(reference_welch_t_test(g1, g2)),
+                    "len {len} pair {i}: {g1:?} vs {g2:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! heatmaps with dendrogram-ordered rows, boxplots — small enough to eyeball
 //! and assert on in tests.
 
+use crate::decimal::push_fixed;
+
 /// A point with an optional highlight flag (e.g. significant probes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlotPoint {
@@ -80,58 +82,15 @@ pub fn scatter_plot(title: &str, x_label: &str, y_label: &str, points: &[PlotPoi
     for p in points {
         let color = if p.highlight { "#d62728" } else { "#1f77b4" };
         out.push_str(r#"<circle cx=""#);
-        push_fixed2(&mut out, sx(p.x));
+        push_fixed(&mut out, sx(p.x), 2);
         out.push_str(r#"" cy=""#);
-        push_fixed2(&mut out, sy(p.y));
+        push_fixed(&mut out, sy(p.y), 2);
         out.push_str(r#"" r="2.5" fill=""#);
         out.push_str(color);
         out.push_str(r#"" fill-opacity="0.7"/>"#);
     }
     out.push_str("</svg>");
     out
-}
-
-/// Magnitudes from which [`push_fixed2`] defers to the general formatter.
-/// Below it, `|v| · 100 < 1e9` carries a rounding error under 1.2e-7, well
-/// inside the 1e-6 margin kept around a rounding tie.
-const FIXED2_LIMIT: f64 = 1e7;
-
-/// Append `v` exactly as `format!("{v:.2}")` writes it.
-///
-/// `{:.2}` rounds the exact binary value of `v` to two decimals. When the
-/// fractional part of `s = |v| · 100` lies more than 1e-6 from one half,
-/// rounding `s` to an integer `n` gives the same two decimals (the error of
-/// the product is far smaller than that margin), and `n / 100 "." n % 100`
-/// with the sign of `v` is the string. Near-ties, which need the exact
-/// binary expansion, non-finite values and magnitudes from
-/// [`FIXED2_LIMIT`] up go through the general formatter.
-fn push_fixed2(out: &mut String, v: f64) {
-    use std::fmt::Write;
-    let s = v.abs() * 100.0;
-    if !v.is_finite() || v.abs() >= FIXED2_LIMIT || (s - s.floor() - 0.5).abs() <= 1e-6 {
-        write!(out, "{v:.2}").expect("writing to a String cannot fail");
-        return;
-    }
-    let n = s.round() as u64;
-    if v.is_sign_negative() {
-        out.push('-');
-    }
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    let mut whole = n / 100;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (whole % 10) as u8;
-        whole /= 10;
-        if whole == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-    out.push('.');
-    let cents = (n % 100) as u8;
-    out.push(char::from(b'0' + cents / 10));
-    out.push(char::from(b'0' + cents % 10));
 }
 
 /// Render a heatmap: `values[r][c]` in row-major order with row/column
@@ -254,77 +213,6 @@ pub fn boxplot(title: &str, groups: &[(String, [f64; 5])]) -> String {
 mod tests {
     use super::*;
     use cumulus_simkit::rng::RngStream;
-
-    fn fixed2(v: f64) -> String {
-        let mut out = String::new();
-        push_fixed2(&mut out, v);
-        out
-    }
-
-    #[test]
-    fn fixed_point_matches_the_general_formatter_on_edge_values() {
-        let edges = [
-            0.0,
-            -0.0,
-            0.125,
-            0.375,
-            -0.125,
-            2.675,
-            1.005,
-            -1.005,
-            0.005,
-            0.015,
-            0.045,
-            -0.004,
-            0.994_999_999,
-            0.995,
-            9.995,
-            99.995,
-            439.995,
-            1.0 / 3.0,
-            -2.0 / 3.0,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE / 8.0,
-            FIXED2_LIMIT - 0.005,
-            FIXED2_LIMIT,
-            1e9 + 0.125,
-            1e12,
-            1e12 + 0.375,
-            -3e15,
-            1e300,
-            f64::MAX,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        for v in edges {
-            assert_eq!(fixed2(v), format!("{v:.2}"), "{v:e}");
-        }
-        // Every exact binary quarter and eighth is a tie or next to one.
-        for i in -4000..4000 {
-            let v = i as f64 / 8.0;
-            assert_eq!(fixed2(v), format!("{v:.2}"), "{v}");
-        }
-        // Decimal near-halves: x.xx5 is never exact in binary.
-        for i in -20000..20000 {
-            let v = (i as f64 * 10.0 + 5.0) / 1000.0;
-            assert_eq!(fixed2(v), format!("{v:.2}"), "{v}");
-        }
-    }
-
-    #[test]
-    fn fixed_point_matches_the_general_formatter_on_seeded_values() {
-        let mut rng = RngStream::derive(11, "fixed2");
-        for i in 0..200_000 {
-            let v = match i % 4 {
-                0 => rng.uniform_range(-10.0, 500.0),
-                1 => rng.normal(0.0, 1.0),
-                2 => rng.uniform_range(-1e9, 1e9),
-                _ => (rng.uniform_range(-1e4, 1e4) * 1000.0).round() / 1000.0,
-            };
-            assert_eq!(fixed2(v), format!("{v:.2}"), "{v:e}");
-        }
-    }
 
     #[test]
     fn circles_are_written_as_the_formatter_wrote_them() {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use cumulus_galaxy::{CostModel, OutputSpec, ParamSpec, ToolDefinition, ToolError, ToolInvocation};
 
-use crate::matrix::LabelledMatrix;
+use crate::matrix::sample_groups;
 use crate::stats::classify::{knn_loocv_accuracy, Example, NearestCentroid};
 use crate::stats::cluster::{hierarchical, kmeans, Linkage};
 use crate::stats::describe;
@@ -13,10 +13,10 @@ use crate::stats::fdr::{adjust, Adjustment};
 use crate::stats::norm;
 use crate::stats::order::ascending_order;
 use crate::stats::regress::{pca_scores, principal_components};
-use crate::stats::ttest::welch_t_test;
+use crate::stats::ttest::welch_t_tests;
 use crate::svg::{self, PlotPoint};
 
-use super::{fmt, int_param, matrix_input, svg_output, table_output};
+use super::{fmt, int_param, matrix_input, matrix_values, svg_output, table_output, MatrixInput};
 use crate::matrix_to_content;
 
 /// All expression tools.
@@ -45,32 +45,43 @@ fn out(name: &str, dtype: &str) -> OutputSpec {
     }
 }
 
-/// Normalize (RMA-like) then split a matrix into the two groups encoded in
-/// its sample names.
+/// A matrix input normalized (RMA-like, or log₂ only with
+/// `normalize=no`), and its columns split into the groups encoded in its
+/// sample names.
 #[allow(clippy::type_complexity)]
-fn normalized_groups(
-    inv: &ToolInvocation,
-) -> Result<(LabelledMatrix, Vec<String>, Vec<Vec<usize>>), ToolError> {
-    let mut m = matrix_input(inv, "input")?;
+fn normalized_groups<'a>(
+    inv: &ToolInvocation<'a>,
+) -> Result<(MatrixInput<'a>, Vec<String>, Vec<Vec<usize>>), ToolError> {
+    let mut m = matrix_values(inv, "input")?;
+    let ncols = m.col_names.len();
     if inv.param("normalize") != Some("no") {
-        norm::rma_like(&mut m);
+        norm::rma_like_values(&mut m.values, ncols);
+        // Finite cells near `f64::MAX` can overflow the background shift
+        // or a rank-mean sum; the statistics have no answer for those.
+        if let Some(at) = m.values.iter().position(|v| !v.is_finite()) {
+            return Err(ToolError(format!(
+                "input: normalization overflows at row {:?}, column {:?}",
+                m.row_names[at / ncols],
+                m.col_names[at % ncols]
+            )));
+        }
     } else {
-        norm::log2_transform(&mut m);
+        norm::log2_values(&mut m.values);
     }
-    let (names, groups) = m.groups_from_col_names();
+    let (names, groups) = sample_groups(m.col_names);
     Ok((m, names, groups))
 }
 
 /// The per-probe differential-expression table shared by several tools.
-struct DiffExpr {
-    probes: Vec<String>,
+struct DiffExpr<'a> {
+    probes: &'a [String],
     log_fc: Vec<f64>,
     t: Vec<f64>,
     p: Vec<f64>,
     adj_p: Vec<f64>,
 }
 
-fn differential_expression(inv: &ToolInvocation) -> Result<DiffExpr, ToolError> {
+fn differential_expression<'a>(inv: &ToolInvocation<'a>) -> Result<DiffExpr<'a>, ToolError> {
     let (m, names, groups) = normalized_groups(inv)?;
     if names.len() != 2 {
         return Err(ToolError(format!(
@@ -79,21 +90,26 @@ fn differential_expression(inv: &ToolInvocation) -> Result<DiffExpr, ToolError> 
     }
     let method = Adjustment::parse(inv.param("adjust").unwrap_or("BH"))
         .ok_or_else(|| ToolError("unknown adjustment method".to_string()))?;
-    let mut log_fc = Vec::with_capacity(m.nrows());
-    let mut t_stats = Vec::with_capacity(m.nrows());
-    let mut p_values = Vec::with_capacity(m.nrows());
-    let mut g1 = Vec::with_capacity(groups[0].len());
-    let mut g2 = Vec::with_capacity(groups[1].len());
-    for r in 0..m.nrows() {
-        let row = m.row(r);
-        g1.clear();
-        g1.extend(groups[0].iter().map(|&c| row[c]));
-        g2.clear();
-        g2.extend(groups[1].iter().map(|&c| row[c]));
-        let result = welch_t_test(&g2, &g1);
+    // Each row's group-2 cells, then its group-1 cells: the test compares
+    // group 2 with group 1.
+    let n2 = groups[1].len();
+    let mut cells = Vec::with_capacity(m.values.len());
+    for row in m.values.chunks_exact(m.col_names.len()) {
+        cells.extend(groups[1].iter().map(|&c| row[c]));
+        cells.extend(groups[0].iter().map(|&c| row[c]));
+    }
+    let rows = || {
+        cells
+            .chunks_exact(m.col_names.len())
+            .map(|r| r.split_at(n2))
+    };
+    let mut log_fc = Vec::with_capacity(m.row_names.len());
+    let mut t_stats = Vec::with_capacity(m.row_names.len());
+    let mut p_values = Vec::with_capacity(m.row_names.len());
+    for ((g2, g1), result) in rows().zip(welch_t_tests(rows())) {
         let (t, p, diff) = match result {
             Some(r) => (r.t, r.p, r.mean_diff),
-            None => (0.0, 1.0, describe::mean(&g2) - describe::mean(&g1)),
+            None => (0.0, 1.0, describe::mean(g2) - describe::mean(g1)),
         };
         log_fc.push(diff); // already log2 scale
         t_stats.push(t);
@@ -199,7 +215,7 @@ fn affy_classify() -> ToolDefinition {
         outputs: vec![out("assignments", "tabular")],
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
-            let (m, _names, _groups) = normalized_groups(inv)?;
+            let m = normalized_groups(inv)?.0.into_matrix();
             // Each sample is an example; label = group prefix.
             let examples: Vec<Example> = (0..m.ncols())
                 .map(|c| Example {
@@ -466,6 +482,7 @@ fn affy_ma_plot() -> ToolDefinition {
         cost: CostModel::CRDATA_R,
         behavior: Arc::new(|inv: &ToolInvocation| {
             let (m, names, groups) = normalized_groups(inv)?;
+            let m = m.into_matrix();
             if names.len() != 2 {
                 return Err(ToolError("MA plot needs two groups".to_string()));
             }

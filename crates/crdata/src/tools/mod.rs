@@ -22,6 +22,7 @@ use cumulus_galaxy::{
     ToolRegistry,
 };
 
+use crate::decimal;
 use crate::matrix::LabelledMatrix;
 
 /// Total number of CRData tools (the paper's count).
@@ -55,10 +56,39 @@ pub fn register_all(registry: &mut ToolRegistry) -> Result<(), RegistryError> {
 
 // ----- shared input/output plumbing --------------------------------------
 
-/// Extract a matrix input. A dataset is user data, so a value count that
-/// disagrees with the labels, or a non-finite cell the statistics cannot
-/// order, is a tool error rather than a panic in the job's completion.
+/// A matrix input's labels, borrowed from its dataset, with a copy of its
+/// values for the tool to transform in place.
+pub(crate) struct MatrixInput<'a> {
+    pub(crate) row_names: &'a [String],
+    pub(crate) col_names: &'a [String],
+    /// Row-major; `values[r * col_names.len() + c]`.
+    pub(crate) values: Vec<f64>,
+}
+
+impl MatrixInput<'_> {
+    /// An owned matrix, labels copied.
+    pub(crate) fn into_matrix(self) -> LabelledMatrix {
+        LabelledMatrix::new(
+            self.row_names.to_vec(),
+            self.col_names.to_vec(),
+            self.values,
+        )
+    }
+}
+
+/// Extract a matrix input as an owned matrix (see [`matrix_values`]).
 pub(crate) fn matrix_input(inv: &ToolInvocation, name: &str) -> Result<LabelledMatrix, ToolError> {
+    matrix_values(inv, name).map(MatrixInput::into_matrix)
+}
+
+/// Extract a matrix input, copying only its values. A dataset is user
+/// data, so a value count that disagrees with the labels, or a non-finite
+/// cell the statistics cannot order, is a tool error rather than a panic
+/// in the job's completion.
+pub(crate) fn matrix_values<'a>(
+    inv: &ToolInvocation<'a>,
+    name: &str,
+) -> Result<MatrixInput<'a>, ToolError> {
     match inv.input(name).map(Content::body) {
         Some(ContentBody::Matrix {
             row_names,
@@ -80,11 +110,11 @@ pub(crate) fn matrix_input(inv: &ToolInvocation, name: &str) -> Result<LabelledM
                     col_names[at % cols]
                 )));
             }
-            Ok(LabelledMatrix::new(
-                row_names.clone(),
-                col_names.clone(),
-                values.clone(),
-            ))
+            Ok(MatrixInput {
+                row_names,
+                col_names,
+                values: values.clone(),
+            })
         }
         Some(other) => Err(ToolError(format!(
             "{name}: expected an expression matrix, got {}",
@@ -145,15 +175,18 @@ pub(crate) fn svg_output(name: &str, dataset_name: &str, svg: String) -> ToolOut
     }
 }
 
-/// Compact numeric formatting for tables (R-ish significant digits).
+/// Compact numeric formatting for tables (R-ish significant digits):
+/// `{:.4}` from 0.001 up to 100,000 in magnitude, `{:.3e}` outside.
 pub(crate) fn fmt(x: f64) -> String {
+    let mut out = String::new();
     if x == 0.0 {
-        "0".to_string()
+        out.push('0');
     } else if x.abs() >= 0.001 && x.abs() < 100_000.0 {
-        format!("{x:.4}")
+        decimal::push_fixed(&mut out, x, 4);
     } else {
-        format!("{x:.3e}")
+        decimal::push_sci(&mut out, x, 3);
     }
+    out
 }
 
 /// Parse a float parameter with a tool-friendly error.

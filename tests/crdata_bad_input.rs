@@ -106,6 +106,19 @@ fn non_finite_cell_fails_the_job() {
 }
 
 #[test]
+fn cells_near_the_largest_double_fail_normalization_not_the_episode() {
+    // Every cell is finite, but the largest rank's mean sums past
+    // `f64::MAX`; the Welch test would see infinities and a NaN df.
+    let values = vec![1.7e308, 1.6e308, 1.0e308, 1.79e308, 50.0, 60.0, 52.0, 51.0];
+    let (state, error) = run_differential_expression(matrix(values));
+    assert_eq!(state, GalaxyJobState::Error);
+    assert_eq!(
+        error.as_deref(),
+        Some("input: normalization overflows at row \"probe_1\", column \"ctrl_1\"")
+    );
+}
+
+#[test]
 fn nan_cell_fails_a_two_group_t_test() {
     let data = table(
         &["group1", "group2"],
