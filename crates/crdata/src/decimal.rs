@@ -30,41 +30,48 @@ const POW10: [f64; 23] = [
 /// conversion truncates, which for such `s` is `floor`, and `s − floor(s)`
 /// is exact; unlike `floor` and `round`, it needs no library call on
 /// targets without SSE4.1.
-fn round_scaled(s: f64) -> Option<u64> {
+#[inline]
+fn round_scaled(s: f64) -> Option<u32> {
     if s.is_nan() || s >= SCALED_LIMIT {
         return None;
     }
-    let whole = s as u64;
-    let frac = s - whole as f64;
-    ((frac - 0.5).abs() > TIE_MARGIN).then_some(whole + u64::from(frac > 0.5))
+    let whole = s as u32;
+    let frac = s - f64::from(whole);
+    ((frac - 0.5).abs() > TIE_MARGIN).then_some(whole + u32::from(frac > 0.5))
 }
 
 /// Append `n` as `whole "." fraction`, the fraction being its last
 /// `decimals` digits.
-fn push_scaled(out: &mut String, n: u64, decimals: usize) {
-    let mut digits = [0u8; 24];
-    let mut at = digits.len();
-    let mut rest = n;
-    for _ in 0..decimals {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
+#[inline]
+fn push_scaled(out: &mut String, n: u32, decimals: usize) {
+    let scale = 10u32.pow(decimals as u32);
+    push_digits(out, n / scale, 1);
+    out.push('.');
+    push_digits(out, n % scale, decimals);
+}
+
+/// Append `v` in decimal, zero-padded to at least `width` digits. The
+/// digits are pushed one by one, which measured faster than checking and
+/// copying a buffer of them.
+#[inline]
+fn push_digits(out: &mut String, v: u32, width: usize) {
+    // Least significant first.
+    let mut digits = [0u8; 10];
+    let mut len = 0;
+    let mut rest = v;
+    while len < width || rest > 0 {
+        digits[len] = b'0' + (rest % 10) as u8;
         rest /= 10;
+        len += 1;
     }
-    at -= 1;
-    digits[at] = b'.';
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+    for &d in digits[..len].iter().rev() {
+        out.push(char::from(d));
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Append `v` exactly as `format!("{v:.decimals$}")` writes it
-/// (`decimals` at most 8).
+/// (`decimals` from 1 to 8).
+#[inline]
 pub(crate) fn push_fixed(out: &mut String, v: f64, decimals: usize) {
     match round_scaled(v.abs() * POW10[decimals]) {
         Some(n) => {
@@ -78,7 +85,7 @@ pub(crate) fn push_fixed(out: &mut String, v: f64, decimals: usize) {
 }
 
 /// Append `v` exactly as `format!("{v:.decimals$e}")` writes it
-/// (`decimals` at most 7).
+/// (`decimals` from 1 to 7).
 pub(crate) fn push_sci(out: &mut String, v: f64, decimals: usize) {
     let Some((n, exp)) = sci_digits(v.abs(), decimals) else {
         write!(out, "{v:.decimals$e}").expect("writing to a String cannot fail");
@@ -92,17 +99,13 @@ pub(crate) fn push_sci(out: &mut String, v: f64, decimals: usize) {
     if exp < 0 {
         out.push('-');
     }
-    let exp = exp.unsigned_abs();
-    if exp >= 10 {
-        out.push(char::from(b'0' + (exp / 10) as u8));
-    }
-    out.push(char::from(b'0' + (exp % 10) as u8));
+    push_digits(out, exp.unsigned_abs(), 1);
 }
 
 /// The `decimals + 1` significant digits of a positive `a`, as an integer
 /// in `[10^decimals, 10^(decimals+1))`, and the decimal exponent of the
 /// first; `None` where the fast path cannot be sure of them.
-fn sci_digits(a: f64, decimals: usize) -> Option<(u64, i32)> {
+fn sci_digits(a: f64, decimals: usize) -> Option<(u32, i32)> {
     if !(a.is_finite() && a > 0.0) {
         return None;
     }
@@ -122,9 +125,9 @@ fn sci_digits(a: f64, decimals: usize) -> Option<(u64, i32)> {
         return None;
     }
     let mut n = round_scaled(s)?;
-    if n == hi as u64 {
+    if n == hi as u32 {
         // 9.9995e-5 rounds up to 1.000e-4.
-        n = lo as u64;
+        n = lo as u32;
         exp += 1;
     }
     Some((n, exp))

@@ -80,14 +80,15 @@ pub fn scatter_plot(title: &str, x_label: &str, y_label: &str, points: &[PlotPoi
     // front measured a higher peak memory in episodes that keep their
     // figures (DESIGN.md §16).
     for p in points {
-        let color = if p.highlight { "#d62728" } else { "#1f77b4" };
         out.push_str(r#"<circle cx=""#);
         push_fixed(&mut out, sx(p.x), 2);
         out.push_str(r#"" cy=""#);
         push_fixed(&mut out, sy(p.y), 2);
-        out.push_str(r#"" r="2.5" fill=""#);
-        out.push_str(color);
-        out.push_str(r#"" fill-opacity="0.7"/>"#);
+        out.push_str(if p.highlight {
+            r##"" r="2.5" fill="#d62728" fill-opacity="0.7"/>"##
+        } else {
+            r##"" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>"##
+        });
     }
     out.push_str("</svg>");
     out
