@@ -115,11 +115,9 @@ fn beta_cf<const N: usize>(a: [f64; N], b: [f64; N], x: [f64; N], mut live: [boo
     let mut d: [f64; N] = std::array::from_fn(|l| 1.0 / floor(1.0 - qab[l] * x[l] / qap[l]));
     let mut h = d;
     for m in 1..=MAX_ITER {
-        if !live.contains(&true) {
-            break;
-        }
         let m = m as f64;
         let m2 = 2.0 * m;
+        let mut any_live = false;
         for l in 0..N {
             // Even step.
             let aa = m * (b[l] - m) * x[l] / ((qam[l] + m2) * (a[l] + m2));
@@ -132,11 +130,20 @@ fn beta_cf<const N: usize>(a: [f64; N], b: [f64; N], x: [f64; N], mut live: [boo
             let c_odd = floor(1.0 + aa / c_even);
             let del = d_odd * c_odd;
             if live[l] {
-                (d[l], c[l], h[l]) = (d_odd, c_odd, h_even * del);
-                // A NaN step keeps iterating, as the scalar loop's
-                // `< EPS` exit test does.
-                live[l] = (del - 1.0).abs() >= EPS || del.is_nan();
+                d[l] = d_odd;
+                c[l] = c_odd;
+                h[l] = h_even * del;
+                // The scalar loop's exit test, negated: a NaN step keeps
+                // iterating. One comparison measured faster than a second
+                // `is_nan` test.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let keep = !((del - 1.0).abs() < EPS);
+                live[l] = keep;
             }
+            any_live |= live[l];
+        }
+        if !any_live {
+            break;
         }
     }
     h
@@ -385,7 +392,8 @@ pub(crate) mod tests {
     }
 
     /// Seeded t statistics of both signs: zeros, tiny, ordinary and huge
-    /// magnitudes (up to ones whose square overflows).
+    /// magnitudes (up to ones whose square overflows), and NaN, whose
+    /// continued fraction runs to its iteration cap.
     pub(crate) fn t_cases(rng: &mut RngStream) -> Vec<f64> {
         let mut mags = vec![
             0.0,
@@ -401,6 +409,7 @@ pub(crate) mod tests {
             1e155,
             1e300,
             f64::MAX,
+            f64::NAN,
         ];
         mags.extend((0..30).map(|_| rng.normal(0.0, 4.0).abs()));
         mags.extend((0..10).map(|_| rng.uniform_range(0.0, 200.0)));
