@@ -1,6 +1,7 @@
 //! Descriptive statistics over slices.
 
 /// Arithmetic mean (0 for empty input).
+#[inline]
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
@@ -15,6 +16,7 @@ pub fn variance(xs: &[f64]) -> Option<f64> {
 }
 
 /// [`variance`] for a caller that already holds `m = mean(xs)`.
+#[inline]
 pub(crate) fn variance_about(xs: &[f64], m: f64) -> Option<f64> {
     if xs.len() < 2 {
         return None;

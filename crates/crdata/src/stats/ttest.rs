@@ -34,11 +34,18 @@ pub fn welch_t_test(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
 pub fn welch_t_tests<'a>(
     pairs: impl IntoIterator<Item = (&'a [f64], &'a [f64])>,
 ) -> Vec<Option<TTestResult>> {
-    let mut results: Vec<Option<TTestResult>> = pairs
-        .into_iter()
-        .map(|(g1, g2)| welch_statistic(g1, g2))
-        .collect();
-    let (t, df): (Vec<f64>, Vec<f64>) = results.iter().flatten().map(|r| (r.t, r.df)).unzip();
+    let pairs = pairs.into_iter();
+    let mut results = Vec::with_capacity(pairs.size_hint().0);
+    let mut t = Vec::with_capacity(results.capacity());
+    let mut df = Vec::with_capacity(results.capacity());
+    for (g1, g2) in pairs {
+        let r = welch_statistic(g1, g2);
+        if let Some(r) = r {
+            t.push(r.t);
+            df.push(r.df);
+        }
+        results.push(r);
+    }
     for (r, p) in results
         .iter_mut()
         .flatten()
@@ -50,6 +57,7 @@ pub fn welch_t_tests<'a>(
 }
 
 /// Welch's t, degrees of freedom and mean difference, with `p` left NaN.
+#[inline]
 fn welch_statistic(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
     if group1.len() < 2 || group2.len() < 2 {
         return None;
