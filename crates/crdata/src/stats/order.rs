@@ -47,14 +47,12 @@ pub fn ascending_order(values: impl IntoIterator<Item = f64>) -> Option<Vec<usiz
     // order only if its full keys are equal too.
     let index = |p: u64| (p & index_mask) as usize;
     let mut start = 0;
-    while start < n {
-        let high = packed[start] & !index_mask;
-        let mut end = start + 1;
-        while end < n && packed[end] & !index_mask == high {
-            end += 1;
+    for end in 1..=n {
+        if end < n && (packed[end] ^ packed[end - 1]) & !index_mask == 0 {
+            continue;
         }
         let run = &mut packed[start..end];
-        if run.iter().any(|&p| keys[index(p)] != keys[index(run[0])]) {
+        if run.len() > 1 && run.iter().any(|&p| keys[index(p)] != keys[index(run[0])]) {
             run.sort_unstable_by_key(|&p| (keys[index(p)], index(p)));
         }
         start = end;
