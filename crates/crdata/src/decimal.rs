@@ -229,6 +229,22 @@ mod tests {
         }
     }
 
+    /// The two-decimal path the figures' circle coordinates take, on
+    /// 200,000 values from the coordinate-like distributions.
+    #[test]
+    fn fixed_point_matches_the_formatter_on_seeded_values() {
+        let mut rng = RngStream::derive(11, "fixed2");
+        for i in 0..200_000 {
+            let v = match i % 4 {
+                0 => rng.uniform_range(-10.0, 500.0),
+                1 => rng.normal(0.0, 1.0),
+                2 => rng.uniform_range(-1e9, 1e9),
+                _ => (rng.uniform_range(-1e4, 1e4) * 1000.0).round() / 1000.0,
+            };
+            assert_eq!(fixed(v, 2), format!("{v:.2}"), "{v:e}");
+        }
+    }
+
     #[test]
     fn fast_paths_match_the_formatter_on_seeded_values() {
         let mut rng = RngStream::derive(11, "decimal");

@@ -168,7 +168,7 @@ impl LabelledMatrix {
 }
 
 /// [`LabelledMatrix::groups_from_col_names`] over column names alone.
-pub fn sample_groups(col_names: &[String]) -> (Vec<String>, Vec<Vec<usize>>) {
+pub(crate) fn sample_groups(col_names: &[String]) -> (Vec<String>, Vec<Vec<usize>>) {
     let mut names: Vec<String> = Vec::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (c, col) in col_names.iter().enumerate() {

@@ -249,7 +249,7 @@ fn t_two_sided_p_lanes<const N: usize>(t: [f64; N], df: [f64; N]) -> [f64; N] {
 /// Two-sided p-values of many `(t, df)` pairs: element `i` is bit for bit
 /// `t_two_sided_p(t[i], df[i])`. The continued fractions of four pairs
 /// at a time run in lock step, so their divisions overlap.
-pub fn t_two_sided_p_many(t: &[f64], df: &[f64]) -> Vec<f64> {
+pub(crate) fn t_two_sided_p_many(t: &[f64], df: &[f64]) -> Vec<f64> {
     assert_eq!(t.len(), df.len(), "one df per t statistic");
     let mut out = Vec::with_capacity(t.len());
     for (t, df) in t.chunks(LANES).zip(df.chunks(LANES)) {

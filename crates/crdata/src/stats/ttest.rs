@@ -29,8 +29,8 @@ pub fn welch_t_test(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
 }
 
 /// [`welch_t_test`] on many pairs of groups: element `i` is bit for bit
-/// `welch_t_test` of pair `i`. The p-values come from
-/// [`t_two_sided_p_many`], which evaluates several side by side.
+/// `welch_t_test` of pair `i`. The p-values of several pairs are
+/// evaluated side by side.
 pub fn welch_t_tests<'a>(
     pairs: impl IntoIterator<Item = (&'a [f64], &'a [f64])>,
 ) -> Vec<Option<TTestResult>> {
