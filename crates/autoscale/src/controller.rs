@@ -21,7 +21,7 @@ use cumulus_provision::deploy::{GpCloud, GpError, GpInstanceId};
 use cumulus_simkit::engine::Sim;
 use cumulus_simkit::metrics::{MetricId, Metrics};
 use cumulus_simkit::runner::{run_replicas, ReplicaPlan};
-use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload, Telemetry};
+use cumulus_simkit::telemetry::{span::keys as span_keys, Payload, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 use cumulus_store::CacheFleet;
 
@@ -453,7 +453,7 @@ impl AutoScaler {
                 }
             };
             self.telemetry
-                .record(decision.at, "autoscale", Key::intern(key), payload);
+                .record(decision.at, "autoscale", key, payload);
         }
         self.log.entries.push(decision.clone());
         decision

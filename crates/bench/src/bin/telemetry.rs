@@ -21,7 +21,7 @@ use cumulus_bench::kernel::{measure, time_workload, workloads_json, WorkloadResu
 use cumulus_provision::json::Json;
 use cumulus_simkit::hash::Fnv;
 use cumulus_simkit::metrics::{MetricId, Metrics};
-use cumulus_simkit::telemetry::{Key, Payload, SpanKind, Telemetry};
+use cumulus_simkit::telemetry::{span::keys, Key, Payload, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------------
@@ -135,16 +135,16 @@ fn instrumented_computation(tel: &Telemetry) -> u64 {
         let submit = SimTime::ZERO + SimDuration::from_secs(j);
         let start = submit + SimDuration::from_secs(7 + j % 13);
         let finish = start + SimDuration::from_secs(90 + j % 41);
-        tel.span_open(submit, "htc", "job.submitted", SpanKind::Job, j);
+        tel.span_open(submit, "htc", keys::JOB_SUBMITTED, SpanKind::Job, j);
         tel.span_phase(
             start,
             "htc",
-            "job.matched",
+            keys::JOB_MATCHED,
             SpanKind::Job,
             j,
             SimDuration::ZERO,
         );
-        tel.span_close(finish, "htc", "job.completed", SpanKind::Job, j);
+        tel.span_close(finish, "htc", keys::JOB_COMPLETED, SpanKind::Job, j);
         sum.write_u64(finish.since(submit).as_micros());
     }
     sum.finish()

@@ -20,8 +20,10 @@ pub struct TTestResult {
 
 /// Welch's unequal-variance two-sample t-test.
 ///
-/// Returns `None` when either group has fewer than two observations or
-/// both variances are zero.
+/// Returns `None` when either group has fewer than two observations,
+/// both variances are zero, or the Welch–Satterthwaite degrees of
+/// freedom are not a positive finite number (variances so small that
+/// their squares underflow to zero).
 pub fn welch_t_test(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
     let mut r = welch_statistic(group1, group2)?;
     r.p = t_two_sided_p(r.t, r.df);
@@ -74,6 +76,9 @@ fn welch_statistic(group1: &[f64], group2: &[f64]) -> Option<TTestResult> {
     }
     let t = (m1 - m2) / se2.sqrt();
     let df = se2 * se2 / ((v1 / n1).powi(2) / (n1 - 1.0) + (v2 / n2).powi(2) / (n2 - 1.0));
+    if !(df.is_finite() && df > 0.0) {
+        return None;
+    }
     Some(TTestResult {
         t,
         df,
@@ -306,6 +311,18 @@ mod tests {
         assert!(r.p > 0.5, "p={}", r.p);
         let r2 = one_sample_t_test(&xs, 4.0).unwrap();
         assert!(r2.p < 1e-6);
+    }
+
+    #[test]
+    fn underflowing_welch_df_is_none_not_a_panic() {
+        // Both (v/n)² terms underflow to zero: df would be 0/0.
+        let (tiny1, tiny2) = ([1e-160, 2e-160], [3e-160, 5e-160]);
+        assert_eq!(welch_t_test(&tiny1, &tiny2), None);
+        let pairs = [(&tiny1[..], &tiny2[..]), (&[1.0, 2.0][..], &[3.0, 5.0][..])];
+        let batched = welch_t_tests(pairs);
+        assert_eq!(batched[0], None);
+        assert_eq!(batched[1], welch_t_test(&[1.0, 2.0], &[3.0, 5.0]));
+        assert!(pooled_t_test(&tiny1, &tiny2).is_some());
     }
 
     #[test]

@@ -166,6 +166,11 @@ struct MachineSlot {
     /// overlap counting. Empty when the attribute is unset / not a string
     /// / holds no well-formed id.
     cache_cids: Vec<u64>,
+    /// The `CacheCids` text `cache_cids` was parsed from (empty when the
+    /// attribute is unset or not a string, which parses to no ids too).
+    /// A re-advertisement after a local cache hit carries the same text,
+    /// so `recompute` compares before it re-parses.
+    cache_text: String,
     /// Set when the ad may have changed; cleared by `recompute`.
     dirty: bool,
 }
@@ -176,6 +181,7 @@ impl MachineSlot {
             machine,
             capacity: 1.0,
             cache_cids: Vec::new(),
+            cache_text: String::new(),
             dirty: true,
         };
         slot.recompute();
@@ -188,9 +194,16 @@ impl MachineSlot {
             Some(&Value::Int(i)) => i as f64,
             _ => 1.0,
         };
-        self.cache_cids.clear();
-        if let Some(Value::Str(s)) = self.machine.ad.lookup(sym_cache_cids()) {
-            self.cache_cids.extend(s.split(',').filter_map(parse_cid));
+        let text = match self.machine.ad.lookup(sym_cache_cids()) {
+            Some(Value::Str(s)) => s.as_str(),
+            _ => "",
+        };
+        if text != self.cache_text {
+            self.cache_text.clear();
+            self.cache_text.push_str(text);
+            self.cache_cids.clear();
+            self.cache_cids
+                .extend(text.split(',').filter_map(parse_cid));
             self.cache_cids.sort_unstable();
             self.cache_cids.dedup();
         }
@@ -1116,8 +1129,8 @@ impl CondorPool {
             if let Some(started) = job.started_at {
                 self.owners[job.owner_ix as usize].usage += finish.since(started).as_secs_f64();
             }
-            if let Some(name) = job.running_on.clone() {
-                if let Some(&i) = self.by_name.get(&name) {
+            if let Some(name) = &job.running_on {
+                if let Some(&i) = self.by_name.get(name) {
                     let m = &mut self.slot_mut(i).machine;
                     m.slots_free += 1;
                     let newly_accepting = !m.draining && m.slots_free == 1;

@@ -918,6 +918,78 @@ fn fresh_cluster_churn_matches_the_reference_model() {
     }
 }
 
+/// Cache re-advertisements between negotiations, each machine walking
+/// changed text, the same text, a non-string value, the same text, no
+/// value at all, and the same text again. Every job carries input ids,
+/// so every ranking includes the cache bonus, and the matches must
+/// follow the current ad as the reference's `cache_affinity` reads it,
+/// whatever the pool kept from the text it parsed last.
+#[test]
+fn cache_readvertisement_matches_the_reference_model() {
+    let mut rng = RngStream::derive(0xCAC4E, "matchmaker-differential/readvertise");
+    let mut pool = CondorPool::new();
+    let mut model = RefPool::new();
+    let mut now = SimTime::ZERO;
+    let tiers = [1.0, 2.2, 4.0, 8.0];
+    let names: Vec<String> = (0..tiers.len()).map(|i| format!("m{i}")).collect();
+    for (name, &cu) in names.iter().zip(&tiers) {
+        let m = standard_machine(name, cu, 7500, 2);
+        assert_eq!(pool.add_machine(m.clone()), model.add_machine(&m));
+    }
+    let mut texts: Vec<String> = names.iter().map(|_| random_cid_list(&mut rng)).collect();
+    for cycle in 0..300 {
+        for (k, (name, &cu)) in names.iter().zip(&tiers).enumerate() {
+            let value = match (cycle + k) % 6 {
+                0 => {
+                    texts[k] = random_cid_list(&mut rng);
+                    Some(Value::Str(texts[k].clone()))
+                }
+                2 => Some(Value::Int(7)),
+                4 => None,
+                _ => Some(Value::Str(texts[k].clone())),
+            };
+            let bare = standard_machine(name, cu, 7500, 2).ad;
+            for ad in [
+                pool.machine_mut(name).map(|m| &mut m.ad),
+                model.machines.get_mut(name).map(|m| &mut m.ad),
+            ] {
+                let ad = ad.expect("machines never leave this pool");
+                match &value {
+                    Some(v) => {
+                        ad.set(MACHINE_CACHE_CIDS_ATTR, v.clone());
+                    }
+                    None => *ad = bare.clone(),
+                }
+            }
+        }
+        for _ in 0..rng.uniform_int(1, 4) {
+            let owner = *rng.choose(OWNERS);
+            let work = WorkSpec {
+                serial_secs: rng.uniform_int(1, 60) as f64,
+                cu_work: rng.uniform_int(0, 100) as f64,
+            };
+            let cids = Value::Str(random_cid_list(&mut rng));
+            let mut ad = ClassAd::new();
+            ad.set(JOB_INPUT_CIDS_ATTR, cids.clone());
+            let real = pool.submit(Job::new(owner, work).attr(JOB_INPUT_CIDS_ATTR, cids), now);
+            let rank = Expr::parse("ComputeUnits").unwrap();
+            let reference = model.submit(owner, work, Expr::always(), rank, ad, now);
+            assert_eq!(real, reference, "job id at cycle {cycle}");
+        }
+        compare_matches(&pool.negotiate(now), &model.negotiate(now), cycle);
+        now += SimDuration::from_secs(30);
+        assert_eq!(
+            pool.settle(now),
+            model.settle(now),
+            "settle at cycle {cycle}"
+        );
+        if cycle % 25 == 0 {
+            compare_observables(&pool, &model, OWNERS, now, cycle);
+        }
+    }
+    compare_observables(&pool, &model, OWNERS, now, 300);
+}
+
 // ---------------------------------------------------------------------------
 // Compiled vs tree-walking expression equivalence
 // ---------------------------------------------------------------------------

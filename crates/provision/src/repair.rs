@@ -28,7 +28,7 @@
 use cumulus_chef::Role;
 use cumulus_cloud::InstanceState;
 use cumulus_htc::JobId;
-use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload};
+use cumulus_simkit::telemetry::{span::keys as span_keys, Payload};
 use cumulus_simkit::time::SimTime;
 
 use crate::deploy::{GpCloud, GpError, GpInstanceId, GpState};
@@ -114,7 +114,7 @@ impl GpCloud {
             self.telemetry.record(
                 now,
                 "repair",
-                Key::intern(span_keys::REPAIR_OBSERVED),
+                span_keys::REPAIR_OBSERVED,
                 Payload::Count(requeued.len() as u64),
             );
             report.lost.push(LostNode {
@@ -154,7 +154,7 @@ impl GpCloud {
             self.telemetry.record(
                 now,
                 "repair",
-                Key::intern(span_keys::REPAIR_RELAUNCHED),
+                span_keys::REPAIR_RELAUNCHED,
                 Payload::Count(idx as u64),
             );
             repaired_at = Some(repaired_at.map_or(ready, |r| r.max(ready)));

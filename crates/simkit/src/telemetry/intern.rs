@@ -60,9 +60,17 @@ impl NameTable {
     }
 }
 
+/// The key table, created holding the well-known vocabulary
+/// ([`span::keys`](super::span::keys)) at the ids its constants carry.
 fn key_table() -> &'static Mutex<NameTable> {
     static TABLE: OnceLock<Mutex<NameTable>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(NameTable::new()))
+    TABLE.get_or_init(|| {
+        let mut table = NameTable::new();
+        for (id, name) in super::span::keys::NAMES.iter().enumerate() {
+            assert_eq!(table.intern(name), id as u32, "duplicate key {name:?}");
+        }
+        Mutex::new(table)
+    })
 }
 
 /// An interned telemetry event name, e.g. `"job.submitted"`.
@@ -73,6 +81,12 @@ fn key_table() -> &'static Mutex<NameTable> {
 pub struct Key(u32);
 
 impl Key {
+    /// The key at a fixed id of the well-known vocabulary, which the key
+    /// table is created holding.
+    pub(crate) const fn reserved(id: u32) -> Key {
+        Key(id)
+    }
+
     /// Intern a name (idempotent; cheap after the first call).
     pub fn intern(name: &str) -> Key {
         let mut tab = key_table().lock().expect("key table poisoned");
@@ -153,6 +167,16 @@ mod tests {
         assert_ne!(a, c, "keys are case-sensitive");
         assert_eq!(a.name(), "telemetry.test.alpha");
         assert_eq!(c.name(), "telemetry.test.Alpha");
+    }
+
+    #[test]
+    fn well_known_keys_are_their_names() {
+        use super::super::span::keys;
+        assert_eq!(keys::JOB_SUBMITTED.name(), "job.submitted");
+        assert_eq!(keys::REPAIR_RELAUNCHED.name(), "repair.relaunched");
+        for (id, name) in keys::NAMES.iter().enumerate() {
+            assert_eq!(Key::intern(name), Key::reserved(id as u32));
+        }
     }
 
     #[test]

@@ -136,23 +136,16 @@ impl Telemetry {
         }
     }
 
-    /// Open a lifecycle span (interns `key`; no-op when disabled).
+    /// Open a lifecycle span (no-op when disabled).
     pub fn span_open(
         &self,
         at: SimTime,
         category: &'static str,
-        key: &str,
+        key: Key,
         kind: SpanKind,
         id: u64,
     ) {
-        if self.enabled {
-            self.record(
-                at,
-                category,
-                Key::intern(key),
-                Payload::SpanOpen { kind, id },
-            );
-        }
+        self.record(at, category, key, Payload::SpanOpen { kind, id });
     }
 
     /// Mark a phase boundary inside an open span, attributing `dur` to
@@ -161,19 +154,12 @@ impl Telemetry {
         &self,
         at: SimTime,
         category: &'static str,
-        key: &str,
+        key: Key,
         kind: SpanKind,
         id: u64,
         dur: SimDuration,
     ) {
-        if self.enabled {
-            self.record(
-                at,
-                category,
-                Key::intern(key),
-                Payload::SpanPhase { kind, id, dur },
-            );
-        }
+        self.record(at, category, key, Payload::SpanPhase { kind, id, dur });
     }
 
     /// Close a lifecycle span (no-op when disabled).
@@ -181,18 +167,11 @@ impl Telemetry {
         &self,
         at: SimTime,
         category: &'static str,
-        key: &str,
+        key: Key,
         kind: SpanKind,
         id: u64,
     ) {
-        if self.enabled {
-            self.record(
-                at,
-                category,
-                Key::intern(key),
-                Payload::SpanClose { kind, id },
-            );
-        }
+        self.record(at, category, key, Payload::SpanClose { kind, id });
     }
 
     /// Number of recorded events.
@@ -395,8 +374,12 @@ mod tests {
             Key::intern("telemetry.mod.dur"),
             Payload::Duration(SimDuration::from_micros(1_500_000)),
         );
-        tel.span_open(t(3), "htc", "telemetry.mod.open", SpanKind::Job, 9);
-        tel.span_close(t(4), "htc", "telemetry.mod.close", SpanKind::Job, 9);
+        let (open, close) = (
+            Key::intern("telemetry.mod.open"),
+            Key::intern("telemetry.mod.close"),
+        );
+        tel.span_open(t(3), "htc", open, SpanKind::Job, 9);
+        tel.span_close(t(4), "htc", close, SpanKind::Job, 9);
         tel
     }
 

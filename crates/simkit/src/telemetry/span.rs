@@ -15,71 +15,92 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::OnceLock;
 
 use crate::time::{SimDuration, SimTime};
 
 use super::event::{Event, Payload, SpanKind};
 use super::intern::Key;
 
-/// Well-known event key names. Components intern these once; analyzers
-/// match against them. Keeping them here (not per-crate) is what makes
-/// the span assembler work across layers.
+/// Well-known event keys. Emitters pass these; analyzers match against
+/// them. Keeping them here (not per-crate) is what makes the span
+/// assembler work across layers.
+///
+/// Each is a [`Key`] made once, at compile time: the process-wide key
+/// table starts out holding these names at these ids, so emitting one
+/// takes no lock and hashes nothing. [`Key::name`] gives the name.
 pub mod keys {
-    /// Job span opens: submitted to the scheduler.
-    pub const JOB_SUBMITTED: &str = "job.submitted";
-    /// Job phase: matched to a machine (a run attempt starts).
-    pub const JOB_MATCHED: &str = "job.matched";
-    /// Job phase: inputs staged; the attached duration is the staging time.
-    pub const JOB_STAGED: &str = "job.staged";
-    /// Job phase: evicted from its machine and requeued.
-    pub const JOB_EVICTED: &str = "job.evicted";
-    /// Job span closes: completed.
-    pub const JOB_COMPLETED: &str = "job.completed";
-    /// Job span closes: removed before completion.
-    pub const JOB_REMOVED: &str = "job.removed";
-    /// Job phase: held for a retry backoff by the recovery plane; the
-    /// attached duration is the backoff wait.
-    pub const JOB_RETRY_BACKOFF: &str = "job.retry_backoff";
-    /// Job phase: the recovery plane dead-lettered the job (retry budget
-    /// exhausted); a `job.removed` close follows.
-    pub const JOB_DEAD_LETTERED: &str = "job.dead_lettered";
-    /// Instance span opens: capacity requested.
-    pub const INSTANCE_REQUESTED: &str = "instance.requested";
-    /// Instance phase: allocation + boot finished, instance usable.
-    pub const INSTANCE_RUNNING: &str = "instance.running";
-    /// Instance span closes: terminated normally.
-    pub const INSTANCE_TERMINATED: &str = "instance.terminated";
-    /// Instance span closes: preempted by the spot market.
-    pub const INSTANCE_PREEMPTED: &str = "instance.preempted";
-    /// Transfer span opens: task submitted.
-    pub const TRANSFER_STARTED: &str = "transfer.started";
-    /// Transfer phase: a fault interrupted the stream (retried).
-    pub const TRANSFER_FAULT: &str = "transfer.fault";
-    /// Transfer span closes: task reached a terminal status.
-    pub const TRANSFER_DONE: &str = "transfer.done";
-    /// Workflow span opens: invocation started.
-    pub const WORKFLOW_STARTED: &str = "workflow.started";
-    /// Workflow phase: one step's job finished.
-    pub const WORKFLOW_STEP: &str = "workflow.step";
-    /// Workflow span closes: all steps done.
-    pub const WORKFLOW_COMPLETED: &str = "workflow.completed";
-    /// Workflow phase: a resumed run skipped this step — its checkpointed
-    /// outputs were re-staged through the data plane; the attached
-    /// duration is the re-staging time.
-    pub const WORKFLOW_STEP_RESUMED: &str = "workflow.step_resumed";
-    /// Workflow phase: a resumed run re-executes this step (lost suffix).
-    pub const WORKFLOW_STEP_RERUN: &str = "workflow.step_rerun";
-    /// Autoscale decision: workers added (payload: from → to).
-    pub const SCALE_OUT: &str = "autoscale.scale_out";
-    /// Autoscale decision: workers released (payload: from → to).
-    pub const SCALE_IN: &str = "autoscale.scale_in";
-    /// Autoscale decision: tick held (payload: count of the hold reason).
-    pub const SCALE_HOLD: &str = "autoscale.hold";
-    /// Repair plane: a disrupted worker was observed lost.
-    pub const REPAIR_OBSERVED: &str = "repair.observed";
-    /// Repair plane: a replacement slot was relaunched.
-    pub const REPAIR_RELAUNCHED: &str = "repair.relaunched";
+    use super::Key;
+
+    /// Declares each key as a `Key` constant with the next id, and
+    /// [`NAMES`] listing the names in id order for the key table.
+    macro_rules! vocabulary {
+        ($($(#[$doc:meta])* $key:ident = $name:literal,)*) => {
+            #[allow(non_camel_case_types)]
+            enum Id {
+                $($key,)*
+            }
+            $($(#[$doc])* pub const $key: Key = Key::reserved(Id::$key as u32);)*
+            /// The names of the keys above, in id order.
+            pub(crate) const NAMES: &[&str] = &[$($name,)*];
+        };
+    }
+
+    vocabulary! {
+        /// Job span opens: submitted to the scheduler.
+        JOB_SUBMITTED = "job.submitted",
+        /// Job phase: matched to a machine (a run attempt starts).
+        JOB_MATCHED = "job.matched",
+        /// Job phase: inputs staged; the attached duration is the staging time.
+        JOB_STAGED = "job.staged",
+        /// Job phase: evicted from its machine and requeued.
+        JOB_EVICTED = "job.evicted",
+        /// Job span closes: completed.
+        JOB_COMPLETED = "job.completed",
+        /// Job span closes: removed before completion.
+        JOB_REMOVED = "job.removed",
+        /// Job phase: held for a retry backoff by the recovery plane; the
+        /// attached duration is the backoff wait.
+        JOB_RETRY_BACKOFF = "job.retry_backoff",
+        /// Job phase: the recovery plane dead-lettered the job (retry budget
+        /// exhausted); a `job.removed` close follows.
+        JOB_DEAD_LETTERED = "job.dead_lettered",
+        /// Instance span opens: capacity requested.
+        INSTANCE_REQUESTED = "instance.requested",
+        /// Instance phase: allocation + boot finished, instance usable.
+        INSTANCE_RUNNING = "instance.running",
+        /// Instance span closes: terminated normally.
+        INSTANCE_TERMINATED = "instance.terminated",
+        /// Instance span closes: preempted by the spot market.
+        INSTANCE_PREEMPTED = "instance.preempted",
+        /// Transfer span opens: task submitted.
+        TRANSFER_STARTED = "transfer.started",
+        /// Transfer phase: a fault interrupted the stream (retried).
+        TRANSFER_FAULT = "transfer.fault",
+        /// Transfer span closes: task reached a terminal status.
+        TRANSFER_DONE = "transfer.done",
+        /// Workflow span opens: invocation started.
+        WORKFLOW_STARTED = "workflow.started",
+        /// Workflow phase: one step's job finished.
+        WORKFLOW_STEP = "workflow.step",
+        /// Workflow span closes: all steps done.
+        WORKFLOW_COMPLETED = "workflow.completed",
+        /// Workflow phase: a resumed run skipped this step — its checkpointed
+        /// outputs were re-staged through the data plane; the attached
+        /// duration is the re-staging time.
+        WORKFLOW_STEP_RESUMED = "workflow.step_resumed",
+        /// Workflow phase: a resumed run re-executes this step (lost suffix).
+        WORKFLOW_STEP_RERUN = "workflow.step_rerun",
+        /// Autoscale decision: workers added (payload: from → to).
+        SCALE_OUT = "autoscale.scale_out",
+        /// Autoscale decision: workers released (payload: from → to).
+        SCALE_IN = "autoscale.scale_in",
+        /// Autoscale decision: tick held (payload: count of the hold reason).
+        SCALE_HOLD = "autoscale.hold",
+        /// Repair plane: a disrupted worker was observed lost.
+        REPAIR_OBSERVED = "repair.observed",
+        /// Repair plane: a replacement slot was relaunched.
+        REPAIR_RELAUNCHED = "repair.relaunched",
+    }
 }
 
 /// One phase boundary inside a span.
@@ -412,12 +433,9 @@ impl JobBreakdown {
     /// Decompose a job span. Returns `None` if the span has no
     /// `job.matched` phase (a job that closed without ever running).
     pub fn of(span: &Span) -> Option<JobBreakdown> {
-        static MATCHED: OnceLock<Key> = OnceLock::new();
-        static STAGED: OnceLock<Key> = OnceLock::new();
-        let matched = find_cached(&MATCHED, keys::JOB_MATCHED)?;
         let mut first_match: Option<SimTime> = None;
         let mut last_match: Option<SimTime> = None;
-        for p in span.phases_named(matched) {
+        for p in span.phases_named(keys::JOB_MATCHED) {
             if first_match.is_none() {
                 first_match = Some(p.at);
             }
@@ -426,13 +444,10 @@ impl JobBreakdown {
         let (first, last) = (first_match?, last_match?);
         // Staging of the surviving attempt: staged phases at/after the
         // last match. Earlier (aborted) attempts' staging is repair time.
-        let staging = find_cached(&STAGED, keys::JOB_STAGED)
-            .map(|staged| {
-                span.phases_named(staged)
-                    .filter(|p| p.at >= last)
-                    .fold(SimDuration::ZERO, |acc, p| acc + p.dur)
-            })
-            .unwrap_or(SimDuration::ZERO);
+        let staging = span
+            .phases_named(keys::JOB_STAGED)
+            .filter(|p| p.at >= last)
+            .fold(SimDuration::ZERO, |acc, p| acc + p.dur);
         let run = span.closed_at.since(last);
         Some(JobBreakdown {
             queue: first.since(span.opened_at),
@@ -441,17 +456,6 @@ impl JobBreakdown {
             compute: run.saturating_sub(staging),
         })
     }
-}
-
-/// [`Key::find`] once per process: a hit is kept in `cell`, a miss is
-/// not (the name may be interned later), so a report reading thousands of
-/// spans takes the key table's lock once, not twice per span.
-fn find_cached(cell: &OnceLock<Key>, name: &str) -> Option<Key> {
-    if let Some(&k) = cell.get() {
-        return Some(k);
-    }
-    let k = Key::find(name)?;
-    Some(*cell.get_or_init(|| k))
 }
 
 #[cfg(test)]
@@ -495,7 +499,7 @@ mod tests {
         assert_eq!(s.id, 1);
         assert_eq!(s.duration(), SimDuration::from_secs(160));
         assert_eq!(s.phases.len(), 2);
-        assert_eq!(s.close_key.name(), keys::JOB_COMPLETED);
+        assert_eq!(s.close_key, keys::JOB_COMPLETED);
     }
 
     #[test]
@@ -600,7 +604,7 @@ mod tests {
         let mut model = Vec::new();
         for i in 0..5u64 {
             let p = Phase {
-                key: Key::intern(keys::JOB_EVICTED),
+                key: keys::JOB_EVICTED,
                 at: t(i),
                 dur: SimDuration::from_secs(i),
             };
@@ -609,15 +613,6 @@ mod tests {
             assert_eq!(&phases[..], &model[..]);
             assert_eq!((&phases).into_iter().count(), model.len());
         }
-    }
-
-    #[test]
-    fn a_missed_key_lookup_is_not_cached() {
-        let cell = OnceLock::new();
-        assert_eq!(find_cached(&cell, "telemetry.span.later"), None);
-        let k = Key::intern("telemetry.span.later");
-        assert_eq!(find_cached(&cell, "telemetry.span.later"), Some(k));
-        assert_eq!(cell.get(), Some(&k));
     }
 
     #[test]

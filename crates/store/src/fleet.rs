@@ -33,7 +33,14 @@ pub mod keys {
 
 #[derive(Debug)]
 struct FleetInner {
-    caches: BTreeMap<String, WorkerCache>,
+    caches: BTreeMap<Arc<str>, WorkerCache>,
+    /// Per content id, the workers whose cache holds it, in name order:
+    /// the peer rung's answer without a scan over every cache. Each name
+    /// shares its allocation with the `caches` key. Kept exact by the
+    /// only two membership changes, [`CacheFleet::insert`] (evictions
+    /// included) and [`CacheFleet::drop_worker`]; an id nobody holds has
+    /// no entry.
+    holders: BTreeMap<ContentId, Vec<Arc<str>>>,
     capacity: DataSize,
     policy: EvictionPolicy,
     metrics: Metrics,
@@ -75,6 +82,7 @@ impl CacheFleet {
         CacheFleet {
             inner: Arc::new(Mutex::new(FleetInner {
                 caches: BTreeMap::new(),
+                holders: BTreeMap::new(),
                 capacity,
                 policy,
                 metrics: Metrics::new(),
@@ -94,11 +102,7 @@ impl CacheFleet {
 
     /// Register `worker` with an empty cache (idempotent).
     pub fn ensure_worker(&self, worker: &str) {
-        let mut g = self.lock();
-        let (capacity, policy) = (g.capacity, g.policy);
-        g.caches
-            .entry(worker.to_string())
-            .or_insert_with(|| WorkerCache::new(capacity, policy));
+        self.lock().register(worker);
     }
 
     /// Forget `worker` entirely (scale-in): its cache contents must not
@@ -107,6 +111,9 @@ impl CacheFleet {
         let mut g = self.lock();
         match g.caches.remove(worker) {
             Some(cache) => {
+                for cid in cache.contents() {
+                    g.drop_holder(cid, worker);
+                }
                 let lost = cache.len();
                 let ids = g.ids;
                 g.metrics.incr_id(ids.invalidations, 1);
@@ -119,41 +126,34 @@ impl CacheFleet {
 
     /// Workers currently registered, in name order.
     pub fn workers(&self) -> Vec<String> {
-        self.lock().caches.keys().cloned().collect()
+        self.lock().caches.keys().map(|k| k.to_string()).collect()
     }
 
     /// Staging-attempt lookup on `worker`'s cache (counts hit/miss).
     /// Unknown workers miss.
     pub fn lookup(&self, worker: &str, cid: ContentId) -> bool {
-        let mut g = self.lock();
-        let metrics = g.metrics.clone();
-        let ids = g.ids;
-        match g.caches.get_mut(worker) {
-            Some(c) => {
-                let hit = c.lookup(cid);
-                metrics.incr_id(if hit { ids.hits } else { ids.misses }, 1);
-                hit
-            }
-            None => {
-                metrics.incr_id(ids.misses, 1);
-                false
-            }
-        }
+        let g = &mut *self.lock();
+        let hit = g.caches.get_mut(worker).is_some_and(|c| c.lookup(cid));
+        g.metrics
+            .incr_id(if hit { g.ids.hits } else { g.ids.misses }, 1);
+        hit
     }
 
     /// Record that `worker` now holds `cid` (after a remote fetch),
     /// evicting as needed. Returns the evicted ids.
     pub fn insert(&self, worker: &str, cid: ContentId, size: DataSize) -> Vec<ContentId> {
-        let mut g = self.lock();
-        let (capacity, policy) = (g.capacity, g.policy);
-        let metrics = g.metrics.clone();
-        let ids = g.ids;
-        let cache = g
-            .caches
-            .entry(worker.to_string())
-            .or_insert_with(|| WorkerCache::new(capacity, policy));
+        let g = &mut *self.lock();
+        g.register(worker);
+        let cache = g.caches.get_mut(worker).expect("registered above");
         let evicted = cache.insert(cid, size);
-        metrics.incr_id(ids.evictions, evicted.len() as u64);
+        let held = cache.contains(cid);
+        for &gone in &evicted {
+            g.drop_holder(gone, worker);
+        }
+        if held {
+            g.add_holder(cid, worker);
+        }
+        g.metrics.incr_id(g.ids.evictions, evicted.len() as u64);
         evicted
     }
 
@@ -170,10 +170,22 @@ impl CacheFleet {
     /// the peer a cache-to-cache copy would come from.
     pub fn peer_with(&self, cid: ContentId, exclude: &str) -> Option<String> {
         self.lock()
+            .holders
+            .get(&cid)?
+            .iter()
+            .find(|&name| &**name != exclude)
+            .map(|name| name.to_string())
+    }
+
+    /// [`peer_with`](CacheFleet::peer_with) as a scan over every cache in
+    /// name order: the reference the holder index must agree with.
+    #[cfg(test)]
+    pub(crate) fn peer_with_by_scan(&self, cid: ContentId, exclude: &str) -> Option<String> {
+        self.lock()
             .caches
             .iter()
-            .find(|(name, cache)| name.as_str() != exclude && cache.contains(cid))
-            .map(|(name, _)| name.clone())
+            .find(|(name, cache)| &***name != exclude && cache.contains(cid))
+            .map(|(name, _)| name.to_string())
     }
 
     /// Bytes cached on `worker` (0 when unknown) — the scale-in
@@ -205,7 +217,7 @@ impl CacheFleet {
             .map(|name| {
                 let (bytes, act) = g
                     .caches
-                    .get(name)
+                    .get(name.as_str())
                     .map(|c| (c.used(), c.last_activity()))
                     .unwrap_or((DataSize::ZERO, 0));
                 (bytes, act, name.clone())
@@ -225,6 +237,42 @@ impl CacheFleet {
             t.2 += c.evictions();
         }
         t
+    }
+}
+
+impl FleetInner {
+    /// Give `worker` an empty cache unless it has one. The name is
+    /// allocated only on first sight.
+    fn register(&mut self, worker: &str) {
+        if !self.caches.contains_key(worker) {
+            let cache = WorkerCache::new(self.capacity, self.policy);
+            self.caches.insert(worker.into(), cache);
+        }
+    }
+
+    /// Record that `worker`'s cache holds `cid`.
+    fn add_holder(&mut self, cid: ContentId, worker: &str) {
+        let holders = self.holders.entry(cid).or_default();
+        if let Err(pos) = holders.binary_search_by(|h| (**h).cmp(worker)) {
+            let (name, _) = self
+                .caches
+                .get_key_value(worker)
+                .expect("a holder has a cache");
+            holders.insert(pos, Arc::clone(name));
+        }
+    }
+
+    /// Strike `worker` from `cid`'s holders (it evicted or lost the id).
+    fn drop_holder(&mut self, cid: ContentId, worker: &str) {
+        let Some(holders) = self.holders.get_mut(&cid) else {
+            return;
+        };
+        if let Ok(pos) = holders.binary_search_by(|h| (**h).cmp(worker)) {
+            holders.remove(pos);
+        }
+        if holders.is_empty() {
+            self.holders.remove(&cid);
+        }
     }
 }
 
@@ -277,6 +325,35 @@ mod tests {
         assert_eq!(f.peer_with(cid(7), "w-c"), Some("w-a".to_string()));
         assert_eq!(f.peer_with(cid(7), "w-a"), Some("w-b".to_string()));
         assert_eq!(f.peer_with(cid(9), "w-c"), None);
+    }
+
+    #[test]
+    fn holder_index_agrees_with_the_scan_through_evictions_and_drops() {
+        // 30 MB caches of 10 MB objects: every fourth insert evicts.
+        let f = CacheFleet::new(mb(30), EvictionPolicy::Lru);
+        let workers = ["w-c", "w-a", "w-d", "w-b"];
+        let check = |f: &CacheFleet| {
+            for n in 0..8 {
+                for exclude in ["", "w-a", "w-b", "w-c", "w-d", "w-z"] {
+                    assert_eq!(
+                        f.peer_with(cid(n), exclude),
+                        f.peer_with_by_scan(cid(n), exclude),
+                        "cid {n}, exclude {exclude:?}"
+                    );
+                }
+            }
+        };
+        for step in 0..40u64 {
+            let w = workers[(step * 7 % 4) as usize];
+            f.insert(w, cid(step * 5 % 8), mb(10));
+            if step % 11 == 10 {
+                f.drop_worker(workers[(step % 4) as usize]);
+            }
+            check(&f);
+        }
+        // An object larger than the cache is not held by anyone.
+        f.insert("w-a", cid(99), mb(50));
+        assert_eq!(f.peer_with(cid(99), ""), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use cumulus_net::{DataSize, Link, Network, Rate};
 use cumulus_simkit::disrupt::DisruptionPlan;
 use cumulus_simkit::metrics::{MetricId, Metrics};
 use cumulus_simkit::retry::{RetryDecision, RetryPolicy};
-use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload, SpanKind, Telemetry};
+use cumulus_simkit::telemetry::{span::keys as span_keys, Payload, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
 use std::collections::BTreeMap;
@@ -379,7 +379,7 @@ impl TransferService {
                 self.telemetry.record(
                     task.submitted_at,
                     "transfer",
-                    Key::intern(span_keys::TRANSFER_FAULT),
+                    span_keys::TRANSFER_FAULT,
                     Payload::Count(task.faults as u64),
                 );
             }
