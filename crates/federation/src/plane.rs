@@ -28,7 +28,7 @@ use cumulus_store::staging::{StagingPlan, StagingSource};
 use cumulus_store::{ContentId, DataSize, InputSpec};
 
 use crate::site::{Site, SiteConfig};
-use crate::wan::WanTopology;
+use crate::wan::{WanLink, WanTopology};
 
 /// Pre-registered handles for the WAN-plane counters.
 #[derive(Debug, Clone, Copy)]
@@ -52,12 +52,47 @@ impl WanMetricIds {
     }
 }
 
+/// Every ordered site pair's WAN link, resolved from the topology once
+/// when the federation is provisioned.
+#[derive(Debug)]
+struct LinkTable {
+    /// Number of sites.
+    n: usize,
+    /// The link from site `src` to site `dst` at `src * n + dst`; `None`
+    /// on the diagonal and for pairs the topology leaves unconnected.
+    links: Vec<Option<WanLink>>,
+}
+
+impl LinkTable {
+    fn resolve(wan: &WanTopology, sites: &[Site]) -> LinkTable {
+        let links = sites
+            .iter()
+            .flat_map(|src| {
+                sites
+                    .iter()
+                    .map(move |dst| wan.between(&src.config.name, &dst.config.name))
+            })
+            .collect();
+        LinkTable {
+            n: sites.len(),
+            links,
+        }
+    }
+
+    /// The link from site `src` to site `dst`. Panics when the topology
+    /// connects no such pair; the names are for that message.
+    fn get(&self, src: usize, dst: usize, src_name: &str, dst_name: &str) -> WanLink {
+        self.links[src * self.n + dst]
+            .unwrap_or_else(|| panic!("no WAN link between {src_name} and {dst_name}"))
+    }
+}
+
 /// A set of sites joined by a WAN, with deterministic replica placement
 /// and site-aware invocation routing.
 #[derive(Debug)]
 pub struct Federation {
     sites: Vec<Site>,
-    wan: WanTopology,
+    links: LinkTable,
     /// Which sites hold each content id (object-store residency).
     directory: BTreeMap<ContentId, BTreeSet<usize>>,
     /// Cross-site byte/crossing counters (`wan.*` keys).
@@ -76,12 +111,13 @@ impl Federation {
         for c in &configs {
             assert!(names.insert(c.name.clone()), "duplicate site {}", c.name);
         }
+        let sites: Vec<Site> = configs
+            .into_iter()
+            .map(|c| Site::provision(c, now))
+            .collect();
         Federation {
-            sites: configs
-                .into_iter()
-                .map(|c| Site::provision(c, now))
-                .collect(),
-            wan,
+            links: LinkTable::resolve(&wan, &sites),
+            sites,
             directory: BTreeMap::new(),
             wan_metrics: Metrics::new(),
             telemetry: Telemetry::disabled(),
@@ -151,45 +187,41 @@ impl Federation {
     /// order: queue depths, prices, resident input bytes, and the WAN
     /// dollars it would take to pull the missing inputs to each site.
     pub fn snapshots(&self, request: &InvocationRequest) -> Vec<SiteSnapshot> {
-        self.sites
+        let mut snaps: Vec<SiteSnapshot> = self
+            .sites
             .iter()
-            .enumerate()
-            .map(|(i, site)| {
-                let mut resident = 0u64;
-                let mut pull_usd = 0.0;
-                for input in &request.inputs {
-                    match self.directory.get(&input.cid) {
-                        Some(h) if h.contains(&i) => resident += input.size.as_bytes(),
-                        Some(h) => {
-                            // Priced against the same deterministic source
-                            // the staging rung would pick: the lowest
-                            // holder index other than the destination.
-                            let src = *h.iter().find(|&&s| s != i).expect("nonempty holder set");
-                            let link = self
-                                .wan
-                                .between(&self.sites[src].config.name, &site.config.name)
-                                .unwrap_or_else(|| {
-                                    panic!(
-                                        "no WAN link between {} and {}",
-                                        self.sites[src].config.name, site.config.name
-                                    )
-                                });
-                            pull_usd += link.egress_cost(input.size.as_bytes());
-                        }
-                        // Held nowhere: ingests over GridFTP at the same
-                        // price from any site — no gravity either way.
-                        None => {}
-                    }
-                }
-                SiteSnapshot {
-                    name: site.config.name.clone(),
-                    queue_depth: site.queue_depth(),
-                    usd_per_worker_hour: site.config.usd_per_worker_hour(),
-                    resident_input_bytes: resident,
-                    wan_pull_usd: pull_usd,
-                }
+            .map(|site| SiteSnapshot {
+                name: site.config.name.clone(),
+                queue_depth: site.queue_depth(),
+                usd_per_worker_hour: site.config.usd_per_worker_hour(),
+                resident_input_bytes: 0,
+                wan_pull_usd: 0.0,
             })
-            .collect()
+            .collect();
+        for input in &request.inputs {
+            // Held nowhere: ingests over GridFTP at the same price from
+            // any site — no gravity either way.
+            let Some(holders) = self.directory.get(&input.cid) else {
+                continue;
+            };
+            // Priced against the same deterministic source the staging
+            // rung would pick: the lowest holder index other than the
+            // destination, which is the lowest holder for a site that
+            // holds none.
+            let src = *holders.first().expect("nonempty holder set");
+            let bytes = input.size.as_bytes();
+            for (dst, snap) in snaps.iter_mut().enumerate() {
+                if holders.contains(&dst) {
+                    snap.resident_input_bytes += bytes;
+                } else {
+                    let link = self
+                        .links
+                        .get(src, dst, &self.sites[src].config.name, &snap.name);
+                    snap.wan_pull_usd += link.egress_cost(bytes);
+                }
+            }
+        }
+        snaps
     }
 
     /// Route one invocation: snapshot the sites, ask the router, return
@@ -219,7 +251,7 @@ impl Federation {
             head,
             tail,
             dst_name: &site.config.name,
-            wan: &self.wan,
+            links: &self.links,
             directory: &self.directory,
             wan_metrics: &self.wan_metrics,
             telemetry: &self.telemetry,
@@ -277,7 +309,7 @@ struct Remote<'a> {
     /// Sites `dst + 1..`.
     tail: &'a mut [Site],
     dst_name: &'a str,
-    wan: &'a WanTopology,
+    links: &'a LinkTable,
     directory: &'a BTreeMap<ContentId, BTreeSet<usize>>,
     wan_metrics: &'a Metrics,
     telemetry: &'a Telemetry,
@@ -302,12 +334,9 @@ impl Remote<'_> {
         } else {
             &mut self.tail[src - dst - 1]
         };
-        let src_name = source.config.name.clone();
+        let src_name = &source.config.name;
         let dst_name = self.dst_name;
-        let link = self
-            .wan
-            .between(&src_name, dst_name)
-            .unwrap_or_else(|| panic!("no WAN link between {src_name} and {dst_name}"));
+        let link = self.links.get(src, dst, src_name, dst_name);
 
         // The source bucket serves (and bills) the GET; the crossing
         // itself runs at the WAN rate capped by that bucket's ceiling.
@@ -322,7 +351,7 @@ impl Remote<'_> {
             self.now,
             bytes,
             link.egress_usd_per_gb,
-            &src_name,
+            src_name,
             dst_name,
         );
         self.wan_metrics.incr_id(self.ids.bytes_egress, bytes);
@@ -342,7 +371,7 @@ impl Remote<'_> {
                 );
             }
         }
-        Some((StagingSource::RemoteSite(src_name), duration))
+        Some((StagingSource::RemoteSite(src_name.clone()), duration))
     }
 }
 
@@ -437,6 +466,106 @@ mod tests {
             fast.site(0).plane.object.config.bandwidth_mbps,
         );
         assert!(fast_plan.total > link_only);
+    }
+
+    /// Three sites on a 40 ms / 200 Mbit/s mesh, with `us-east`–`eu-west`
+    /// overridden by a slower, dearer link.
+    fn fed_with_override(over: WanLink) -> Federation {
+        let mut wan = WanTopology::full_mesh(WanLink::new(40.0, 200.0));
+        wan.connect("eu-west", "us-east", over);
+        let configs = ["us-east", "us-west", "eu-west"]
+            .iter()
+            .map(|name| SiteConfig::new(name, 2, InstanceType::M1Small))
+            .collect();
+        Federation::provision(configs, wan, SimTime::ZERO)
+    }
+
+    fn request(inputs: Vec<InputSpec>) -> InvocationRequest {
+        InvocationRequest {
+            id: 1,
+            user: "alice".to_string(),
+            workflow: "align".to_string(),
+            inputs,
+        }
+    }
+
+    #[test]
+    fn a_pair_override_prices_and_times_its_own_crossings() {
+        let mesh = WanLink::new(40.0, 200.0);
+        let over = WanLink::new(120.0, 50.0).with_egress_rate(0.09);
+        let mut f = fed_with_override(over);
+        f.seed_dataset(0, ContentId(1), DataSize::from_mb(500));
+        let bytes = 500_000_000;
+
+        let snaps = f.snapshots(&request(vec![input(1, 500)]));
+        assert_eq!(snaps[0].wan_pull_usd, 0.0);
+        assert_eq!(snaps[1].wan_pull_usd, mesh.egress_cost(bytes));
+        assert_eq!(snaps[2].wan_pull_usd, over.egress_cost(bytes));
+        assert_ne!(snaps[1].wan_pull_usd, snaps[2].wan_pull_usd);
+
+        let source = &f.site(0).plane.object.config;
+        let crossing = |link: WanLink| {
+            source.request_latency
+                + link.crossing_duration(DataSize::from_mb(500), source.bandwidth_mbps)
+        };
+        let (mesh_time, over_time) = (crossing(mesh), crossing(over));
+        assert_ne!(mesh_time, over_time);
+        let plan = f.stage_job(2, "eu-west/worker-0", &[input(1, 500)], 1, SimTime::ZERO);
+        let step = &plan.steps[0];
+        assert_eq!(step.source, StagingSource::RemoteSite("us-east".into()));
+        assert_eq!(step.duration, over_time);
+        assert_eq!(f.egress_cost_usd(SimTime::ZERO), over.egress_cost(bytes));
+        // The other direction of the same pair uses the override too; an
+        // unlisted pair uses the mesh.
+        f.seed_dataset(2, ContentId(2), DataSize::from_mb(500));
+        let back = f.stage_job(0, "us-east/worker-0", &[input(2, 500)], 1, SimTime::ZERO);
+        assert_eq!(
+            back.steps[0].source,
+            StagingSource::RemoteSite("eu-west".into())
+        );
+        let west = f.stage_job(1, "us-west/worker-0", &[input(1, 500)], 1, SimTime::ZERO);
+        assert_eq!(
+            west.steps[0].source,
+            StagingSource::RemoteSite("us-east".into())
+        );
+        assert_eq!(west.steps[0].duration, mesh_time);
+        let egress = f.egress_cost_usd(SimTime::ZERO);
+        let want = over.egress_cost(bytes) + over.egress_cost(bytes) + mesh.egress_cost(bytes);
+        assert!((egress - want).abs() < 1e-12, "{egress} vs {want}");
+    }
+
+    /// `us-east`–`us-west` connected, `eu-west` connected to nothing, and
+    /// no mesh default.
+    fn fed_with_a_gap() -> Federation {
+        let mut wan = WanTopology::new();
+        wan.connect("us-east", "us-west", WanLink::new(40.0, 200.0));
+        let configs = ["us-east", "us-west", "eu-west"]
+            .iter()
+            .map(|name| SiteConfig::new(name, 2, InstanceType::M1Small))
+            .collect();
+        let mut f = Federation::provision(configs, wan, SimTime::ZERO);
+        f.seed_dataset(0, ContentId(1), DataSize::from_mb(100));
+        f
+    }
+
+    #[test]
+    #[should_panic(expected = "no WAN link between us-east and eu-west")]
+    fn pricing_across_an_unconnected_pair_panics() {
+        let f = fed_with_a_gap();
+        // Sites 0 and 1 price fine; site 2 has no link from the holder.
+        f.snapshots(&request(vec![input(1, 100)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "no WAN link between us-east and eu-west")]
+    fn staging_across_an_unconnected_pair_panics() {
+        let mut f = fed_with_a_gap();
+        let plan = f.stage_job(1, "us-west/worker-0", &[input(1, 100)], 1, SimTime::ZERO);
+        assert_eq!(
+            plan.steps[0].source,
+            StagingSource::RemoteSite("us-east".into())
+        );
+        f.stage_job(2, "eu-west/worker-0", &[input(1, 100)], 1, SimTime::ZERO);
     }
 
     #[test]

@@ -153,12 +153,12 @@ impl Job {
 
     /// Matchmaking requirements (evaluated against machine ads).
     pub fn requirements(&self) -> &Expr {
-        &self.sig.requirements
+        &self.sig.program.requirements
     }
 
     /// Preference among matching machines (higher is better).
     pub fn rank(&self) -> &Expr {
-        &self.sig.rank
+        &self.sig.program.rank
     }
 
     /// The job's own ad (request attributes, `Owner`, etc.).

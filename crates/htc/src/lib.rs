@@ -33,6 +33,6 @@ pub use dag::{DagError, DagRun, NodeStatus};
 pub use job::{Job, JobBuilder, JobId, JobState, WorkSpec};
 pub use machine::{Machine, MachineName};
 pub use pool::{
-    parse_cid, CondorPool, Match, PoolError, CACHE_AFFINITY_BONUS, JOB_INPUT_CIDS_ATTR,
-    MACHINE_CACHE_CIDS_ATTR, NEGOTIATION_INTERVAL,
+    parse_cid, parse_cid_set, CondorPool, Match, PoolError, CACHE_AFFINITY_BONUS,
+    JOB_INPUT_CIDS_ATTR, MACHINE_CACHE_CIDS_ATTR, NEGOTIATION_INTERVAL,
 };

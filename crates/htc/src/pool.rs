@@ -43,17 +43,70 @@ pub const CACHE_AFFINITY_BONUS: f64 = 1000.0;
 /// `None`. Zero-padded lowercase hex orders like the `u64` it encodes,
 /// so ascending id lists stay ascending either way.
 pub fn parse_cid(token: &str) -> Option<u64> {
-    if token.len() != 16 {
-        return None;
+    parse_digits(token.as_bytes().try_into().ok()?)
+}
+
+/// Marks a byte that is not a lowercase hex digit in [`NIBBLE`].
+const NOT_HEX: u8 = 0x10;
+
+/// Each byte's value as a lowercase hex digit, or [`NOT_HEX`].
+const NIBBLE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 16 {
+        let digit = if d < 10 { b'0' + d } else { b'a' + d - 10 };
+        table[digit as usize] = d;
+        d += 1;
     }
-    token.bytes().try_fold(0u64, |id, b| {
-        let nibble = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            _ => return None,
-        };
-        Some(id << 4 | u64::from(nibble))
-    })
+    table
+};
+
+/// The id 16 digits spell, if all are lowercase hex. Every digit goes
+/// through [`NIBBLE`] and ORs its error bit, with no exit on the way.
+fn parse_digits(digits: &[u8; 16]) -> Option<u64> {
+    let mut id = 0u64;
+    let mut seen = 0u8;
+    for &b in digits {
+        let nibble = NIBBLE[b as usize];
+        seen |= nibble;
+        id = id << 4 | u64::from(nibble & 0xf);
+    }
+    (seen & NOT_HEX == 0).then_some(id)
+}
+
+/// Replace `ids` with the well-formed ids of a comma-joined token list,
+/// sorted and deduplicated: what `text.split(',').filter_map(parse_cid)`
+/// yields, as a set. Text in the canonical form the data plane writes
+/// (16 digits, then a comma, and so on) is read at a fixed stride, and
+/// ids that come out strictly ascending need no sort; any other text
+/// goes token by token.
+pub fn parse_cid_set(text: &str, ids: &mut Vec<u64>) {
+    ids.clear();
+    let bytes = text.as_bytes();
+    let mut ascending = true;
+    let mut canonical = (bytes.len() + 1).is_multiple_of(17);
+    if canonical {
+        for token in bytes.chunks(17) {
+            let (digits, comma) = token.split_at(16);
+            canonical &= comma.first().is_none_or(|&c| c == b',');
+            match parse_digits(digits.try_into().expect("a 16-byte head")) {
+                Some(id) => {
+                    ascending &= ids.last().is_none_or(|&last| last < id);
+                    ids.push(id);
+                }
+                None => canonical = false,
+            }
+        }
+    }
+    if !canonical {
+        ids.clear();
+        ids.extend(text.split(',').filter_map(parse_cid));
+        ascending = false;
+    }
+    if !ascending {
+        ids.sort_unstable();
+        ids.dedup();
+    }
 }
 
 /// The data-affinity term added to a job's rank for a machine: the bonus
@@ -201,11 +254,7 @@ impl MachineSlot {
         if text != self.cache_text {
             self.cache_text.clear();
             self.cache_text.push_str(text);
-            self.cache_cids.clear();
-            self.cache_cids
-                .extend(text.split(',').filter_map(parse_cid));
-            self.cache_cids.sort_unstable();
-            self.cache_cids.dedup();
+            parse_cid_set(text, &mut self.cache_cids);
         }
         self.dirty = false;
     }
@@ -1006,6 +1055,7 @@ impl CondorPool {
                 }
                 let job = &self.jobs[&id];
                 let sig = &*job.sig;
+                let program = &*sig.program;
                 let cluster_memo = memo.row(job.cluster, self.machines.len());
                 // Pick the best accepting machine. The accepting list is
                 // name-sorted, so keeping the first strict maximum
@@ -1019,11 +1069,12 @@ impl CondorPool {
                         _ => {
                             let slot = self.slot(i);
                             let m = &slot.machine;
-                            if !sig.compiled_req.eval_bool(&m.ad, &sig.ad, &mut stack) {
+                            if !program.compiled_req.eval_bool(&m.ad, &sig.ad, &mut stack) {
                                 cluster_memo[i] = (NO_MATCH, 0.0);
                                 continue;
                             }
-                            let mut score = sig.compiled_rank.eval_rank(&m.ad, &sig.ad, &mut stack);
+                            let mut score =
+                                program.compiled_rank.eval_rank(&m.ad, &sig.ad, &mut stack);
                             if !sig.input_cids.is_empty() && !slot.cache_cids.is_empty() {
                                 let overlap = sig
                                     .input_cids
@@ -1034,7 +1085,8 @@ impl CondorPool {
                             }
                             debug_assert_eq!(
                                 score,
-                                sig.rank.eval_rank(&m.ad, &sig.ad) + cache_affinity(&m.ad, &sig.ad),
+                                program.rank.eval_rank(&m.ad, &sig.ad)
+                                    + cache_affinity(&m.ad, &sig.ad),
                                 "compiled negotiation diverged from the reference path"
                             );
                             cluster_memo[i] = (SCORED, score);
@@ -1791,6 +1843,23 @@ mod tests {
         assert_eq!(parse_cid("00000000000000ag"), None, "non-hex");
         assert_eq!(parse_cid("+0000000000000aa"), None, "sign");
         assert_eq!(parse_cid("cid-00000000000a"), None, "prefix");
+    }
+
+    #[test]
+    fn digits_parse_only_when_every_byte_is_lowercase_hex() {
+        for at in 0..16 {
+            for b in 0..=255u8 {
+                let mut digits = *b"0123456789abcdef";
+                digits[at] = b;
+                let want = digits.iter().try_fold(0u64, |id, &d| {
+                    let nibble = (d as char)
+                        .to_digit(16)
+                        .filter(|_| !d.is_ascii_uppercase())?;
+                    Some(id << 4 | u64::from(nibble))
+                });
+                assert_eq!(parse_digits(&digits), want, "byte {b:#04x} at {at}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-style tests of autocluster signature sharing. Jobs whose
 //! builders set bitwise-equal requirements, rank, ad attributes and owner
-//! must share one signature allocation, every other pair must not, and
-//! every job must read back exactly what its builder set — live, retired,
-//! or pulled back out of the history by `remove_job`. Hold reasons are
-//! checked against a model of the pool's documented behaviour through
-//! holds, releases and removals. Cases come from deterministic seeded
-//! streams (the offline build ships no proptest).
+//! must share one signature allocation, every other pair must not; jobs
+//! whose requirements and rank trees are bitwise-equal must share one
+//! compiled program, every other pair must not; and every job must read
+//! back exactly what its builder set — live, retired, or pulled back
+//! out of the history by `remove_job`. Hold reasons are checked against
+//! a model of the pool's documented behaviour through holds, releases
+//! and removals. Cases come from deterministic seeded streams (the
+//! offline build ships no proptest).
 
 use std::collections::BTreeMap;
 
@@ -91,6 +93,11 @@ struct Spec {
 }
 
 impl Spec {
+    /// The key two builders share a program by: their trees.
+    fn program_key(&self) -> (u8, u8) {
+        (REQUIREMENTS[self.req].1, RANKS[self.rank].1)
+    }
+
     fn mate_key(&self) -> (u8, u8, usize, &BTreeMap<usize, usize>) {
         (
             REQUIREMENTS[self.req].1,
@@ -216,6 +223,8 @@ fn check_reads_back(pool: &CondorPool, id: JobId, spec: &Spec, context: &str) {
 }
 
 /// Cluster-mates share one signature allocation; other pairs never do.
+/// Jobs whose requirements and rank trees are bitwise-equal share one
+/// program, cluster-mates or not; other pairs never do.
 fn check_sharing(pool: &CondorPool, jobs: &[(JobId, Spec)], context: &str) {
     for (i, (a, sa)) in jobs.iter().enumerate() {
         let ja = pool.job(*a).unwrap();
@@ -227,7 +236,12 @@ fn check_sharing(pool: &CondorPool, jobs: &[(JobId, Spec)], context: &str) {
                 mates,
                 "{context}: {a} {sa:?} and {b} {sb:?}"
             );
-            assert_eq!(std::ptr::eq(ja.requirements(), jb.requirements()), mates);
+            let same_trees = sa.program_key() == sb.program_key();
+            assert_eq!(
+                std::ptr::eq(ja.requirements(), jb.requirements()),
+                same_trees,
+                "{context}: programs of {a} {sa:?} and {b} {sb:?}"
+            );
         }
     }
 }

@@ -71,6 +71,22 @@ fn split(path: &str) -> Result<Vec<&str>, FsError> {
     Ok(path.split('/').filter(|c| !c.is_empty()).collect())
 }
 
+/// The children of directory `name` under `dir`, created empty if
+/// missing (the only case that allocates the name); `None` when `name`
+/// is a file.
+fn child_dir<'a>(
+    dir: &'a mut BTreeMap<String, FsNode>,
+    name: &str,
+) -> Option<&'a mut BTreeMap<String, FsNode>> {
+    if !dir.contains_key(name) {
+        dir.insert(name.to_string(), FsNode::Dir(BTreeMap::new()));
+    }
+    match dir.get_mut(name) {
+        Some(FsNode::Dir(children)) => Some(children),
+        _ => None,
+    }
+}
+
 /// The tree root plus operations.
 #[derive(Debug, Clone, Default)]
 pub struct Tree {
@@ -100,12 +116,9 @@ impl Tree {
         let parts = split(path)?;
         let mut cur = &mut self.root;
         for (i, part) in parts.iter().enumerate() {
-            let entry = cur
-                .entry(part.to_string())
-                .or_insert_with(|| FsNode::Dir(BTreeMap::new()));
-            match entry {
-                FsNode::Dir(children) => cur = children,
-                FsNode::File { .. } => return Err(FsError::NotADirectory(parts[..=i].join("/"))),
+            match child_dir(cur, part) {
+                Some(children) => cur = children,
+                None => return Err(FsError::NotADirectory(parts[..=i].join("/"))),
             }
         }
         Ok(())
@@ -131,12 +144,9 @@ impl Tree {
         };
         let mut cur = &mut self.root;
         for part in dirs {
-            let entry = cur
-                .entry(part.to_string())
-                .or_insert_with(|| FsNode::Dir(BTreeMap::new()));
-            match entry {
-                FsNode::Dir(children) => cur = children,
-                FsNode::File { .. } => return Err(FsError::NotADirectory(part.to_string())),
+            match child_dir(cur, part) {
+                Some(children) => cur = children,
+                None => return Err(FsError::NotADirectory(part.to_string())),
             }
         }
         match cur.get(*name) {
@@ -311,6 +321,25 @@ mod tests {
             Err(FsError::IsADirectory(_))
         ));
         assert!(matches!(t.list("/a/file"), Err(FsError::NotADirectory(_))));
+    }
+
+    #[test]
+    fn walks_through_existing_dirs_and_name_a_blocking_file() {
+        let mut t = Tree::new();
+        t.write_file("/a/b/file", 1, "t").unwrap();
+        t.mkdir_p("/a/b/dir/deep").unwrap();
+        t.write_file("/a/b/dir/deep/f", 2, "u").unwrap();
+        assert_eq!(t.list("/a/b").unwrap(), vec!["dir", "file"]);
+        assert_eq!(t.file_size("/a/b/file").unwrap(), 1);
+        assert_eq!(
+            t.mkdir_p("/a/b/file/sub"),
+            Err(FsError::NotADirectory("a/b/file".to_string()))
+        );
+        assert_eq!(
+            t.write_file("/a/b/file/sub/x", 1, "t"),
+            Err(FsError::NotADirectory("file".to_string()))
+        );
+        assert_eq!(t.disk_usage("/").unwrap(), 3);
     }
 
     #[test]
