@@ -19,9 +19,9 @@
 use cumulus_cloud::InstanceType;
 use cumulus_provision::deploy::{GpCloud, GpError, GpInstanceId};
 use cumulus_simkit::engine::Sim;
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
 use cumulus_simkit::runner::{run_replicas, ReplicaPlan};
-use cumulus_simkit::telemetry::{span::keys as span_keys, Payload, Telemetry};
+use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 use cumulus_store::CacheFleet;
 
@@ -45,33 +45,29 @@ pub mod keys {
     /// Counter: scale-ins deferred because the removable tail was cache-warm
     /// while a colder worker would be retained.
     pub const HOLD_CACHE: &str = "autoscale/hold_cache_warm";
-    /// Gauge: workers after the most recent tick.
-    pub const WORKERS: &str = "autoscale/workers";
 }
 
-/// Pre-registered [`MetricId`] handles for every [`keys`] entry, so the
-/// control loop's hot path never hashes a key string.
+/// Interned [`Key`]s for every [`keys`] entry, so the control loop's hot
+/// path never hashes a key string.
 #[derive(Debug, Clone, Copy)]
-struct ScalerMetricIds {
-    ticks: MetricId,
-    scale_out: MetricId,
-    scale_in: MetricId,
-    hold_in_flight: MetricId,
-    hold_drain: MetricId,
-    hold_cache: MetricId,
-    workers: MetricId,
+struct ScalerKeys {
+    ticks: Key,
+    scale_out: Key,
+    scale_in: Key,
+    hold_in_flight: Key,
+    hold_drain: Key,
+    hold_cache: Key,
 }
 
-impl ScalerMetricIds {
-    fn register() -> ScalerMetricIds {
-        ScalerMetricIds {
-            ticks: MetricId::register(keys::TICKS),
-            scale_out: MetricId::register(keys::SCALE_OUT),
-            scale_in: MetricId::register(keys::SCALE_IN),
-            hold_in_flight: MetricId::register(keys::HOLD_IN_FLIGHT),
-            hold_drain: MetricId::register(keys::HOLD_DRAIN),
-            hold_cache: MetricId::register(keys::HOLD_CACHE),
-            workers: MetricId::register(keys::WORKERS),
+impl ScalerKeys {
+    fn intern() -> ScalerKeys {
+        ScalerKeys {
+            ticks: Key::intern(keys::TICKS),
+            scale_out: Key::intern(keys::SCALE_OUT),
+            scale_in: Key::intern(keys::SCALE_IN),
+            hold_in_flight: Key::intern(keys::HOLD_IN_FLIGHT),
+            hold_drain: Key::intern(keys::HOLD_DRAIN),
+            hold_cache: Key::intern(keys::HOLD_CACHE),
         }
     }
 }
@@ -246,9 +242,9 @@ pub struct AutoScaler {
     cache_holds: u32,
     /// Audit trail of every decision taken.
     pub log: ActivityLog,
-    /// Counters and gauges (see [`keys`]).
+    /// Counters (see [`keys`]).
     pub metrics: Metrics,
-    ids: ScalerMetricIds,
+    ids: ScalerKeys,
     telemetry: Telemetry,
 }
 
@@ -264,7 +260,7 @@ impl AutoScaler {
             cache_holds: 0,
             log: ActivityLog::default(),
             metrics: Metrics::new(),
-            ids: ScalerMetricIds::register(),
+            ids: ScalerKeys::intern(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -293,7 +289,7 @@ impl AutoScaler {
         cloud: &mut GpCloud,
         id: &GpInstanceId,
     ) -> Result<Decision, GpError> {
-        self.metrics.incr_id(self.ids.ticks, 1);
+        self.metrics.incr(self.ids.ticks, 1);
         let inst = cloud.instance(id)?;
         let workers = inst.topology.workers.len();
         let sample = SignalSample::observe(now, &inst.pool, workers);
@@ -304,7 +300,7 @@ impl AutoScaler {
         // clocks) see only actionable ticks.
         if let Some(until) = self.in_flight_until {
             if now < until {
-                self.metrics.incr_id(self.ids.hold_in_flight, 1);
+                self.metrics.incr(self.ids.hold_in_flight, 1);
                 return Ok(self.record(Decision {
                     at: now,
                     sample,
@@ -321,7 +317,7 @@ impl AutoScaler {
             let report = cloud.scale_workers(now, id, desired, self.config.worker_type)?;
             let done = report.done_at(now);
             self.in_flight_until = Some(done);
-            self.metrics.incr_id(self.ids.scale_out, 1);
+            self.metrics.incr(self.ids.scale_out, 1);
             self.policy.observe_actuation(&ActuationFeedback {
                 at: now,
                 from: workers,
@@ -346,7 +342,7 @@ impl AutoScaler {
                 to -= 1;
             }
             if to == workers {
-                self.metrics.incr_id(self.ids.hold_drain, 1);
+                self.metrics.incr(self.ids.hold_drain, 1);
                 Decision {
                     at: now,
                     sample,
@@ -361,7 +357,7 @@ impl AutoScaler {
                 // warmth drain (jobs rank toward warm workers, so the
                 // tail going un-matched usually means it is cooling off).
                 self.cache_holds += 1;
-                self.metrics.incr_id(self.ids.hold_cache, 1);
+                self.metrics.incr(self.ids.hold_cache, 1);
                 Decision {
                     at: now,
                     sample,
@@ -373,7 +369,7 @@ impl AutoScaler {
                 let report = cloud.scale_workers(now, id, to, self.config.worker_type)?;
                 let done = report.done_at(now);
                 self.in_flight_until = Some(done);
-                self.metrics.incr_id(self.ids.scale_in, 1);
+                self.metrics.incr(self.ids.scale_in, 1);
                 self.cache_holds = 0;
                 if let Some(fleet) = &self.config.cache_fleet {
                     // The released workers' instance storage is gone with
@@ -405,8 +401,6 @@ impl AutoScaler {
                 done_at: None,
             }
         };
-        let after = cloud.instance(id)?.topology.workers.len();
-        self.metrics.set_gauge_id(self.ids.workers, after as f64);
         Ok(self.record(decision))
     }
 

@@ -1,7 +1,7 @@
 //! Telemetry kernel bench: hot-path observability throughput of the
-//! `cumulus-simkit` plane — pre-registered [`MetricId`] handles indexing
-//! dense vectors, and interned-[`Key`] typed
-//! [`Event`](cumulus_simkit::telemetry::Event) records.
+//! `cumulus-simkit` plane — the [`Key`]-indexed atomic counter bank, and
+//! interned-[`Key`] typed [`Event`](cumulus_simkit::telemetry::Event)
+//! records.
 //!
 //! Beyond timing, the harness asserts that each workload's (checksum,
 //! event-count) repeats across runs, and a determinism gate checks that
@@ -20,7 +20,7 @@
 use cumulus_bench::kernel::{measure, time_workload, workloads_json, WorkloadResult};
 use cumulus_provision::json::Json;
 use cumulus_simkit::hash::Fnv;
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
 use cumulus_simkit::telemetry::{span::keys, Key, Payload, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
@@ -28,8 +28,8 @@ use cumulus_simkit::time::{SimDuration, SimTime};
 // Deterministic workload descriptions
 // ---------------------------------------------------------------------------
 
-/// The realistic key set: every counter/gauge/sample key the simulator's
-/// hot paths actually write.
+/// The realistic key set: counters of the kind the simulator's hot paths
+/// write.
 const COUNTER_KEYS: [&str; 8] = [
     "transfer/tasks",
     "transfer/bytes_delivered",
@@ -40,8 +40,6 @@ const COUNTER_KEYS: [&str; 8] = [
     "autoscale/ticks",
     "autoscale/scale_out",
 ];
-const GAUGE_KEYS: [&str; 2] = ["autoscale/workers", "store/fleet_bytes"];
-const SAMPLE_KEYS: [&str; 2] = ["staging/secs", "transfer/secs"];
 
 /// Scale knobs per workload; `--quick` shrinks everything.
 struct Scale {
@@ -72,28 +70,22 @@ impl Scale {
 // Workloads. Each returns (checksum, events).
 // ---------------------------------------------------------------------------
 
-/// metrics_hot: the registry write path as the simulator drives it — per
-/// round one counter incr per hot key, a gauge update, and a duration
-/// sample. The checksum is [`Fnv`] over the final `report()` text.
+/// metrics_hot: the counter write path as the simulator drives it — per
+/// round one increment per hot key. The checksum is [`Fnv`] over the
+/// counters read back in [`COUNTER_KEYS`] order.
 fn metrics_hot(s: &Scale) -> (u64, u64) {
     let m = Metrics::new();
-    let counters: Vec<MetricId> = COUNTER_KEYS.iter().map(|k| MetricId::register(k)).collect();
-    let gauges: Vec<MetricId> = GAUGE_KEYS.iter().map(|k| MetricId::register(k)).collect();
-    let samples: Vec<MetricId> = SAMPLE_KEYS.iter().map(|k| MetricId::register(k)).collect();
+    let counters: Vec<Key> = COUNTER_KEYS.iter().map(|k| Key::intern(k)).collect();
     for round in 0..s.metric_rounds {
-        for (i, &id) in counters.iter().enumerate() {
-            m.incr_id(id, 1 + ((round + i) % 7) as u64);
-        }
-        for (i, &id) in gauges.iter().enumerate() {
-            m.set_gauge_id(id, ((round * 3 + i) % 100) as f64);
-        }
-        for (i, &id) in samples.iter().enumerate() {
-            m.record_duration_id(id, SimDuration::from_micros(((round + i) % 9000) as u64));
+        for (i, &key) in counters.iter().enumerate() {
+            m.incr(key, 1 + ((round + i) % 7) as u64);
         }
     }
     let mut sum = Fnv::new();
-    sum.write(m.report().as_bytes());
-    let events = s.metric_rounds * (COUNTER_KEYS.len() + GAUGE_KEYS.len() + SAMPLE_KEYS.len());
+    for name in COUNTER_KEYS {
+        sum.write_u64(m.counter(name));
+    }
+    let events = s.metric_rounds * COUNTER_KEYS.len();
     (sum.finish(), events as u64)
 }
 
@@ -196,7 +188,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let s = Scale::new(quick);
 
-    println!("== telemetry (handles + typed events) ==");
+    println!("== telemetry (counters + typed events) ==");
 
     determinism_gate();
 

@@ -16,7 +16,7 @@ use cumulus::htc::WorkSpec;
 use cumulus::net::{DataSize, Network};
 use cumulus::simkit::disrupt::DisruptionPlan;
 use cumulus::simkit::time::{SimDuration, SimTime};
-use cumulus::simkit::{run_replicas, ReplicaPlan, Samples};
+use cumulus::simkit::{run_replicas, ReplicaPlan};
 use cumulus::transfer::{
     calibrated_wan_link, CertificateAuthority, EndpointKind, Protocol, TaskStatus, TransferRequest,
     TransferService,
@@ -115,18 +115,20 @@ pub fn fault_sensitivity(
                 let rate = task.achieved_rate().as_mbps();
                 (rate, task.status == TaskStatus::Succeeded)
             });
-            let mut rates = Samples::new();
-            let mut successes = 0usize;
-            for (rate, ok) in &results {
-                if *ok {
-                    rates.record(*rate);
-                    successes += 1;
-                }
-            }
+            let rates: Vec<f64> = results
+                .iter()
+                .filter(|(_, ok)| *ok)
+                .map(|(rate, _)| *rate)
+                .collect();
+            let mean = if rates.is_empty() {
+                0.0
+            } else {
+                rates.iter().sum::<f64>() / rates.len() as f64
+            };
             (
                 protocol.name(),
-                rates.mean().unwrap_or(0.0),
-                successes as f64 / results.len() as f64,
+                mean,
+                rates.len() as f64 / results.len() as f64,
             )
         })
         .collect()

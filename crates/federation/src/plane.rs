@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cumulus_cloud::BillingLedger;
 use cumulus_galaxy::routing::{InvocationRequest, InvocationRouter, SiteSnapshot};
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
 use cumulus_simkit::telemetry::{wan as wan_keys, Key, Payload, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 use cumulus_store::staging::{StagingPlan, StagingSource};
@@ -30,24 +30,24 @@ use cumulus_store::{ContentId, DataSize, InputSpec};
 use crate::site::{Site, SiteConfig};
 use crate::wan::{WanLink, WanTopology};
 
-/// Pre-registered handles for the WAN-plane counters.
+/// The WAN plane's counter and event keys, interned once.
 #[derive(Debug, Clone, Copy)]
-struct WanMetricIds {
-    bytes_egress: MetricId,
-    bytes_ingress: MetricId,
-    crossings: MetricId,
-    crossing_secs: MetricId,
-    egress_usd: MetricId,
+struct WanKeys {
+    bytes_egress: Key,
+    bytes_ingress: Key,
+    crossings: Key,
+    crossing_done: Key,
+    replicated: Key,
 }
 
-impl WanMetricIds {
-    fn register() -> Self {
-        WanMetricIds {
-            bytes_egress: MetricId::register(wan_keys::BYTES_EGRESS),
-            bytes_ingress: MetricId::register(wan_keys::BYTES_INGRESS),
-            crossings: MetricId::register(wan_keys::CROSSINGS),
-            crossing_secs: MetricId::register(wan_keys::CROSSING_SECS),
-            egress_usd: MetricId::register(wan_keys::EGRESS_USD),
+impl WanKeys {
+    fn intern() -> Self {
+        WanKeys {
+            bytes_egress: Key::intern(wan_keys::BYTES_EGRESS),
+            bytes_ingress: Key::intern(wan_keys::BYTES_INGRESS),
+            crossings: Key::intern(wan_keys::CROSSINGS),
+            crossing_done: Key::intern(wan_keys::CROSSING_DONE),
+            replicated: Key::intern(wan_keys::REPLICATED),
         }
     }
 }
@@ -100,7 +100,7 @@ pub struct Federation {
     telemetry: Telemetry,
     /// Egress charges only — instance usage bills on each site's ledger.
     egress_ledger: BillingLedger,
-    ids: WanMetricIds,
+    keys: WanKeys,
 }
 
 impl Federation {
@@ -122,7 +122,7 @@ impl Federation {
             wan_metrics: Metrics::new(),
             telemetry: Telemetry::disabled(),
             egress_ledger: BillingLedger::new(),
-            ids: WanMetricIds::register(),
+            keys: WanKeys::intern(),
         }
     }
 
@@ -256,7 +256,7 @@ impl Federation {
             wan_metrics: &self.wan_metrics,
             telemetry: &self.telemetry,
             egress_ledger: &mut self.egress_ledger,
-            ids: self.ids,
+            keys: self.keys,
             now,
         };
         let plan = site
@@ -314,7 +314,7 @@ struct Remote<'a> {
     wan_metrics: &'a Metrics,
     telemetry: &'a Telemetry,
     egress_ledger: &'a mut BillingLedger,
-    ids: WanMetricIds,
+    keys: WanKeys,
     now: SimTime,
 }
 
@@ -354,22 +354,12 @@ impl Remote<'_> {
             src_name,
             dst_name,
         );
-        self.wan_metrics.incr_id(self.ids.bytes_egress, bytes);
-        self.wan_metrics.incr_id(self.ids.bytes_ingress, bytes);
-        self.wan_metrics.incr_id(self.ids.crossings, 1);
-        self.wan_metrics
-            .record_id(self.ids.crossing_secs, duration.as_secs_f64());
-        self.wan_metrics
-            .record_id(self.ids.egress_usd, link.egress_cost(bytes));
-        if self.telemetry.is_enabled() {
-            for key in [wan_keys::CROSSING_DONE, wan_keys::REPLICATED] {
-                self.telemetry.record(
-                    self.now,
-                    wan_keys::CATEGORY,
-                    Key::intern(key),
-                    Payload::Bytes(bytes),
-                );
-            }
+        self.wan_metrics.incr(self.keys.bytes_egress, bytes);
+        self.wan_metrics.incr(self.keys.bytes_ingress, bytes);
+        self.wan_metrics.incr(self.keys.crossings, 1);
+        for key in [self.keys.crossing_done, self.keys.replicated] {
+            self.telemetry
+                .record(self.now, wan_keys::CATEGORY, key, Payload::Bytes(bytes));
         }
         Some((StagingSource::RemoteSite(src_name.clone()), duration))
     }

@@ -9,7 +9,8 @@
 
 use std::collections::BTreeSet;
 
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
+use cumulus_simkit::telemetry::Key;
 use cumulus_simkit::time::SimDuration;
 
 use crate::tree::{FsError, Tree};
@@ -35,9 +36,9 @@ pub struct SharedFs {
     active_streams: u32,
     /// Observable counters.
     metrics: Metrics,
-    /// Pre-registered counter handles (staging is the server's hot path).
-    id_bytes_staged: MetricId,
-    id_stage_ops: MetricId,
+    /// Interned counter keys (staging is the server's hot path).
+    id_bytes_staged: Key,
+    id_stage_ops: Key,
 }
 
 impl SharedFs {
@@ -55,8 +56,8 @@ impl SharedFs {
             mounts: BTreeSet::new(),
             active_streams: 0,
             metrics: Metrics::new(),
-            id_bytes_staged: MetricId::register(keys::BYTES_STAGED),
-            id_stage_ops: MetricId::register(keys::STAGE_OPS),
+            id_bytes_staged: Key::intern(keys::BYTES_STAGED),
+            id_stage_ops: Key::intern(keys::STAGE_OPS),
         }
     }
 
@@ -129,8 +130,8 @@ impl SharedFs {
     /// Stage `bytes` through the server and record it: the observable
     /// wrapper around the pure [`stage_duration`](SharedFs::stage_duration).
     pub fn stage(&mut self, bytes: u64, concurrent: u32) -> SimDuration {
-        self.metrics.incr_id(self.id_bytes_staged, bytes);
-        self.metrics.incr_id(self.id_stage_ops, 1);
+        self.metrics.incr(self.id_bytes_staged, bytes);
+        self.metrics.incr(self.id_stage_ops, 1);
         self.stage_duration(bytes, concurrent)
     }
 

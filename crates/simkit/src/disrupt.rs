@@ -333,11 +333,6 @@ impl DisruptionPlan {
         }
     }
 
-    /// The first point event at or after `t`, if any.
-    pub fn next_point_at(&self, t: SimTime) -> Option<Disruption> {
-        self.points.iter().find(|d| d.at >= t).copied()
-    }
-
     /// Schedule every point event into `sim`, invoking `deliver` when the
     /// event strikes. This is how a driver wires a plan to a
     /// [`Disruptable`] component: the closure typically picks a victim

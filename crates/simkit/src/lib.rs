@@ -22,8 +22,8 @@
 //! * **Measurability.** Every subsystem reports what happened through one
 //!   typed [`telemetry`] plane: interned-key [`telemetry::Event`] records
 //!   feeding lifecycle spans, derived metrics, and episode reports.
-//!   [`Metrics`] is its id-indexed counter/gauge/sample registry;
-//!   [`Samples`] summarizes.
+//!   [`Metrics`] is the always-on counter bank beside it, indexed by the
+//!   same interned [`Key`]s.
 //!
 //! # Quick example
 //!
@@ -51,17 +51,15 @@ pub mod metrics;
 pub mod retry;
 pub mod rng;
 pub mod runner;
-pub mod stats;
 pub mod telemetry;
 pub mod time;
 
 pub use disrupt::{Disruptable, Disruption, DisruptionKind, DisruptionPlan, InvalidWindow, Window};
 pub use engine::{EventId, RunOutcome, Sim};
-pub use metrics::{MetricId, Metrics};
+pub use metrics::Metrics;
 pub use retry::{DeadLetterReason, RetryDecision, RetryPolicy, RetryState};
 pub use rng::{RngStream, SeedFactory};
 pub use runner::{run_replicas, ReplicaPlan};
-pub use stats::{relative_error, Samples};
 pub use telemetry::{Event, JobBreakdown, Key, Payload, Span, SpanKind, SpanSet, Telemetry};
 pub use time::{SimDuration, SimTime};
 
@@ -71,9 +69,8 @@ pub mod prelude {
         Disruptable, Disruption, DisruptionKind, DisruptionPlan, InvalidWindow, Window,
     };
     pub use crate::engine::{EventId, RunOutcome, Sim};
-    pub use crate::metrics::{MetricId, Metrics};
+    pub use crate::metrics::Metrics;
     pub use crate::rng::{RngStream, SeedFactory};
-    pub use crate::stats::Samples;
     pub use crate::telemetry::{Event, Key, Payload, SpanKind, Telemetry};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -238,11 +238,6 @@ impl RetryState {
         self.dead.is_some()
     }
 
-    /// The terminal reason, if the state has dead-lettered.
-    pub fn dead_letter(&self) -> Option<DeadLetterReason> {
-        self.dead
-    }
-
     /// The policy this cursor follows.
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy

@@ -174,11 +174,6 @@ impl RngStream {
         mean + sd * self.standard_normal()
     }
 
-    /// Log-normal draw parameterized by the *underlying* normal's mean/sd.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Poisson draw (Knuth's method for small lambda, normal approximation
     /// above 30 to stay O(1)).
     pub fn poisson(&mut self, lambda: f64) -> u64 {

@@ -1,10 +1,10 @@
 //! Process-wide interning of telemetry names.
 //!
-//! Both event keys ([`Key`]) and metric names
-//! ([`MetricId`](crate::metrics::MetricId)) resolve to small integer
-//! handles through tables of this shape. Interning happens once per
-//! distinct name for the whole process; after that, carrying a name
-//! around is a `u32` copy and comparing two names is an integer compare.
+//! One mutex-guarded table backs both event keys ([`Key`]) and the
+//! counter names of [`Metrics`](crate::metrics::Metrics), which a `Key`
+//! indexes too. Interning happens once per distinct name for the whole
+//! process; after that, carrying a name around is a `u32` copy and
+//! comparing two names is an integer compare.
 //!
 //! Event categories (`"htc"`, `"store"`, …) are interned too, into a
 //! separate lock-free table of 256 entries, so an
@@ -20,15 +20,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-/// A shared name-interning table: names in insertion order plus a
+/// The name-interning table: names in insertion order plus a
 /// borrowed-key index, so lookups of existing names never allocate.
-pub(crate) struct NameTable {
+struct NameTable {
     names: Vec<&'static str>,
     by_name: HashMap<&'static str, u32>,
 }
 
 impl NameTable {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         NameTable {
             names: Vec::new(),
             by_name: HashMap::new(),
@@ -38,7 +38,7 @@ impl NameTable {
     /// Id of `name`, interning it on first sight. The borrow-first lookup
     /// means a hit costs one hash probe and zero allocations; only the
     /// first insertion of a name leaks one boxed copy of it.
-    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+    fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
@@ -50,12 +50,12 @@ impl NameTable {
     }
 
     /// Id of `name` if it has ever been interned (never grows the table).
-    pub(crate) fn find(&self, name: &str) -> Option<u32> {
+    fn find(&self, name: &str) -> Option<u32> {
         self.by_name.get(name).copied()
     }
 
     /// The name behind an id.
-    pub(crate) fn name(&self, id: u32) -> &'static str {
+    fn name(&self, id: u32) -> &'static str {
         self.names[id as usize]
     }
 }
@@ -91,6 +91,12 @@ impl Key {
     pub fn intern(name: &str) -> Key {
         let mut tab = key_table().lock().expect("key table poisoned");
         Key(tab.intern(name))
+    }
+
+    /// The key's id, which indexes the counter bank of
+    /// [`Metrics`](crate::metrics::Metrics).
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
     }
 
     /// Look up a name without interning it.

@@ -18,9 +18,8 @@
 //!
 //! Two consumers sit on top:
 //!
-//! * [`Metrics`](crate::metrics::Metrics) — the counter/gauge/sample
-//!   registry, integer-indexed by pre-registered
-//!   [`MetricId`](crate::metrics::MetricId) handles.
+//! * [`Metrics`](crate::metrics::Metrics) — the always-on counter bank,
+//!   indexed by the same [`Key`]s the events carry.
 //! * [`span`] — lifecycle spans (job / workflow / transfer / instance)
 //!   assembled from `SpanOpen`/`SpanPhase`/`SpanClose` events, with
 //!   [`span::JobBreakdown`] decomposing walltime into
@@ -46,7 +45,7 @@ pub mod intern;
 pub mod span;
 
 /// The `wan.*` telemetry vocabulary: cross-site traffic over the
-/// federation's wide-area links. Metrics under these keys let a report
+/// federation's wide-area links. Counters under these keys let a report
 /// decompose staging into intra-site bytes (the `store.bytes.*`
 /// counters) and cross-site bytes, and events under [`wan::CATEGORY`]
 /// carry per-crossing detail (size, link, charge).
@@ -67,10 +66,6 @@ pub mod wan {
     /// Event: a replica was placed at the destination site after a
     /// crossing (`Payload::Bytes`).
     pub const REPLICATED: &str = "wan.replicated";
-    /// Sample: per-crossing transfer seconds.
-    pub const CROSSING_SECS: &str = "wan.crossing_secs";
-    /// Sample: per-crossing egress dollars.
-    pub const EGRESS_USD: &str = "wan.egress_usd";
 }
 
 use std::ops::Deref;

@@ -216,12 +216,6 @@ impl Span {
     pub fn phases_named(&self, key: Key) -> impl Iterator<Item = &Phase> {
         self.phases.iter().filter(move |p| p.key == key)
     }
-
-    /// Sum of the attached durations of phases matching `key`.
-    pub fn phase_total(&self, key: Key) -> SimDuration {
-        self.phases_named(key)
-            .fold(SimDuration::ZERO, |acc, p| acc + p.dur)
-    }
 }
 
 /// Why span assembly rejected an event sequence.

@@ -9,7 +9,8 @@
 
 use cumulus_net::DataSize;
 use cumulus_simkit::disrupt::{Disruptable, DisruptionKind};
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
+use cumulus_simkit::telemetry::Key;
 use cumulus_simkit::time::SimTime;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -44,28 +45,28 @@ struct FleetInner {
     capacity: DataSize,
     policy: EvictionPolicy,
     metrics: Metrics,
-    ids: FleetMetricIds,
+    ids: FleetKeys,
 }
 
-/// Pre-registered handles for the fleet's counters — lookups are the data
-/// plane's hot path and must not allocate per call.
+/// Interned keys of the fleet's counters — lookups are the data plane's
+/// hot path and must not allocate per call.
 #[derive(Debug, Clone, Copy)]
-struct FleetMetricIds {
-    hits: MetricId,
-    misses: MetricId,
-    evictions: MetricId,
-    invalidations: MetricId,
-    objects_lost: MetricId,
+struct FleetKeys {
+    hits: Key,
+    misses: Key,
+    evictions: Key,
+    invalidations: Key,
+    objects_lost: Key,
 }
 
-impl FleetMetricIds {
-    fn register() -> Self {
-        FleetMetricIds {
-            hits: MetricId::register(keys::HITS),
-            misses: MetricId::register(keys::MISSES),
-            evictions: MetricId::register(keys::EVICTIONS),
-            invalidations: MetricId::register(keys::INVALIDATIONS),
-            objects_lost: MetricId::register(keys::OBJECTS_LOST),
+impl FleetKeys {
+    fn intern() -> Self {
+        FleetKeys {
+            hits: Key::intern(keys::HITS),
+            misses: Key::intern(keys::MISSES),
+            evictions: Key::intern(keys::EVICTIONS),
+            invalidations: Key::intern(keys::INVALIDATIONS),
+            objects_lost: Key::intern(keys::OBJECTS_LOST),
         }
     }
 }
@@ -86,7 +87,7 @@ impl CacheFleet {
                 capacity,
                 policy,
                 metrics: Metrics::new(),
-                ids: FleetMetricIds::register(),
+                ids: FleetKeys::intern(),
             })),
         }
     }
@@ -116,8 +117,8 @@ impl CacheFleet {
                 }
                 let lost = cache.len();
                 let ids = g.ids;
-                g.metrics.incr_id(ids.invalidations, 1);
-                g.metrics.incr_id(ids.objects_lost, lost as u64);
+                g.metrics.incr(ids.invalidations, 1);
+                g.metrics.incr(ids.objects_lost, lost as u64);
                 true
             }
             None => false,
@@ -135,7 +136,7 @@ impl CacheFleet {
         let g = &mut *self.lock();
         let hit = g.caches.get_mut(worker).is_some_and(|c| c.lookup(cid));
         g.metrics
-            .incr_id(if hit { g.ids.hits } else { g.ids.misses }, 1);
+            .incr(if hit { g.ids.hits } else { g.ids.misses }, 1);
         hit
     }
 
@@ -153,7 +154,7 @@ impl CacheFleet {
         if held {
             g.add_holder(cid, worker);
         }
-        g.metrics.incr_id(g.ids.evictions, evicted.len() as u64);
+        g.metrics.incr(g.ids.evictions, evicted.len() as u64);
         evicted
     }
 

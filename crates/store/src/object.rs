@@ -8,7 +8,8 @@
 //! per-request round trip and a metered bill.
 
 use cumulus_net::DataSize;
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
+use cumulus_simkit::telemetry::Key;
 use cumulus_simkit::time::SimDuration;
 use std::collections::BTreeMap;
 
@@ -64,12 +65,12 @@ pub struct ObjectStore {
     bytes_served: DataSize,
     cost_usd: f64,
     metrics: Metrics,
-    /// Pre-registered counter handles (GET/PUT are per-input hot paths).
-    id_puts: MetricId,
-    id_bytes_stored: MetricId,
-    id_gets: MetricId,
-    id_bytes_served: MetricId,
-    id_seeded_bytes: MetricId,
+    /// Interned counter keys (GET/PUT are per-input hot paths).
+    id_puts: Key,
+    id_bytes_stored: Key,
+    id_gets: Key,
+    id_bytes_served: Key,
+    id_seeded_bytes: Key,
 }
 
 impl ObjectStore {
@@ -83,11 +84,11 @@ impl ObjectStore {
             bytes_served: DataSize::ZERO,
             cost_usd: 0.0,
             metrics: Metrics::new(),
-            id_puts: MetricId::register(keys::PUTS),
-            id_bytes_stored: MetricId::register(keys::BYTES_STORED),
-            id_gets: MetricId::register(keys::GETS),
-            id_bytes_served: MetricId::register(keys::BYTES_SERVED),
-            id_seeded_bytes: MetricId::register(keys::SEEDED_BYTES),
+            id_puts: Key::intern(keys::PUTS),
+            id_bytes_stored: Key::intern(keys::BYTES_STORED),
+            id_gets: Key::intern(keys::GETS),
+            id_bytes_served: Key::intern(keys::BYTES_SERVED),
+            id_seeded_bytes: Key::intern(keys::SEEDED_BYTES),
         }
     }
 
@@ -124,8 +125,8 @@ impl ObjectStore {
         self.objects.insert(cid, size);
         self.puts += 1;
         self.cost_usd += self.config.cost_per_put;
-        self.metrics.incr_id(self.id_puts, 1);
-        self.metrics.incr_id(self.id_bytes_stored, size.as_bytes());
+        self.metrics.incr(self.id_puts, 1);
+        self.metrics.incr(self.id_bytes_stored, size.as_bytes());
         self.transfer_duration(size)
     }
 
@@ -136,7 +137,7 @@ impl ObjectStore {
     /// residency from paid PUTs.
     pub fn seed(&mut self, cid: ContentId, size: DataSize) {
         self.objects.insert(cid, size);
-        self.metrics.incr_id(self.id_seeded_bytes, size.as_bytes());
+        self.metrics.incr(self.id_seeded_bytes, size.as_bytes());
     }
 
     /// Fetch an object; `None` if absent (no charge for a 404 — the
@@ -146,8 +147,8 @@ impl ObjectStore {
         self.gets += 1;
         self.bytes_served += size;
         self.cost_usd += self.config.cost_per_get;
-        self.metrics.incr_id(self.id_gets, 1);
-        self.metrics.incr_id(self.id_bytes_served, size.as_bytes());
+        self.metrics.incr(self.id_gets, 1);
+        self.metrics.incr(self.id_bytes_served, size.as_bytes());
         Some(self.transfer_duration(size))
     }
 

@@ -21,7 +21,8 @@
 
 use cumulus_net::{DataSize, Rate, TcpConfig};
 use cumulus_nfs::SharedFs;
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
+use cumulus_simkit::telemetry::Key;
 use cumulus_simkit::time::SimDuration;
 use cumulus_transfer::{inter_site_link, intra_cloud_link, Protocol};
 
@@ -45,8 +46,6 @@ pub mod keys {
     pub const BYTES_NFS: &str = "store.bytes.nfs";
     /// Counter: bytes ingested over GridFTP from the origin site.
     pub const BYTES_INGEST: &str = "store.bytes.ingest";
-    /// Sample: per-job staging seconds.
-    pub const STAGING_SECS: &str = "store.staging_secs";
 }
 
 /// Which sharing strategy the deployment runs — the axis of the E13
@@ -185,31 +184,29 @@ pub struct DataPlane {
     /// The per-worker caches.
     pub fleet: CacheFleet,
     metrics: Metrics,
-    ids: StagingMetricIds,
+    ids: StagingKeys,
 }
 
-/// Pre-registered handles for the staging layer's per-input counters.
+/// Interned keys of the staging layer's per-input counters.
 #[derive(Debug, Clone, Copy)]
-struct StagingMetricIds {
-    bytes_local: MetricId,
-    bytes_peer: MetricId,
-    bytes_object: MetricId,
-    bytes_remote: MetricId,
-    bytes_nfs: MetricId,
-    bytes_ingest: MetricId,
-    staging_secs: MetricId,
+struct StagingKeys {
+    bytes_local: Key,
+    bytes_peer: Key,
+    bytes_object: Key,
+    bytes_remote: Key,
+    bytes_nfs: Key,
+    bytes_ingest: Key,
 }
 
-impl StagingMetricIds {
-    fn register() -> Self {
-        StagingMetricIds {
-            bytes_local: MetricId::register(keys::BYTES_LOCAL),
-            bytes_peer: MetricId::register(keys::BYTES_PEER),
-            bytes_object: MetricId::register(keys::BYTES_OBJECT),
-            bytes_remote: MetricId::register(keys::BYTES_REMOTE),
-            bytes_nfs: MetricId::register(keys::BYTES_NFS),
-            bytes_ingest: MetricId::register(keys::BYTES_INGEST),
-            staging_secs: MetricId::register(keys::STAGING_SECS),
+impl StagingKeys {
+    fn intern() -> Self {
+        StagingKeys {
+            bytes_local: Key::intern(keys::BYTES_LOCAL),
+            bytes_peer: Key::intern(keys::BYTES_PEER),
+            bytes_object: Key::intern(keys::BYTES_OBJECT),
+            bytes_remote: Key::intern(keys::BYTES_REMOTE),
+            bytes_nfs: Key::intern(keys::BYTES_NFS),
+            bytes_ingest: Key::intern(keys::BYTES_INGEST),
         }
     }
 }
@@ -230,7 +227,7 @@ impl DataPlane {
             object: ObjectStore::new(object_config),
             fleet: CacheFleet::new(cache_capacity, eviction),
             metrics: Metrics::new(),
-            ids: StagingMetricIds::register(),
+            ids: StagingKeys::intern(),
         }
     }
 
@@ -312,8 +309,6 @@ impl DataPlane {
             plan.total += step.duration;
             plan.steps.push(step);
         }
-        self.metrics
-            .record_id(self.ids.staging_secs, plan.total.as_secs_f64());
         plan
     }
 
@@ -407,7 +402,7 @@ impl DataPlane {
             StagingSource::Nfs => self.ids.bytes_nfs,
             StagingSource::Ingest => self.ids.bytes_ingest,
         };
-        self.metrics.incr_id(key, step.size.as_bytes());
+        self.metrics.incr(key, step.size.as_bytes());
     }
 }
 
@@ -522,7 +517,6 @@ mod tests {
         assert_eq!(m.counter(keys::BYTES_OBJECT), 50_000_000);
         assert_eq!(m.counter(keys::BYTES_LOCAL), 50_000_000);
         assert_eq!(m.counter(keys::BYTES_PEER), 50_000_000);
-        assert_eq!(m.samples(keys::STAGING_SECS).count(), 3);
     }
 
     #[test]

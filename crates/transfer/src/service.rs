@@ -14,9 +14,9 @@
 
 use cumulus_net::{DataSize, Link, Network, Rate};
 use cumulus_simkit::disrupt::DisruptionPlan;
-use cumulus_simkit::metrics::{MetricId, Metrics};
+use cumulus_simkit::metrics::Metrics;
 use cumulus_simkit::retry::{RetryDecision, RetryPolicy};
-use cumulus_simkit::telemetry::{span::keys as span_keys, Payload, SpanKind, Telemetry};
+use cumulus_simkit::telemetry::{span::keys as span_keys, Key, Payload, SpanKind, Telemetry};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
 use std::collections::BTreeMap;
@@ -220,35 +220,35 @@ pub struct TransferService {
     tasks: BTreeMap<TaskId, TransferTask>,
     next_task: u64,
     metrics: Metrics,
-    ids: TaskMetricIds,
+    ids: TaskKeys,
     /// Transfer-lifecycle telemetry (started → done spans plus fault
     /// counts). Disabled by default.
     telemetry: Telemetry,
 }
 
-/// Pre-registered handles for the service's per-task counters: the
-/// resolution hot path increments by integer id, never by string key.
+/// Interned keys of the service's per-task counters: the resolution hot
+/// path increments by key, never by name.
 #[derive(Debug, Clone, Copy)]
-struct TaskMetricIds {
-    tasks: MetricId,
-    bytes_delivered: MetricId,
-    bytes_retransmitted: MetricId,
-    faults: MetricId,
-    succeeded: MetricId,
-    deadline_expired: MetricId,
-    failed: MetricId,
+struct TaskKeys {
+    tasks: Key,
+    bytes_delivered: Key,
+    bytes_retransmitted: Key,
+    faults: Key,
+    succeeded: Key,
+    deadline_expired: Key,
+    failed: Key,
 }
 
-impl TaskMetricIds {
-    fn register() -> Self {
-        TaskMetricIds {
-            tasks: MetricId::register(keys::TASKS),
-            bytes_delivered: MetricId::register(keys::BYTES_DELIVERED),
-            bytes_retransmitted: MetricId::register(keys::BYTES_RETRANSMITTED),
-            faults: MetricId::register(keys::FAULTS),
-            succeeded: MetricId::register(keys::SUCCEEDED),
-            deadline_expired: MetricId::register(keys::DEADLINE_EXPIRED),
-            failed: MetricId::register(keys::FAILED),
+impl TaskKeys {
+    fn intern() -> Self {
+        TaskKeys {
+            tasks: Key::intern(keys::TASKS),
+            bytes_delivered: Key::intern(keys::BYTES_DELIVERED),
+            bytes_retransmitted: Key::intern(keys::BYTES_RETRANSMITTED),
+            faults: Key::intern(keys::FAULTS),
+            succeeded: Key::intern(keys::SUCCEEDED),
+            deadline_expired: Key::intern(keys::DEADLINE_EXPIRED),
+            failed: Key::intern(keys::FAILED),
         }
     }
 }
@@ -263,7 +263,7 @@ impl TransferService {
             tasks: BTreeMap::new(),
             next_task: 1,
             metrics: Metrics::new(),
-            ids: TaskMetricIds::register(),
+            ids: TaskKeys::intern(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -353,20 +353,20 @@ impl TransferService {
         let id = TaskId(self.next_task);
         self.next_task += 1;
         let task = resolve_transfer(id, request, now, &link, plan);
-        self.metrics.incr_id(self.ids.tasks, 1);
+        self.metrics.incr(self.ids.tasks, 1);
         self.metrics
-            .incr_id(self.ids.bytes_delivered, task.bytes_transferred.as_bytes());
-        self.metrics.incr_id(
+            .incr(self.ids.bytes_delivered, task.bytes_transferred.as_bytes());
+        self.metrics.incr(
             self.ids.bytes_retransmitted,
             task.bytes_retransmitted.as_bytes(),
         );
-        self.metrics.incr_id(self.ids.faults, task.faults as u64);
+        self.metrics.incr(self.ids.faults, task.faults as u64);
         let status_id = match task.status {
             TaskStatus::Succeeded => self.ids.succeeded,
             TaskStatus::DeadlineExpired => self.ids.deadline_expired,
             TaskStatus::Failed => self.ids.failed,
         };
-        self.metrics.incr_id(status_id, 1);
+        self.metrics.incr(status_id, 1);
         if self.telemetry.is_enabled() {
             self.telemetry.span_open(
                 task.submitted_at,

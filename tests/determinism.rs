@@ -378,23 +378,3 @@ fn telemetry_digests_are_thread_invariant() {
         "episode report diverged across threads"
     );
 }
-
-#[test]
-fn metrics_merge_is_order_independent_for_counters() {
-    let a = Metrics::new();
-    let b = Metrics::new();
-    let c = Metrics::new();
-    let jobs = MetricId::register("jobs");
-    a.incr_id(jobs, 3);
-    b.incr_id(jobs, 4);
-    c.incr_id(jobs, 5);
-    let left = Metrics::new();
-    left.merge(&a);
-    left.merge(&b);
-    left.merge(&c);
-    let right = Metrics::new();
-    right.merge(&c);
-    right.merge(&a);
-    right.merge(&b);
-    assert_eq!(left.counter("jobs"), right.counter("jobs"));
-}
