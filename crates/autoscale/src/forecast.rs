@@ -124,11 +124,6 @@ impl Forecaster {
         }
     }
 
-    /// Whether at least one observation was absorbed.
-    pub fn primed(&self) -> bool {
-        self.last_at.is_some()
-    }
-
     /// The current deseasonalized level.
     pub fn level(&self) -> f64 {
         self.level

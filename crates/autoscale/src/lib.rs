@@ -63,9 +63,7 @@ pub use policy::{
     Scheduled, TargetTracking,
 };
 pub use signal::{percentile, SignalSample, SignalWindow};
-pub use spot::{
-    run_spot_episode, run_spot_sweep, SpotEpisodeConfig, SpotEpisodeReport, SpotMix, SpotMixConfig,
-};
+pub use spot::{run_spot_episode, SpotEpisodeConfig, SpotEpisodeReport, SpotMix, SpotMixConfig};
 pub use workload::{JobArrival, Workload};
 
 /// Convenient glob-import surface.
@@ -83,8 +81,7 @@ pub mod prelude {
     };
     pub use crate::signal::{percentile, SignalSample, SignalWindow};
     pub use crate::spot::{
-        run_spot_episode, run_spot_sweep, SpotEpisodeConfig, SpotEpisodeReport, SpotMix,
-        SpotMixConfig,
+        run_spot_episode, SpotEpisodeConfig, SpotEpisodeReport, SpotMix, SpotMixConfig,
     };
     pub use crate::workload::{JobArrival, Workload};
 }

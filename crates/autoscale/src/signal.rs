@@ -155,11 +155,6 @@ impl SignalWindow {
         self.mean(|s| s.utilization)
     }
 
-    /// Mean p95 queued-job wait over the window, seconds.
-    pub fn mean_wait_p95(&self) -> f64 {
-        self.mean(|s| s.wait_p95_secs)
-    }
-
     fn mean(&self, f: impl Fn(&SignalSample) -> f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;

@@ -34,7 +34,6 @@ use cumulus_provision::deploy::GpCloud;
 use cumulus_provision::Topology;
 use cumulus_simkit::engine::Sim;
 use cumulus_simkit::rng::RngStream;
-use cumulus_simkit::runner::{run_replicas, ReplicaPlan};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
 use crate::controller::{
@@ -401,29 +400,6 @@ pub(crate) fn drive_episode(
         total_evictions,
         retried_jobs,
     }
-}
-
-/// Run `combos` independent spot episodes against the same workload and
-/// seed, fanned out over the parallel replica runner, and return the
-/// reports **in combo order** — the spot analogue of
-/// [`run_sweep`][crate::controller::run_sweep], with the same
-/// serial-equals-parallel byte-identity guarantee.
-pub fn run_spot_sweep<P, F>(
-    seed: u64,
-    combos: usize,
-    make: F,
-    workload: &Workload,
-    threads: usize,
-) -> Vec<SpotEpisodeReport>
-where
-    P: ScalingPolicy + 'static,
-    F: Fn(usize) -> (SpotMix<P>, SpotEpisodeConfig) + Sync,
-{
-    let plan = ReplicaPlan::new(seed, combos).with_threads(threads);
-    run_replicas(plan, |i, _seeds| {
-        let (policy, config) = make(i);
-        run_spot_episode(seed, policy, config, workload)
-    })
 }
 
 #[cfg(test)]

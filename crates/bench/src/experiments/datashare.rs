@@ -14,8 +14,8 @@
 //! [`cumulus::store::DataPlane`]'s source ladder) before the job starts.
 //! Under the cached backend, jobs advertise input [`ContentId`]s and
 //! machines advertise cache contents, so the matchmaker's cache-affinity
-//! bonus steers repeat consumers back to warm workers. Cells fan out over
-//! the parallel replica runner and the report is byte-identical at any
+//! bonus steers repeat consumers back to warm workers. [`DatashareGrid`]
+//! runs on the shared grid driver, so the report is byte-identical at any
 //! thread count.
 //!
 //! Expected shape, after Juve et al.: the shared filesystem wins at low
@@ -28,13 +28,13 @@ use cumulus::federation::{Federation, SiteConfig, WanTopology};
 use cumulus::htc::WorkSpec;
 use cumulus::provision::json::Json;
 use cumulus::simkit::rng::RngStream;
-use cumulus::simkit::runner::{run_replicas, ReplicaPlan};
 use cumulus::simkit::telemetry::{assemble, JobBreakdown, SpanKind, Telemetry};
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::store::staging::keys as staging_keys;
 use cumulus::store::{ContentId, DataSize, InputSpec, SharingBackend};
 
 use crate::experiments::episode::{self, Arrival};
+use crate::grid::{round4, Grid};
 use crate::table::{mins, Table};
 
 /// Workers in the pool (the paper's four-node §V deployment).
@@ -168,6 +168,9 @@ pub struct DatashareRow {
     pub reuse: Reuse,
     /// The measured episode.
     pub report: CellReport,
+    /// The pool's job lifecycle events: enabled under `--report`,
+    /// disabled (and empty) otherwise.
+    pub telemetry: Telemetry,
 }
 
 /// The grid's combos in report order: every backend under every reuse
@@ -231,18 +234,13 @@ fn job_stream(seed: u64, reuse: Reuse) -> Vec<Arrival> {
 }
 
 /// Run one grid cell: a fixed-tick Condor episode over the fixed job
-/// stream with staging charged through the cell's data plane.
-pub fn run_cell(seed: u64, spec: BackendSpec, reuse: Reuse) -> CellReport {
-    run_cell_on(seed, spec, reuse, Telemetry::disabled())
-}
-
-/// [`run_cell`] with a caller-supplied telemetry handle; the pool's job
-/// lifecycle spans land on it (nothing is recorded through a disabled
-/// handle, so `run_cell` itself stays allocation-free).
+/// stream with staging charged through the cell's data plane. The pool's
+/// job lifecycle spans land on `telemetry` (nothing is recorded through a
+/// disabled handle).
 ///
 /// The cell is a 1-site federation with the cell's backend: the
 /// cross-site rung never resolves, so staging is the bare data plane's.
-pub fn run_cell_on(seed: u64, spec: BackendSpec, reuse: Reuse, telemetry: Telemetry) -> CellReport {
+pub fn run_cell(seed: u64, spec: BackendSpec, reuse: Reuse, telemetry: Telemetry) -> CellReport {
     let mut config = SiteConfig::new("e13", WORKERS, InstanceType::M1Small)
         .with_backend(spec.backend())
         .with_cache_capacity(spec.cache_capacity());
@@ -281,63 +279,6 @@ pub fn run_cell_on(seed: u64, spec: BackendSpec, reuse: Reuse, telemetry: Teleme
     }
 }
 
-/// Run the grid, fanned out over the replica runner (`threads` as
-/// everywhere: `0` = one per CPU, `1` = serial). Rows come back in combo
-/// order at any thread count.
-pub fn run_grid(seed: u64, threads: usize, quick: bool) -> Vec<DatashareRow> {
-    let combos = grid_combos(quick);
-    let reports = run_replicas(
-        ReplicaPlan::new(seed, combos.len()).with_threads(threads),
-        |i, _seeds| {
-            let (spec, reuse) = combos[i];
-            run_cell(seed, spec, reuse)
-        },
-    );
-    combos
-        .into_iter()
-        .zip(reports)
-        .map(|((spec, reuse), report)| DatashareRow {
-            spec,
-            reuse,
-            report,
-        })
-        .collect()
-}
-
-/// [`run_grid`] with job-lifecycle telemetry enabled per cell: each row
-/// comes back with the cell's event stream, ready for span assembly. Used
-/// by the `--report` path of the E13 binary; the plain grid never records.
-pub fn run_grid_instrumented(
-    seed: u64,
-    threads: usize,
-    quick: bool,
-) -> Vec<(DatashareRow, Telemetry)> {
-    let combos = grid_combos(quick);
-    let cells = run_replicas(
-        ReplicaPlan::new(seed, combos.len()).with_threads(threads),
-        |i, _seeds| {
-            let (spec, reuse) = combos[i];
-            let telemetry = Telemetry::enabled();
-            let report = run_cell_on(seed, spec, reuse, telemetry.clone());
-            (report, telemetry)
-        },
-    );
-    combos
-        .into_iter()
-        .zip(cells)
-        .map(|((spec, reuse), (report, telemetry))| {
-            (
-                DatashareRow {
-                    spec,
-                    reuse,
-                    report,
-                },
-                telemetry,
-            )
-        })
-        .collect()
-}
-
 /// The E13 episode report: per cell, every job's walltime decomposed into
 /// queue-wait, disruption-repair, staging, and compute from its assembled
 /// lifecycle span. The decomposition identity (components sum to the
@@ -345,15 +286,15 @@ pub fn run_grid_instrumented(
 /// the cell table's makespan) are asserted, not just printed, and the
 /// trailing digest line makes thread-invariance checkable by string
 /// comparison alone.
-pub fn episode_report(rows: &[(DatashareRow, Telemetry)]) -> String {
+pub fn episode_report(rows: &[DatashareRow]) -> String {
     let mut out = String::new();
     out.push_str(
         "E13 episode report — per-job walltime decomposition
 ",
     );
     let mut combined: u64 = 0;
-    for (row, telemetry) in rows {
-        let spans = assemble(&telemetry.events()).expect("E13 episode spans are well-formed");
+    for row in rows {
+        let spans = assemble(&row.telemetry.events()).expect("E13 episode spans are well-formed");
         let mut jobs: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Job).collect();
         jobs.sort_by_key(|s| s.id);
         out.push_str(&format!(
@@ -402,7 +343,7 @@ cell: {} / {}
             jobs.len(),
             mins(span_makespan),
         ));
-        combined = combined.rotate_left(1).wrapping_add(telemetry.digest());
+        combined = combined.rotate_left(1).wrapping_add(row.telemetry.digest());
     }
     out.push_str(&format!(
         "
@@ -428,101 +369,138 @@ pub fn staging_reduction(rows: &[DatashareRow]) -> f64 {
     nfs.report.staging_secs / cached.report.staging_secs
 }
 
-/// Render the E13 table plus the claim line.
-pub fn render(rows: &[DatashareRow]) -> String {
-    let mut t = Table::new(
-        "E13 — data-sharing options (4 workers, 24 jobs, 200 MB datasets)",
-        &[
-            "backend",
-            "reuse",
-            "makespan (min)",
-            "staging (s)",
-            "net (MB)",
-            "hit rate",
-            "S3 cost ($)",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.spec.label(),
-            r.reuse.label().to_string(),
-            mins(r.report.makespan_mins),
-            format!("{:.1}", r.report.staging_secs),
-            format!("{:.0}", r.report.network_bytes() as f64 / 1e6),
-            format!("{:.0}%", r.report.hit_rate() * 100.0),
-            format!("{:.6}", r.report.object_cost_usd),
-        ]);
+/// E13 on the grid driver: one cell per backend × reuse combo. With
+/// `--report` every cell records its job lifecycle events, and the
+/// episode report is assembled from the same rows as the table.
+pub struct DatashareGrid;
+
+impl Grid for DatashareGrid {
+    type Cell = (BackendSpec, Reuse);
+    type Row = DatashareRow;
+    const RESULTS: &'static str = "BENCH_e13.json";
+    const HAS_REPORT: bool = true;
+
+    fn cells(&self, quick: bool) -> Vec<(BackendSpec, Reuse)> {
+        grid_combos(quick)
     }
-    let nfs = cell(rows, BackendSpec::Nfs, Reuse::High);
-    let cached = cell(rows, BackendSpec::Cached(2048), Reuse::High);
-    format!(
-        "{}\nhigh reuse: worker caches over the object store cut staging {:.1} s -> \
+
+    fn run(&self, seed: u64, &(spec, reuse): &(BackendSpec, Reuse), report: bool) -> DatashareRow {
+        let telemetry = if report {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
+        DatashareRow {
+            spec,
+            reuse,
+            report: run_cell(seed, spec, reuse, telemetry.clone()),
+            telemetry,
+        }
+    }
+
+    fn check(&self, rows: &[DatashareRow]) {
+        let reduction = staging_reduction(rows);
+        assert!(
+            reduction >= MIN_STAGING_REDUCTION,
+            "warm caches must cut staging at least {MIN_STAGING_REDUCTION}x on high reuse, \
+             got {reduction:.2}"
+        );
+    }
+
+    /// The E13 table plus the claim line.
+    fn render(&self, rows: &[DatashareRow]) -> String {
+        let mut t = Table::new(
+            "E13 — data-sharing options (4 workers, 24 jobs, 200 MB datasets)",
+            &[
+                "backend",
+                "reuse",
+                "makespan (min)",
+                "staging (s)",
+                "net (MB)",
+                "hit rate",
+                "S3 cost ($)",
+            ],
+        );
+        for r in rows {
+            t.row(&[
+                r.spec.label(),
+                r.reuse.label().to_string(),
+                mins(r.report.makespan_mins),
+                format!("{:.1}", r.report.staging_secs),
+                format!("{:.0}", r.report.network_bytes() as f64 / 1e6),
+                format!("{:.0}%", r.report.hit_rate() * 100.0),
+                format!("{:.6}", r.report.object_cost_usd),
+            ]);
+        }
+        let nfs = cell(rows, BackendSpec::Nfs, Reuse::High);
+        let cached = cell(rows, BackendSpec::Cached(2048), Reuse::High);
+        format!(
+            "{}\nhigh reuse: worker caches over the object store cut staging {:.1} s -> \
          {:.1} s ({:.1}x) vs the shared filesystem — repeat consumers hit warm \
          nodes (the matchmaker's cache-affinity bonus) or take a fast peer copy. \
          At low reuse every byte is cold, so the per-request object-store \
          latency loses to plain NFS, matching Juve et al.'s EC2 study.\n",
-        t.render(),
-        nfs.report.staging_secs,
-        cached.report.staging_secs,
-        staging_reduction(rows),
-    )
-}
+            t.render(),
+            nfs.report.staging_secs,
+            cached.report.staging_secs,
+            staging_reduction(rows),
+        )
+    }
 
-/// The machine-readable grid for `BENCH_e13.json`. Contains only
-/// seed-deterministic quantities (never wall times), so the file is
-/// byte-identical at any thread count — the property the CI smoke run
-/// asserts.
-pub fn json_doc(seed: u64, rows: &[DatashareRow]) -> Json {
-    let cells: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("backend", Json::str(&r.spec.label())),
-                (
-                    "cache_mb",
-                    match r.spec {
-                        BackendSpec::Cached(mb) => Json::Num(mb as f64),
-                        _ => Json::Null,
-                    },
-                ),
-                ("reuse", Json::str(r.reuse.label())),
-                ("jobs", Json::Num(r.report.jobs as f64)),
-                ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
-                ("staging_secs", Json::Num(round4(r.report.staging_secs))),
-                ("bytes_local", Json::Num(r.report.bytes_local as f64)),
-                ("bytes_peer", Json::Num(r.report.bytes_peer as f64)),
-                ("bytes_object", Json::Num(r.report.bytes_object as f64)),
-                ("bytes_nfs", Json::Num(r.report.bytes_nfs as f64)),
-                ("bytes_ingest", Json::Num(r.report.bytes_ingest as f64)),
-                (
-                    "object_cost_usd",
-                    Json::Num(round4(r.report.object_cost_usd * 1e4) / 1e4),
-                ),
-                ("cache_hit_rate", Json::Num(round4(r.report.hit_rate()))),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("bench", Json::str("e13_datashare_grid")),
-        ("seed", Json::Num(seed as f64)),
-        ("workers", Json::Num(WORKERS as f64)),
-        ("jobs", Json::Num(JOBS as f64)),
-        ("dataset_mb", Json::Num(DATASET_MB as f64)),
-        ("rows", Json::Arr(cells)),
-        (
-            "staging_reduction_factor",
-            Json::Num(round4(staging_reduction(rows))),
-        ),
-    ])
-}
+    /// The `BENCH_e13.json` document.
+    fn json(&self, seed: u64, rows: &[DatashareRow]) -> Json {
+        let cells: Vec<Json> = rows
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("backend", Json::str(&r.spec.label())),
+                    (
+                        "cache_mb",
+                        match r.spec {
+                            BackendSpec::Cached(mb) => Json::Num(mb as f64),
+                            _ => Json::Null,
+                        },
+                    ),
+                    ("reuse", Json::str(r.reuse.label())),
+                    ("jobs", Json::Num(r.report.jobs as f64)),
+                    ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
+                    ("staging_secs", Json::Num(round4(r.report.staging_secs))),
+                    ("bytes_local", Json::Num(r.report.bytes_local as f64)),
+                    ("bytes_peer", Json::Num(r.report.bytes_peer as f64)),
+                    ("bytes_object", Json::Num(r.report.bytes_object as f64)),
+                    ("bytes_nfs", Json::Num(r.report.bytes_nfs as f64)),
+                    ("bytes_ingest", Json::Num(r.report.bytes_ingest as f64)),
+                    (
+                        "object_cost_usd",
+                        Json::Num(round4(r.report.object_cost_usd * 1e4) / 1e4),
+                    ),
+                    ("cache_hit_rate", Json::Num(round4(r.report.hit_rate()))),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("bench", Json::str("e13_datashare_grid")),
+            ("seed", Json::Num(seed as f64)),
+            ("workers", Json::Num(WORKERS as f64)),
+            ("jobs", Json::Num(JOBS as f64)),
+            ("dataset_mb", Json::Num(DATASET_MB as f64)),
+            ("rows", Json::Arr(cells)),
+            (
+                "staging_reduction_factor",
+                Json::Num(round4(staging_reduction(rows))),
+            ),
+        ])
+    }
 
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
+    fn report(&self, rows: &[DatashareRow]) -> String {
+        episode_report(rows)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{gate, pass, Args};
 
     #[test]
     fn grid_shapes() {
@@ -535,26 +513,32 @@ mod tests {
         assert!(quick.contains(&(BackendSpec::Cached(2048), Reuse::High)));
     }
 
+    fn quick(threads: usize, report: bool) -> Args {
+        Args {
+            threads,
+            quick: true,
+            report,
+            ..Args::default()
+        }
+    }
+
     #[test]
     fn quick_grid_is_thread_count_invariant_and_meets_the_claim() {
-        let seed = crate::REPORT_SEED;
-        let serial = run_grid(seed, 1, true);
-        let parallel = run_grid(seed, 3, true);
-        assert_eq!(render(&serial), render(&parallel));
-        assert_eq!(
-            json_doc(seed, &serial).render(),
-            json_doc(seed, &parallel).render()
-        );
+        let rows = gate(&DatashareGrid, &quick(3, false)).rows;
         assert!(
-            staging_reduction(&serial) >= MIN_STAGING_REDUCTION,
+            staging_reduction(&rows) >= MIN_STAGING_REDUCTION,
             "warm caches must cut staging at least {MIN_STAGING_REDUCTION}x, got {:.2}",
-            staging_reduction(&serial)
+            staging_reduction(&rows)
         );
     }
 
     #[test]
     fn every_cell_completes_the_whole_stream() {
-        let rows = run_grid(4242, 0, false);
+        let full = Args {
+            seed: 4242,
+            ..Args::default()
+        };
+        let rows = pass(&DatashareGrid, &full);
         assert!(rows.iter().all(|r| r.report.jobs == JOBS));
         // The NFS backend never touches the object store; the object
         // backends never touch the export.
@@ -575,7 +559,7 @@ mod tests {
 
     #[test]
     fn reuse_shape_matches_juve() {
-        let rows = run_grid(crate::REPORT_SEED, 0, false);
+        let rows = pass(&DatashareGrid, &Args::default());
         // Low reuse: NFS stages faster than the plain object store (every
         // byte cold, so per-request latency + thinner pipe loses).
         let nfs_low = cell(&rows, BackendSpec::Nfs, Reuse::Low);
@@ -599,28 +583,34 @@ mod tests {
 
     #[test]
     fn episode_report_is_thread_count_invariant_and_decomposes_every_job() {
-        let seed = crate::REPORT_SEED;
-        let serial = run_grid_instrumented(seed, 1, true);
-        let parallel = run_grid_instrumented(seed, 3, true);
         // episode_report asserts the decomposition identity and the
-        // makespan cross-check internally; equality (digest line
-        // included) is the thread-invariance gate.
-        let report = episode_report(&serial);
-        assert_eq!(report, episode_report(&parallel));
+        // makespan cross-check internally; the gate asserts the serial and
+        // parallel reports (digest line included) are equal.
+        let run = gate(&DatashareGrid, &quick(3, true));
+        let report = run.report.expect("--report asked for one");
         assert!(report.contains("telemetry digest 0x"));
-        for (row, _) in &serial {
+        for row in &run.rows {
             assert!(report.contains(&format!(
                 "cell: {} / {}",
                 row.spec.label(),
                 row.reuse.label()
             )));
         }
+        // Recording telemetry changes nothing the table or JSON read.
+        let plain = gate(&DatashareGrid, &quick(3, false));
+        assert_eq!(plain.report, None);
+        assert_eq!(plain.table, run.table);
+        assert_eq!(plain.doc.render(), run.doc.render());
     }
 
     #[test]
     fn report_renders_with_the_claim_line() {
-        let rows = run_grid(7513, 0, true);
-        let out = render(&rows);
+        let seeded = Args {
+            seed: 7513,
+            quick: true,
+            ..Args::default()
+        };
+        let out = DatashareGrid.render(&pass(&DatashareGrid, &seeded));
         assert!(out.contains("E13"));
         assert!(out.contains("high reuse"));
     }

@@ -37,13 +37,13 @@ use cumulus::galaxy::routing::InvocationRequest;
 use cumulus::htc::WorkSpec;
 use cumulus::provision::json::Json;
 use cumulus::simkit::rng::RngStream;
-use cumulus::simkit::runner::{run_replicas, ReplicaPlan};
 use cumulus::simkit::telemetry::wan as wan_keys;
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::store::staging::keys as staging_keys;
 use cumulus::store::{ContentId, DataSize, InputSpec};
 
 use crate::experiments::episode::{self, Arrival};
+use crate::grid::{round4, Grid};
 use crate::table::{mins, Table};
 
 /// Users submitting workflow invocations.
@@ -317,22 +317,6 @@ pub fn run_cell(seed: u64, spec: CellSpec) -> FedCellReport {
     }
 }
 
-/// Run the grid, fanned out over the replica runner (`threads` as
-/// everywhere: `0` = one per CPU, `1` = serial). Rows come back in combo
-/// order at any thread count.
-pub fn run_grid(seed: u64, threads: usize, quick: bool) -> Vec<FederationRow> {
-    let combos = grid_combos(quick);
-    let reports = run_replicas(
-        ReplicaPlan::new(seed, combos.len()).with_threads(threads),
-        |i, _seeds| run_cell(seed, combos[i]),
-    );
-    combos
-        .into_iter()
-        .zip(reports)
-        .map(|(spec, report)| FederationRow { spec, report })
-        .collect()
-}
-
 /// The grid cell matching `policy` on the claim configuration (3 sites,
 /// thin WAN) under `scenario`.
 fn claim_cell(
@@ -366,155 +350,194 @@ pub fn spread_pair(rows: &[FederationRow]) -> (&FederationRow, &FederationRow) {
     )
 }
 
-/// Assert the experiment's two claims, panicking with the offending
-/// numbers otherwise. Callable on quick and full grids alike (both
-/// contain the claim cells).
-pub fn assert_claims(rows: &[FederationRow]) {
-    let (gravity, greedy) = concentrated_pair(rows);
-    assert!(
-        gravity.report.makespan_mins <= greedy.report.makespan_mins,
-        "concentrated: data-gravity makespan {:.2} min must not exceed cost-greedy's {:.2} min",
-        gravity.report.makespan_mins,
-        greedy.report.makespan_mins,
-    );
-    assert!(
-        gravity.report.egress_usd <= MAX_EGRESS_FRACTION * greedy.report.egress_usd,
-        "concentrated: data-gravity egress ${:.4} must be at most {:.0}% of cost-greedy's ${:.4}",
-        gravity.report.egress_usd,
-        MAX_EGRESS_FRACTION * 100.0,
-        greedy.report.egress_usd,
-    );
-    let (gravity, greedy) = spread_pair(rows);
-    assert!(
-        greedy.report.total_usd() < gravity.report.total_usd(),
-        "spread: cost-greedy total ${:.4} must undercut data-gravity's ${:.4}",
-        greedy.report.total_usd(),
-        gravity.report.total_usd(),
-    );
-}
+/// E15 on the grid driver: one cell per [`CellSpec`].
+pub struct FederationGrid;
 
-/// Render the E15 table plus the claim lines.
-pub fn render(rows: &[FederationRow]) -> String {
-    let mut t = Table::new(
-        "E15 — federated placement (32 invocations, 4 users, 200 MB datasets)",
-        &[
-            "scenario",
-            "sites",
-            "wan (Mbit/s)",
-            "policy",
-            "makespan (min)",
-            "staging (s)",
-            "cross (MB)",
-            "egress ($)",
-            "compute ($)",
-            "total ($)",
-            "placements",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.spec.scenario.label().to_string(),
-            format!("{}", r.spec.sites),
-            format!("{:.0}", r.spec.wan_mbps),
-            r.spec.policy.label().to_string(),
-            mins(r.report.makespan_mins),
-            format!("{:.1}", r.report.staging_secs),
-            format!("{:.0}", r.report.bytes_cross as f64 / 1e6),
-            format!("{:.4}", r.report.egress_usd),
-            format!("{:.4}", r.report.compute_usd),
-            format!("{:.4}", r.report.total_usd()),
-            r.report
-                .placements
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join("/"),
-        ]);
+impl Grid for FederationGrid {
+    type Cell = CellSpec;
+    type Row = FederationRow;
+    const RESULTS: &'static str = "BENCH_e15.json";
+    const HAS_REPORT: bool = true;
+
+    fn cells(&self, quick: bool) -> Vec<CellSpec> {
+        grid_combos(quick)
     }
-    let (gravity_c, greedy_c) = concentrated_pair(rows);
-    let (gravity_s, greedy_s) = spread_pair(rows);
-    format!(
-        "{}\nconcentrated inputs: data-gravity follows the bytes to the expensive site — \
+
+    fn run(&self, seed: u64, &spec: &CellSpec, _: bool) -> FederationRow {
+        FederationRow {
+            spec,
+            report: run_cell(seed, spec),
+        }
+    }
+
+    /// The experiment's two claims, on the claim cells every grid shape
+    /// contains: under concentrated inputs data-gravity is no slower than
+    /// cost-greedy and spends at most [`MAX_EGRESS_FRACTION`] of its
+    /// egress; under spread inputs cost-greedy is cheaper in total.
+    fn check(&self, rows: &[FederationRow]) {
+        let (gravity, greedy) = concentrated_pair(rows);
+        assert!(
+            gravity.report.makespan_mins <= greedy.report.makespan_mins,
+            "concentrated: data-gravity makespan {:.2} min must not exceed cost-greedy's \
+             {:.2} min",
+            gravity.report.makespan_mins,
+            greedy.report.makespan_mins,
+        );
+        assert!(
+            gravity.report.egress_usd <= MAX_EGRESS_FRACTION * greedy.report.egress_usd,
+            "concentrated: data-gravity egress ${:.4} must be at most {:.0}% of cost-greedy's \
+             ${:.4}",
+            gravity.report.egress_usd,
+            MAX_EGRESS_FRACTION * 100.0,
+            greedy.report.egress_usd,
+        );
+        let (gravity, greedy) = spread_pair(rows);
+        assert!(
+            greedy.report.total_usd() < gravity.report.total_usd(),
+            "spread: cost-greedy total ${:.4} must undercut data-gravity's ${:.4}",
+            greedy.report.total_usd(),
+            gravity.report.total_usd(),
+        );
+    }
+
+    /// The E15 table plus the claim lines.
+    fn render(&self, rows: &[FederationRow]) -> String {
+        let mut t = Table::new(
+            "E15 — federated placement (32 invocations, 4 users, 200 MB datasets)",
+            &[
+                "scenario",
+                "sites",
+                "wan (Mbit/s)",
+                "policy",
+                "makespan (min)",
+                "staging (s)",
+                "cross (MB)",
+                "egress ($)",
+                "compute ($)",
+                "total ($)",
+                "placements",
+            ],
+        );
+        for r in rows {
+            t.row(&[
+                r.spec.scenario.label().to_string(),
+                format!("{}", r.spec.sites),
+                format!("{:.0}", r.spec.wan_mbps),
+                r.spec.policy.label().to_string(),
+                mins(r.report.makespan_mins),
+                format!("{:.1}", r.report.staging_secs),
+                format!("{:.0}", r.report.bytes_cross as f64 / 1e6),
+                format!("{:.4}", r.report.egress_usd),
+                format!("{:.4}", r.report.compute_usd),
+                format!("{:.4}", r.report.total_usd()),
+                r.report
+                    .placements
+                    .iter()
+                    .map(|p| p.to_string())
+                    .collect::<Vec<_>>()
+                    .join("/"),
+            ]);
+        }
+        let (gravity_c, greedy_c) = concentrated_pair(rows);
+        let (gravity_s, greedy_s) = spread_pair(rows);
+        format!(
+            "{}\nconcentrated inputs: data-gravity follows the bytes to the expensive site — \
          makespan {} vs {} min and egress ${:.4} vs ${:.4} against cost-greedy, which \
          drags every dataset over the thin WAN once before replication localizes it. \
          spread inputs: gravity scatters work onto expensive regions (${:.4} total) while \
          cost-greedy concentrates on the cheap site and pays the tariff (${:.4} total) — \
          the sharing choice inverts with the data layout, as the single-region E13 sweep \
          inverts with reuse.\n",
-        t.render(),
-        mins(gravity_c.report.makespan_mins),
-        mins(greedy_c.report.makespan_mins),
-        gravity_c.report.egress_usd,
-        greedy_c.report.egress_usd,
-        gravity_s.report.total_usd(),
-        greedy_s.report.total_usd(),
-    )
-}
+            t.render(),
+            mins(gravity_c.report.makespan_mins),
+            mins(greedy_c.report.makespan_mins),
+            gravity_c.report.egress_usd,
+            greedy_c.report.egress_usd,
+            gravity_s.report.total_usd(),
+            greedy_s.report.total_usd(),
+        )
+    }
 
-/// The machine-readable grid for `BENCH_e15.json`. Contains only
-/// seed-deterministic quantities (never wall times), so the file is
-/// byte-identical at any thread count — the property the CI smoke run
-/// asserts.
-pub fn json_doc(seed: u64, rows: &[FederationRow]) -> Json {
-    let cells: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("scenario", Json::str(r.spec.scenario.label())),
-                ("sites", Json::Num(r.spec.sites as f64)),
-                ("wan_mbps", Json::Num(r.spec.wan_mbps)),
-                ("policy", Json::str(r.spec.policy.label())),
-                ("jobs", Json::Num(r.report.jobs as f64)),
-                ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
-                ("staging_secs", Json::Num(round4(r.report.staging_secs))),
-                ("bytes_intra", Json::Num(r.report.bytes_intra as f64)),
-                ("bytes_cross", Json::Num(r.report.bytes_cross as f64)),
-                ("crossings", Json::Num(r.report.crossings as f64)),
-                ("egress_usd", Json::Num(round4(r.report.egress_usd))),
-                ("compute_usd", Json::Num(round4(r.report.compute_usd))),
-                ("total_usd", Json::Num(round4(r.report.total_usd()))),
-                (
-                    "placements",
-                    Json::Arr(
-                        r.report
-                            .placements
-                            .iter()
-                            .map(|&p| Json::Num(p as f64))
-                            .collect(),
+    /// The `BENCH_e15.json` document.
+    fn json(&self, seed: u64, rows: &[FederationRow]) -> Json {
+        let cells: Vec<Json> = rows
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("scenario", Json::str(r.spec.scenario.label())),
+                    ("sites", Json::Num(r.spec.sites as f64)),
+                    ("wan_mbps", Json::Num(r.spec.wan_mbps)),
+                    ("policy", Json::str(r.spec.policy.label())),
+                    ("jobs", Json::Num(r.report.jobs as f64)),
+                    ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
+                    ("staging_secs", Json::Num(round4(r.report.staging_secs))),
+                    ("bytes_intra", Json::Num(r.report.bytes_intra as f64)),
+                    ("bytes_cross", Json::Num(r.report.bytes_cross as f64)),
+                    ("crossings", Json::Num(r.report.crossings as f64)),
+                    ("egress_usd", Json::Num(round4(r.report.egress_usd))),
+                    ("compute_usd", Json::Num(round4(r.report.compute_usd))),
+                    ("total_usd", Json::Num(round4(r.report.total_usd()))),
+                    (
+                        "placements",
+                        Json::Arr(
+                            r.report
+                                .placements
+                                .iter()
+                                .map(|&p| Json::Num(p as f64))
+                                .collect(),
+                        ),
                     ),
-                ),
-            ])
-        })
-        .collect();
-    let (gravity, greedy) = concentrated_pair(rows);
-    Json::obj([
-        ("bench", Json::str("e15_federation_grid")),
-        ("seed", Json::Num(seed as f64)),
-        ("users", Json::Num(USERS as f64)),
-        (
-            "invocations",
-            Json::Num((USERS * INVOCATIONS_PER_USER) as f64),
-        ),
-        ("dataset_mb", Json::Num(DATASET_MB as f64)),
-        ("rows", Json::Arr(cells)),
-        (
-            "concentrated_egress_ratio",
-            Json::Num(if greedy.report.egress_usd > 0.0 {
-                round4(gravity.report.egress_usd / greedy.report.egress_usd)
-            } else {
-                0.0
-            }),
-        ),
-    ])
-}
+                ])
+            })
+            .collect();
+        let (gravity, greedy) = concentrated_pair(rows);
+        Json::obj([
+            ("bench", Json::str("e15_federation_grid")),
+            ("seed", Json::Num(seed as f64)),
+            ("users", Json::Num(USERS as f64)),
+            (
+                "invocations",
+                Json::Num((USERS * INVOCATIONS_PER_USER) as f64),
+            ),
+            ("dataset_mb", Json::Num(DATASET_MB as f64)),
+            ("rows", Json::Arr(cells)),
+            (
+                "concentrated_egress_ratio",
+                Json::Num(if greedy.report.egress_usd > 0.0 {
+                    round4(gravity.report.egress_usd / greedy.report.egress_usd)
+                } else {
+                    0.0
+                }),
+            ),
+        ])
+    }
 
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
+    /// The WAN decomposition: per cell, staged bytes split into
+    /// intra-site rungs vs cross-site WAN pulls.
+    fn report(&self, rows: &[FederationRow]) -> String {
+        let mut out = "E15 staging decomposition — intra-site vs cross-site bytes\n".to_string();
+        for r in rows {
+            out.push_str(&format!(
+                "{} / {} sites / {:.0} Mbit/s / {}: intra {:.0} MB, cross {:.0} MB \
+                 ({} crossings, ${:.4} egress)\n",
+                r.spec.scenario.label(),
+                r.spec.sites,
+                r.spec.wan_mbps,
+                r.spec.policy.label(),
+                r.report.bytes_intra as f64 / 1e6,
+                r.report.bytes_cross as f64 / 1e6,
+                r.report.crossings,
+                r.report.egress_usd,
+            ));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{gate, pass, Args};
 
     #[test]
     fn grid_shapes() {
@@ -527,22 +550,28 @@ mod tests {
         assert!(quick.iter().all(|c| c.sites == 3 && c.wan_mbps == 50.0));
     }
 
+    fn quick(seed: u64, threads: usize) -> Args {
+        Args {
+            seed,
+            threads,
+            quick: true,
+            ..Args::default()
+        }
+    }
+
     #[test]
     fn quick_grid_is_thread_count_invariant_and_meets_the_claims() {
-        let seed = crate::REPORT_SEED;
-        let serial = run_grid(seed, 1, true);
-        let parallel = run_grid(seed, 3, true);
-        assert_eq!(render(&serial), render(&parallel));
-        assert_eq!(
-            json_doc(seed, &serial).render(),
-            json_doc(seed, &parallel).render()
-        );
-        assert_claims(&serial);
+        let run = gate(&FederationGrid, &quick(crate::REPORT_SEED, 3));
+        let (gravity, greedy) = concentrated_pair(&run.rows);
+        assert!(gravity.report.makespan_mins <= greedy.report.makespan_mins);
+        assert!(gravity.report.egress_usd <= MAX_EGRESS_FRACTION * greedy.report.egress_usd);
+        let (gravity, greedy) = spread_pair(&run.rows);
+        assert!(greedy.report.total_usd() < gravity.report.total_usd());
     }
 
     #[test]
     fn every_cell_completes_the_stream_and_balances_its_bytes() {
-        let rows = run_grid(crate::REPORT_SEED, 0, true);
+        let rows = pass(&FederationGrid, &quick(crate::REPORT_SEED, 0));
         for r in &rows {
             assert_eq!(r.report.jobs, USERS * INVOCATIONS_PER_USER);
             assert_eq!(
@@ -563,8 +592,7 @@ mod tests {
 
     #[test]
     fn report_renders_with_the_claim_lines() {
-        let rows = run_grid(97, 0, true);
-        let out = render(&rows);
+        let out = FederationGrid.render(&pass(&FederationGrid, &quick(97, 0)));
         assert!(out.contains("E15"));
         assert!(out.contains("concentrated inputs"));
     }

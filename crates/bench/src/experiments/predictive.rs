@@ -24,9 +24,9 @@ use cumulus::autoscale::{
 };
 use cumulus::provision::json::Json;
 use cumulus::simkit::time::SimDuration;
-use cumulus::simkit::{run_replicas, ReplicaPlan};
 
 use crate::experiments::extensions::diurnal_trace;
+use crate::grid::{round4, Grid};
 use crate::table::{mins, Table};
 
 /// Fleet cap shared with the E9e closed-loop policy.
@@ -152,51 +152,9 @@ fn grid_policy(i: usize, period_hours: u64) -> Box<dyn ScalingPolicy> {
     }
 }
 
-/// Run the full grid, fanned out over the parallel replica runner
-/// (`threads` as everywhere: `0` = one per CPU, `1` = serial). Rows come
-/// back in shape-major, policy-minor order at any thread count — each
-/// episode is seed-deterministic and the runner merges by index.
-pub fn run_grid(seed: u64, threads: usize, quick: bool) -> Vec<PredictiveGridRow> {
-    let shapes = grid_shapes(quick);
-    let traces: Vec<Workload> = shapes
-        .iter()
-        .map(|&(p, r)| shape_trace(seed, p, r))
-        .collect();
-    let reports: Vec<EpisodeReport> = run_replicas(
-        ReplicaPlan::new(seed, shapes.len() * POLICIES).with_threads(threads),
-        |i, _seeds| {
-            let (period_hours, _) = shapes[i / POLICIES];
-            run_episode(
-                seed,
-                grid_policy(i % POLICIES, period_hours),
-                ControllerConfig::default(),
-                &traces[i / POLICIES],
-            )
-        },
-    );
-    reports
-        .into_iter()
-        .enumerate()
-        .map(|(i, report)| {
-            let (period_hours, peak_per_hour) = shapes[i / POLICIES];
-            PredictiveGridRow {
-                period_hours,
-                peak_per_hour,
-                report,
-            }
-        })
-        .collect()
-}
-
 /// The rows that make the experiment's claim, from the E9e-trace cell:
 /// `(best_reactive, predictive)` where "best reactive" is the reactive
 /// row with the lower p95 wait (ties broken on cost).
-///
-/// # Panics
-/// Panics if the predictive row does not strictly beat the best reactive
-/// p95 at less-or-equal cost — provisioning ahead of a *known-periodic*
-/// trace must pay off, so a regression here is a forecaster bug, not a
-/// data-dependent outcome.
 pub fn dominating_pair(rows: &[PredictiveGridRow]) -> (&PredictiveGridRow, &PredictiveGridRow) {
     let cell: Vec<&PredictiveGridRow> = rows.iter().filter(|r| r.is_e9e_trace()).collect();
     assert_eq!(cell.len(), POLICIES, "the E9e trace must be in the grid");
@@ -215,118 +173,151 @@ pub fn dominating_pair(rows: &[PredictiveGridRow]) -> (&PredictiveGridRow, &Pred
                 .then(a.report.cost_usd.total_cmp(&b.report.cost_usd))
         })
         .expect("two reactive rows");
-    assert!(
-        predictive.report.wait_p95_mins < best_reactive.report.wait_p95_mins
-            && predictive.report.cost_usd <= best_reactive.report.cost_usd,
-        "predictive (p95 {} min, ${:.4}) must strictly beat the best reactive \
-         policy {} (p95 {} min, ${:.4}) on the diurnal trace",
-        predictive.report.wait_p95_mins,
-        predictive.report.cost_usd,
-        best_reactive.report.policy,
-        best_reactive.report.wait_p95_mins,
-        best_reactive.report.cost_usd,
-    );
     (best_reactive, predictive)
 }
 
-/// Render the E12 table plus the domination summary line.
-pub fn render(rows: &[PredictiveGridRow]) -> String {
-    let mut t = Table::new(
-        "E12 — predictive vs reactive scaling on diurnal traces (period x peak/base)",
-        &[
-            "trace",
-            "policy",
-            "cost ($)",
-            "p50 wait (min)",
-            "p95 wait (min)",
-            "makespan (min)",
-            "peak workers",
-            "scale out/in",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.trace_label(),
-            r.report.policy.clone(),
-            format!("{:.4}", r.report.cost_usd),
-            mins(r.report.wait_p50_mins),
-            mins(r.report.wait_p95_mins),
-            mins(r.report.makespan_mins),
-            r.report.peak_workers.to_string(),
-            format!("{}/{}", r.report.log.scale_outs(), r.report.log.scale_ins()),
-        ]);
+/// E12 on the grid driver: one cell per `(period, peak, policy)`, in
+/// shape-major, policy-minor order.
+pub struct PredictiveGrid;
+
+impl Grid for PredictiveGrid {
+    /// `(period_hours, peak_per_hour, policy index)`.
+    type Cell = (u64, f64, usize);
+    type Row = PredictiveGridRow;
+    const RESULTS: &'static str = "BENCH_e12.json";
+
+    fn cells(&self, quick: bool) -> Vec<(u64, f64, usize)> {
+        grid_shapes(quick)
+            .into_iter()
+            .flat_map(|(period, peak)| (0..POLICIES).map(move |i| (period, peak, i)))
+            .collect()
     }
-    let (reactive, predictive) = dominating_pair(rows);
-    format!(
-        "{}\non the E9e diurnal trace the predictive policy cuts p95 wait {} -> {} \
+
+    fn run(&self, seed: u64, &(period, peak, i): &(u64, f64, usize), _: bool) -> PredictiveGridRow {
+        PredictiveGridRow {
+            period_hours: period,
+            peak_per_hour: peak,
+            report: run_episode(
+                seed,
+                grid_policy(i, period),
+                ControllerConfig::default(),
+                &shape_trace(seed, period, peak),
+            ),
+        }
+    }
+
+    /// The predictive row must strictly beat the best reactive p95 at
+    /// less-or-equal cost: provisioning ahead of a *known-periodic* trace
+    /// must pay off, so a regression here is a forecaster bug, not a
+    /// data-dependent outcome.
+    fn check(&self, rows: &[PredictiveGridRow]) {
+        let (best_reactive, predictive) = dominating_pair(rows);
+        assert!(
+            predictive.report.wait_p95_mins < best_reactive.report.wait_p95_mins
+                && predictive.report.cost_usd <= best_reactive.report.cost_usd,
+            "predictive (p95 {} min, ${:.4}) must strictly beat the best reactive \
+             policy {} (p95 {} min, ${:.4}) on the diurnal trace",
+            predictive.report.wait_p95_mins,
+            predictive.report.cost_usd,
+            best_reactive.report.policy,
+            best_reactive.report.wait_p95_mins,
+            best_reactive.report.cost_usd,
+        );
+    }
+
+    /// The E12 table plus the domination summary line.
+    fn render(&self, rows: &[PredictiveGridRow]) -> String {
+        let mut t = Table::new(
+            "E12 — predictive vs reactive scaling on diurnal traces (period x peak/base)",
+            &[
+                "trace",
+                "policy",
+                "cost ($)",
+                "p50 wait (min)",
+                "p95 wait (min)",
+                "makespan (min)",
+                "peak workers",
+                "scale out/in",
+            ],
+        );
+        for r in rows {
+            t.row(&[
+                r.trace_label(),
+                r.report.policy.clone(),
+                format!("{:.4}", r.report.cost_usd),
+                mins(r.report.wait_p50_mins),
+                mins(r.report.wait_p95_mins),
+                mins(r.report.makespan_mins),
+                r.report.peak_workers.to_string(),
+                format!("{}/{}", r.report.log.scale_outs(), r.report.log.scale_ins()),
+            ]);
+        }
+        let (reactive, predictive) = dominating_pair(rows);
+        format!(
+            "{}\non the E9e diurnal trace the predictive policy cuts p95 wait {} -> {} \
          at cost ${:.4} vs ${:.4} for the best reactive policy ({}): the forecaster \
          sees each ramp coming and pays the provisioning lead *before* the jobs \
          arrive, with the lead itself learned from the controller's own actuation \
          feedback rather than configured.\n",
-        t.render(),
-        mins(reactive.report.wait_p95_mins),
-        mins(predictive.report.wait_p95_mins),
-        predictive.report.cost_usd,
-        reactive.report.cost_usd,
-        reactive.report.policy,
-    )
-}
+            t.render(),
+            mins(reactive.report.wait_p95_mins),
+            mins(predictive.report.wait_p95_mins),
+            predictive.report.cost_usd,
+            reactive.report.cost_usd,
+            reactive.report.policy,
+        )
+    }
 
-/// The machine-readable grid for `BENCH_e12.json`. Contains only
-/// seed-deterministic quantities (never wall times), so the file is
-/// byte-identical at any thread count — the property the CI smoke run
-/// asserts.
-pub fn json_doc(seed: u64, rows: &[PredictiveGridRow]) -> Json {
-    let (reactive, predictive) = dominating_pair(rows);
-    let cells: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("period_hours", Json::Num(r.period_hours as f64)),
-                ("peak_per_hour", Json::Num(r.peak_per_hour)),
-                ("policy", Json::str(&r.report.policy)),
-                ("cost_usd", Json::Num(round4(r.report.cost_usd))),
-                ("wait_p50_mins", Json::Num(round4(r.report.wait_p50_mins))),
-                ("wait_p95_mins", Json::Num(round4(r.report.wait_p95_mins))),
-                ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
-                ("jobs", Json::Num(r.report.jobs as f64)),
-                ("peak_workers", Json::Num(r.report.peak_workers as f64)),
-                ("scale_outs", Json::Num(r.report.log.scale_outs() as f64)),
-                ("scale_ins", Json::Num(r.report.log.scale_ins() as f64)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("bench", Json::str("e12_predictive_grid")),
-        ("seed", Json::Num(seed as f64)),
-        ("rows", Json::Arr(cells)),
-        ("best_reactive_policy", Json::str(&reactive.report.policy)),
-        (
-            "best_reactive_p95_mins",
-            Json::Num(round4(reactive.report.wait_p95_mins)),
-        ),
-        (
-            "best_reactive_cost_usd",
-            Json::Num(round4(reactive.report.cost_usd)),
-        ),
-        (
-            "predictive_p95_mins",
-            Json::Num(round4(predictive.report.wait_p95_mins)),
-        ),
-        (
-            "predictive_cost_usd",
-            Json::Num(round4(predictive.report.cost_usd)),
-        ),
-    ])
-}
-
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
+    /// The `BENCH_e12.json` document.
+    fn json(&self, seed: u64, rows: &[PredictiveGridRow]) -> Json {
+        let (reactive, predictive) = dominating_pair(rows);
+        let cells: Vec<Json> = rows
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("period_hours", Json::Num(r.period_hours as f64)),
+                    ("peak_per_hour", Json::Num(r.peak_per_hour)),
+                    ("policy", Json::str(&r.report.policy)),
+                    ("cost_usd", Json::Num(round4(r.report.cost_usd))),
+                    ("wait_p50_mins", Json::Num(round4(r.report.wait_p50_mins))),
+                    ("wait_p95_mins", Json::Num(round4(r.report.wait_p95_mins))),
+                    ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
+                    ("jobs", Json::Num(r.report.jobs as f64)),
+                    ("peak_workers", Json::Num(r.report.peak_workers as f64)),
+                    ("scale_outs", Json::Num(r.report.log.scale_outs() as f64)),
+                    ("scale_ins", Json::Num(r.report.log.scale_ins() as f64)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("bench", Json::str("e12_predictive_grid")),
+            ("seed", Json::Num(seed as f64)),
+            ("rows", Json::Arr(cells)),
+            ("best_reactive_policy", Json::str(&reactive.report.policy)),
+            (
+                "best_reactive_p95_mins",
+                Json::Num(round4(reactive.report.wait_p95_mins)),
+            ),
+            (
+                "best_reactive_cost_usd",
+                Json::Num(round4(reactive.report.cost_usd)),
+            ),
+            (
+                "predictive_p95_mins",
+                Json::Num(round4(predictive.report.wait_p95_mins)),
+            ),
+            (
+                "predictive_cost_usd",
+                Json::Num(round4(predictive.report.cost_usd)),
+            ),
+        ])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{gate, pass, Args};
 
     #[test]
     fn grid_always_contains_the_e9e_shape() {
@@ -344,22 +335,24 @@ mod tests {
 
     #[test]
     fn quick_grid_is_thread_count_invariant_and_dominated() {
-        let seed = crate::REPORT_SEED;
-        let serial = run_grid(seed, 1, true);
-        let parallel = run_grid(seed, 3, true);
-        assert_eq!(render(&serial), render(&parallel));
-        assert_eq!(
-            json_doc(seed, &serial).render(),
-            json_doc(seed, &parallel).render()
-        );
-        let (reactive, predictive) = dominating_pair(&serial);
+        let quick = Args {
+            threads: 3,
+            quick: true,
+            ..Args::default()
+        };
+        let rows = gate(&PredictiveGrid, &quick).rows;
+        let (reactive, predictive) = dominating_pair(&rows);
         assert!(predictive.report.wait_p95_mins < reactive.report.wait_p95_mins);
         assert!(predictive.report.cost_usd <= reactive.report.cost_usd);
     }
 
     #[test]
     fn predictive_learns_the_lead_and_scales_ahead() {
-        let rows = run_grid(crate::REPORT_SEED, 0, true);
+        let quick = Args {
+            quick: true,
+            ..Args::default()
+        };
+        let rows = pass(&PredictiveGrid, &quick);
         let p = rows
             .iter()
             .find(|r| r.report.policy.starts_with("predictive"))
@@ -375,8 +368,11 @@ mod tests {
     fn report_renders_with_the_claim_line() {
         // The domination claim is made (and recorded in BENCH_e12.json) at
         // the report seed; at an arbitrary seed the p95 margin is noise.
-        let rows = run_grid(crate::REPORT_SEED, 0, true);
-        let out = render(&rows);
+        let quick = Args {
+            quick: true,
+            ..Args::default()
+        };
+        let out = PredictiveGrid.render(&pass(&PredictiveGrid, &quick));
         assert!(out.contains("E12"));
         assert!(out.contains("predictive"));
     }

@@ -41,7 +41,6 @@ use cumulus::net::NodeId;
 use cumulus::provision::json::Json;
 use cumulus::simkit::retry::{RetryDecision, RetryPolicy};
 use cumulus::simkit::rng::RngStream;
-use cumulus::simkit::runner::{run_replicas, ReplicaPlan};
 use cumulus::simkit::time::{SimDuration, SimTime};
 use cumulus::store::{
     ContentId, DataPlane, DataSize, EvictionPolicy, InputSpec, ObjectStoreConfig, SharingBackend,
@@ -49,6 +48,7 @@ use cumulus::store::{
 };
 
 use crate::experiments::episode;
+use crate::grid::{round4, Grid};
 use crate::table::{mins, Table};
 
 /// Spot workers in the pool at any moment (replacements keep it level).
@@ -538,29 +538,6 @@ fn handle_completion(
     *finished_at = at;
 }
 
-/// Run the grid, fanned out over the replica runner (`threads` as
-/// everywhere: `0` = one per CPU, `1` = serial). Rows come back in combo
-/// order at any thread count.
-pub fn run_grid(seed: u64, threads: usize, quick: bool) -> Vec<RecoveryRow> {
-    let combos = grid_combos(quick);
-    let reports = run_replicas(
-        ReplicaPlan::new(seed, combos.len()).with_threads(threads),
-        |i, _seeds| {
-            let (rate, policy) = combos[i];
-            run_cell(seed, rate, policy)
-        },
-    );
-    combos
-        .into_iter()
-        .zip(reports)
-        .map(|((rate_per_hour, policy), report)| RecoveryRow {
-            rate_per_hour,
-            policy,
-            report,
-        })
-        .collect()
-}
-
 /// The grid cell matching `rate` × `policy`.
 fn cell(rows: &[RecoveryRow], rate: u32, policy: Policy) -> &RecoveryRow {
     rows.iter()
@@ -577,98 +554,132 @@ pub fn restage_reduction(rows: &[RecoveryRow]) -> f64 {
     retry.report.restaged_bytes as f64 / resume.report.restaged_bytes.max(1) as f64
 }
 
-/// Render the E14 table plus the claim line.
-pub fn render(rows: &[RecoveryRow]) -> String {
-    let mut t = Table::new(
-        "E14 — workflow recovery on a spot pool (4-step CRData chain, 190 MB archive)",
-        &[
-            "rate (/h)",
-            "policy",
-            "done",
-            "makespan (min)",
-            "preempts",
-            "attempts",
-            "steps run",
-            "net (MB)",
-            "restaged (MB)",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.rate_per_hour.to_string(),
-            r.policy.label().to_string(),
-            if r.report.completed { "yes" } else { "FAIL" }.to_string(),
-            mins(r.report.makespan_mins),
-            r.report.disruptions.to_string(),
-            r.report.attempts.to_string(),
-            r.report.steps_executed.to_string(),
-            format!("{:.0}", r.report.network_bytes as f64 / 1e6),
-            format!("{:.0}", r.report.restaged_bytes as f64 / 1e6),
-        ]);
+/// E14 on the grid driver: one cell per disruption rate × recovery
+/// policy.
+pub struct RecoveryGrid;
+
+impl Grid for RecoveryGrid {
+    type Cell = (u32, Policy);
+    type Row = RecoveryRow;
+    const RESULTS: &'static str = "BENCH_e14.json";
+
+    fn cells(&self, quick: bool) -> Vec<(u32, Policy)> {
+        grid_combos(quick)
     }
-    let none = cell(rows, CLAIM_RATE, Policy::None);
-    let retry = cell(rows, CLAIM_RATE, Policy::RetryOnly);
-    let resume = cell(rows, CLAIM_RATE, Policy::RetryResume);
-    format!(
-        "{}\nat {CLAIM_RATE} preemptions/h the unprotected run {} while both retry \
+
+    fn run(&self, seed: u64, &(rate, policy): &(u32, Policy), _: bool) -> RecoveryRow {
+        RecoveryRow {
+            rate_per_hour: rate,
+            policy,
+            report: run_cell(seed, rate, policy),
+        }
+    }
+
+    /// At the claim rate no-recovery fails where retry+resume completes,
+    /// and blind retry re-stages at least [`MIN_RESTAGE_REDUCTION`]× the
+    /// repeat bytes resume does.
+    fn check(&self, rows: &[RecoveryRow]) {
+        let none = cell(rows, CLAIM_RATE, Policy::None);
+        let resume = cell(rows, CLAIM_RATE, Policy::RetryResume);
+        assert!(
+            !none.report.completed && resume.report.completed,
+            "at {CLAIM_RATE}/h the unprotected run must fail while retry+resume completes"
+        );
+        let reduction = restage_reduction(rows);
+        assert!(
+            reduction >= MIN_RESTAGE_REDUCTION,
+            "resume must re-stage at least {MIN_RESTAGE_REDUCTION}x fewer repeat bytes than \
+             blind retry, got {reduction:.2}"
+        );
+    }
+
+    /// The E14 table plus the claim line.
+    fn render(&self, rows: &[RecoveryRow]) -> String {
+        let mut t = Table::new(
+            "E14 — workflow recovery on a spot pool (4-step CRData chain, 190 MB archive)",
+            &[
+                "rate (/h)",
+                "policy",
+                "done",
+                "makespan (min)",
+                "preempts",
+                "attempts",
+                "steps run",
+                "net (MB)",
+                "restaged (MB)",
+            ],
+        );
+        for r in rows {
+            t.row(&[
+                r.rate_per_hour.to_string(),
+                r.policy.label().to_string(),
+                if r.report.completed { "yes" } else { "FAIL" }.to_string(),
+                mins(r.report.makespan_mins),
+                r.report.disruptions.to_string(),
+                r.report.attempts.to_string(),
+                r.report.steps_executed.to_string(),
+                format!("{:.0}", r.report.network_bytes as f64 / 1e6),
+                format!("{:.0}", r.report.restaged_bytes as f64 / 1e6),
+            ]);
+        }
+        let none = cell(rows, CLAIM_RATE, Policy::None);
+        let retry = cell(rows, CLAIM_RATE, Policy::RetryOnly);
+        let resume = cell(rows, CLAIM_RATE, Policy::RetryResume);
+        format!(
+            "{}\nat {CLAIM_RATE} preemptions/h the unprotected run {} while both retry \
          policies finish; blind retry re-stages {:.0} MB of already-staged data \
          against {:.0} MB for checkpoint-resume ({:.1}x less rework) — the resumed \
          run recovers the completed prefix through the data plane instead of \
          recomputing it.\n",
-        t.render(),
-        if none.report.completed {
-            "survives"
-        } else {
-            "fails"
-        },
-        retry.report.restaged_bytes as f64 / 1e6,
-        resume.report.restaged_bytes as f64 / 1e6,
-        restage_reduction(rows),
-    )
-}
+            t.render(),
+            if none.report.completed {
+                "survives"
+            } else {
+                "fails"
+            },
+            retry.report.restaged_bytes as f64 / 1e6,
+            resume.report.restaged_bytes as f64 / 1e6,
+            restage_reduction(rows),
+        )
+    }
 
-/// The machine-readable grid for `BENCH_e14.json`. Contains only
-/// seed-deterministic quantities (never wall times), so the file is
-/// byte-identical at any thread count — the property the CI smoke run
-/// asserts.
-pub fn json_doc(seed: u64, rows: &[RecoveryRow]) -> Json {
-    let cells: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("rate_per_hour", Json::Num(r.rate_per_hour as f64)),
-                ("policy", Json::str(r.policy.label())),
-                ("completed", Json::Bool(r.report.completed)),
-                ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
-                ("disruptions", Json::Num(r.report.disruptions as f64)),
-                ("attempts", Json::Num(r.report.attempts as f64)),
-                ("steps_executed", Json::Num(r.report.steps_executed as f64)),
-                ("network_bytes", Json::Num(r.report.network_bytes as f64)),
-                ("restaged_bytes", Json::Num(r.report.restaged_bytes as f64)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("bench", Json::str("e14_recovery_grid")),
-        ("seed", Json::Num(seed as f64)),
-        ("workers", Json::Num(WORKERS as f64)),
-        ("archive_mb", Json::Num(ARCHIVE_MB as f64)),
-        ("claim_rate_per_hour", Json::Num(CLAIM_RATE as f64)),
-        ("rows", Json::Arr(cells)),
-        (
-            "restage_reduction_factor",
-            Json::Num(round4(restage_reduction(rows))),
-        ),
-    ])
-}
-
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
+    /// The `BENCH_e14.json` document.
+    fn json(&self, seed: u64, rows: &[RecoveryRow]) -> Json {
+        let cells: Vec<Json> = rows
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("rate_per_hour", Json::Num(r.rate_per_hour as f64)),
+                    ("policy", Json::str(r.policy.label())),
+                    ("completed", Json::Bool(r.report.completed)),
+                    ("makespan_mins", Json::Num(round4(r.report.makespan_mins))),
+                    ("disruptions", Json::Num(r.report.disruptions as f64)),
+                    ("attempts", Json::Num(r.report.attempts as f64)),
+                    ("steps_executed", Json::Num(r.report.steps_executed as f64)),
+                    ("network_bytes", Json::Num(r.report.network_bytes as f64)),
+                    ("restaged_bytes", Json::Num(r.report.restaged_bytes as f64)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("bench", Json::str("e14_recovery_grid")),
+            ("seed", Json::Num(seed as f64)),
+            ("workers", Json::Num(WORKERS as f64)),
+            ("archive_mb", Json::Num(ARCHIVE_MB as f64)),
+            ("claim_rate_per_hour", Json::Num(CLAIM_RATE as f64)),
+            ("rows", Json::Arr(cells)),
+            (
+                "restage_reduction_factor",
+                Json::Num(round4(restage_reduction(rows))),
+            ),
+        ])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{gate, pass, Args};
 
     #[test]
     fn grid_shapes() {
@@ -682,16 +693,14 @@ mod tests {
 
     #[test]
     fn quick_grid_is_thread_count_invariant_and_meets_the_claim() {
-        let seed = crate::REPORT_SEED;
-        let serial = run_grid(seed, 1, true);
-        let parallel = run_grid(seed, 3, true);
-        assert_eq!(render(&serial), render(&parallel));
-        assert_eq!(
-            json_doc(seed, &serial).render(),
-            json_doc(seed, &parallel).render()
-        );
-        let none = cell(&serial, CLAIM_RATE, Policy::None);
-        let resume = cell(&serial, CLAIM_RATE, Policy::RetryResume);
+        let quick = Args {
+            threads: 3,
+            quick: true,
+            ..Args::default()
+        };
+        let rows = gate(&RecoveryGrid, &quick).rows;
+        let none = cell(&rows, CLAIM_RATE, Policy::None);
+        let resume = cell(&rows, CLAIM_RATE, Policy::RetryResume);
         assert!(
             !none.report.completed,
             "no-recovery must fail at {CLAIM_RATE}/h"
@@ -701,15 +710,15 @@ mod tests {
             "retry+resume must complete at {CLAIM_RATE}/h"
         );
         assert!(
-            restage_reduction(&serial) >= MIN_RESTAGE_REDUCTION,
+            restage_reduction(&rows) >= MIN_RESTAGE_REDUCTION,
             "resume must re-stage at least {MIN_RESTAGE_REDUCTION}x fewer bytes, got {:.2}",
-            restage_reduction(&serial)
+            restage_reduction(&rows)
         );
     }
 
     #[test]
     fn recovery_policies_complete_and_resume_skips_rework() {
-        let rows = run_grid(crate::REPORT_SEED, 0, false);
+        let rows = pass(&RecoveryGrid, &Args::default());
         for r in &rows {
             // A completed run executed at least the four chain steps.
             if r.report.completed {
@@ -759,8 +768,12 @@ mod tests {
 
     #[test]
     fn report_renders_with_the_claim_line() {
-        let rows = run_grid(7513, 0, true);
-        let out = render(&rows);
+        let seeded = Args {
+            seed: 7513,
+            quick: true,
+            ..Args::default()
+        };
+        let out = RecoveryGrid.render(&pass(&RecoveryGrid, &seeded));
         assert!(out.contains("E14"));
         assert!(out.contains("preemptions/h"));
     }

@@ -10,21 +10,20 @@
 //! policy, so the all-on-demand row is directly comparable to E9e's
 //! closed-loop row.
 //!
-//! Every grid cell is one
-//! [`run_spot_episode`](cumulus::autoscale::run_spot_episode): preemption
-//! notices,
-//! requeues, and in-place repairs all play out inside the DES. Cells fan
-//! out over the parallel replica runner and the report is byte-identical
-//! at any thread count.
+//! Every grid cell is one [`run_spot_episode`] at the grid's seed:
+//! preemption notices, requeues, and in-place repairs all play out inside
+//! the DES. [`SpotGrid`] runs on the shared grid driver, so the report is
+//! byte-identical at any thread count.
 
 use cumulus::autoscale::{
-    run_spot_sweep, ControllerConfig, Hysteresis, HysteresisConfig, QueueStep, SpotEpisodeConfig,
-    SpotEpisodeReport, SpotMix, SpotMixConfig, Workload,
+    run_spot_episode, ControllerConfig, Hysteresis, HysteresisConfig, QueueStep, SpotEpisodeConfig,
+    SpotEpisodeReport, SpotMix, SpotMixConfig,
 };
 use cumulus::provision::json::Json;
 use cumulus::simkit::time::SimDuration;
 
 use crate::experiments::extensions::diurnal_trace;
+use crate::grid::{round4, Grid};
 use crate::table::{mins, Table};
 
 /// Fleet cap shared with the E9e closed-loop policy.
@@ -106,50 +105,12 @@ fn spot_policy(fraction: f64) -> SpotMix<Hysteresis<QueueStep>> {
     )
 }
 
-/// Run the grid against `trace`, fanned out over the replica runner
-/// (`threads` as everywhere: `0` = one per CPU, `1` = serial). Rows come
-/// back in combo order at any thread count.
-pub fn run_grid_on(seed: u64, trace: &Workload, threads: usize, quick: bool) -> Vec<SpotGridRow> {
-    let combos = grid_combos(quick);
-    let reports = run_spot_sweep(
-        seed,
-        combos.len(),
-        |i| {
-            let (fraction, interval) = combos[i];
-            let config = SpotEpisodeConfig {
-                controller: ControllerConfig::default(),
-                mean_preemption_interval: interval.map(SimDuration::from_mins),
-                ..SpotEpisodeConfig::default()
-            };
-            (spot_policy(fraction), config)
-        },
-        trace,
-        threads,
-    );
-    combos
-        .into_iter()
-        .zip(reports)
-        .map(
-            |((spot_fraction, mean_preemption_mins), report)| SpotGridRow {
-                spot_fraction,
-                mean_preemption_mins,
-                report,
-            },
-        )
-        .collect()
-}
-
-/// [`run_grid_on`] against the E9e diurnal trace (the full experiment).
-pub fn run_grid(seed: u64, threads: usize, quick: bool) -> Vec<SpotGridRow> {
-    run_grid_on(seed, &diurnal_trace(seed), threads, quick)
-}
-
 /// The row that makes the experiment's claim: the cheapest spot row whose
 /// p95 wait stays within [`P95_SLACK_MINS`] of the all-on-demand
-/// baseline. Panics if no spot row dominates — that would mean spot
-/// capacity never pays off, which given a calm-market cell in every grid
-/// indicates a pricing-model bug, not a data-dependent outcome.
-pub fn dominating_row(rows: &[SpotGridRow]) -> &SpotGridRow {
+/// baseline, if any. The grid's check requires one — spot capacity that
+/// never pays off, given a calm-market cell in every grid, indicates a
+/// pricing-model bug, not a data-dependent outcome.
+pub fn dominating_row(rows: &[SpotGridRow]) -> Option<&SpotGridRow> {
     let baseline = &rows[0];
     assert_eq!(baseline.spot_fraction, 0.0, "baseline row must come first");
     rows.iter()
@@ -160,119 +121,151 @@ pub fn dominating_row(rows: &[SpotGridRow]) -> &SpotGridRow {
                     <= baseline.report.base.wait_p95_mins + P95_SLACK_MINS
         })
         .min_by(|a, b| a.report.base.cost_usd.total_cmp(&b.report.base.cost_usd))
-        .expect("some spot mix must beat all-on-demand on cost at bounded p95")
 }
 
-/// Render the E10 table plus the domination summary line.
-pub fn render(rows: &[SpotGridRow]) -> String {
-    let mut t = Table::new(
-        "E10 — spot fleet vs preemption rate (diurnal trace, closed loop)",
-        &[
-            "fleet",
-            "market",
-            "cost ($)",
-            "p95 wait (min)",
-            "makespan (min)",
-            "preempts",
-            "requeued",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.fleet_label(),
-            r.market_label(),
-            format!("{:.4}", r.report.base.cost_usd),
-            mins(r.report.base.wait_p95_mins),
-            mins(r.report.base.makespan_mins),
-            r.report.preemptions.to_string(),
-            r.report.requeued_jobs.to_string(),
-        ]);
+/// The claim row of a grid that passed its check.
+fn winner(rows: &[SpotGridRow]) -> &SpotGridRow {
+    dominating_row(rows).expect("the grid's check found a dominating row")
+}
+
+/// E10 on the grid driver: one cell per `(spot fraction, market)` combo,
+/// each a spot episode over the E9e diurnal trace.
+pub struct SpotGrid;
+
+impl Grid for SpotGrid {
+    type Cell = (f64, Option<u64>);
+    type Row = SpotGridRow;
+    const RESULTS: &'static str = "BENCH_e10.json";
+
+    fn cells(&self, quick: bool) -> Vec<(f64, Option<u64>)> {
+        grid_combos(quick)
     }
-    let baseline = &rows[0];
-    let winner = dominating_row(rows);
-    format!(
-        "{}\nbest spot mix ({}, {}) cuts cost {:.4} -> {:.4} ({:.0}% saved) with p95 \
-         wait {} vs {} on demand — reclaims requeue work and pay the provisioning \
-         lag again, so the saving shrinks as the market hardens, but a mixed fleet \
-         stays ahead of all-on-demand.\n",
-        t.render(),
-        winner.fleet_label(),
-        winner.market_label(),
-        baseline.report.base.cost_usd,
-        winner.report.base.cost_usd,
-        (1.0 - winner.report.base.cost_usd / baseline.report.base.cost_usd) * 100.0,
-        mins(winner.report.base.wait_p95_mins),
-        mins(baseline.report.base.wait_p95_mins),
-    )
-}
 
-/// The machine-readable grid for `BENCH_e10.json`. Contains only
-/// seed-deterministic quantities (never wall times), so the file is
-/// byte-identical at any thread count — the property the CI smoke run
-/// asserts.
-pub fn json_doc(seed: u64, rows: &[SpotGridRow]) -> Json {
-    let baseline = &rows[0];
-    let winner = dominating_row(rows);
-    let cells: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("spot_fraction", Json::Num(r.spot_fraction)),
-                (
-                    "mean_preemption_mins",
-                    match r.mean_preemption_mins {
-                        Some(m) => Json::Num(m as f64),
-                        None => Json::Null,
-                    },
-                ),
-                ("cost_usd", Json::Num(round4(r.report.base.cost_usd))),
-                (
-                    "wait_p95_mins",
-                    Json::Num(round4(r.report.base.wait_p95_mins)),
-                ),
-                (
-                    "makespan_mins",
-                    Json::Num(round4(r.report.base.makespan_mins)),
-                ),
-                ("jobs", Json::Num(r.report.base.jobs as f64)),
-                ("preemptions", Json::Num(r.report.preemptions as f64)),
-                ("requeued_jobs", Json::Num(r.report.requeued_jobs as f64)),
-                (
-                    "total_evictions",
-                    Json::Num(r.report.total_evictions as f64),
-                ),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("bench", Json::str("e10_spot_preemption_grid")),
-        ("seed", Json::Num(seed as f64)),
-        ("trace", Json::str(&rows[0].report.base.workload)),
-        ("rows", Json::Arr(cells)),
-        (
-            "baseline_cost_usd",
-            Json::Num(round4(baseline.report.base.cost_usd)),
-        ),
-        (
-            "best_spot_cost_usd",
-            Json::Num(round4(winner.report.base.cost_usd)),
-        ),
-        (
-            "best_spot_saving_pct",
-            Json::Num(round4(
-                (1.0 - winner.report.base.cost_usd / baseline.report.base.cost_usd) * 100.0,
-            )),
-        ),
-    ])
-}
+    fn run(&self, seed: u64, &(fraction, interval): &(f64, Option<u64>), _: bool) -> SpotGridRow {
+        let config = SpotEpisodeConfig {
+            controller: ControllerConfig::default(),
+            mean_preemption_interval: interval.map(SimDuration::from_mins),
+            ..SpotEpisodeConfig::default()
+        };
+        SpotGridRow {
+            spot_fraction: fraction,
+            mean_preemption_mins: interval,
+            report: run_spot_episode(seed, spot_policy(fraction), config, &diurnal_trace(seed)),
+        }
+    }
 
-fn round4(x: f64) -> f64 {
-    (x * 1e4).round() / 1e4
+    fn check(&self, rows: &[SpotGridRow]) {
+        assert!(
+            dominating_row(rows).is_some(),
+            "some spot mix must beat all-on-demand on cost at bounded p95"
+        );
+    }
+
+    /// The E10 table plus the domination summary line.
+    fn render(&self, rows: &[SpotGridRow]) -> String {
+        let mut t = Table::new(
+            "E10 — spot fleet vs preemption rate (diurnal trace, closed loop)",
+            &[
+                "fleet",
+                "market",
+                "cost ($)",
+                "p95 wait (min)",
+                "makespan (min)",
+                "preempts",
+                "requeued",
+            ],
+        );
+        for r in rows {
+            t.row(&[
+                r.fleet_label(),
+                r.market_label(),
+                format!("{:.4}", r.report.base.cost_usd),
+                mins(r.report.base.wait_p95_mins),
+                mins(r.report.base.makespan_mins),
+                r.report.preemptions.to_string(),
+                r.report.requeued_jobs.to_string(),
+            ]);
+        }
+        let baseline = &rows[0];
+        let winner = winner(rows);
+        format!(
+            "{}\nbest spot mix ({}, {}) cuts cost {:.4} -> {:.4} ({:.0}% saved) with p95 \
+             wait {} vs {} on demand — reclaims requeue work and pay the provisioning \
+             lag again, so the saving shrinks as the market hardens, but a mixed fleet \
+             stays ahead of all-on-demand.\n",
+            t.render(),
+            winner.fleet_label(),
+            winner.market_label(),
+            baseline.report.base.cost_usd,
+            winner.report.base.cost_usd,
+            (1.0 - winner.report.base.cost_usd / baseline.report.base.cost_usd) * 100.0,
+            mins(winner.report.base.wait_p95_mins),
+            mins(baseline.report.base.wait_p95_mins),
+        )
+    }
+
+    /// The `BENCH_e10.json` document.
+    fn json(&self, seed: u64, rows: &[SpotGridRow]) -> Json {
+        let baseline = &rows[0];
+        let winner = winner(rows);
+        let cells: Vec<Json> = rows
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("spot_fraction", Json::Num(r.spot_fraction)),
+                    (
+                        "mean_preemption_mins",
+                        match r.mean_preemption_mins {
+                            Some(m) => Json::Num(m as f64),
+                            None => Json::Null,
+                        },
+                    ),
+                    ("cost_usd", Json::Num(round4(r.report.base.cost_usd))),
+                    (
+                        "wait_p95_mins",
+                        Json::Num(round4(r.report.base.wait_p95_mins)),
+                    ),
+                    (
+                        "makespan_mins",
+                        Json::Num(round4(r.report.base.makespan_mins)),
+                    ),
+                    ("jobs", Json::Num(r.report.base.jobs as f64)),
+                    ("preemptions", Json::Num(r.report.preemptions as f64)),
+                    ("requeued_jobs", Json::Num(r.report.requeued_jobs as f64)),
+                    (
+                        "total_evictions",
+                        Json::Num(r.report.total_evictions as f64),
+                    ),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("bench", Json::str("e10_spot_preemption_grid")),
+            ("seed", Json::Num(seed as f64)),
+            ("trace", Json::str(&rows[0].report.base.workload)),
+            ("rows", Json::Arr(cells)),
+            (
+                "baseline_cost_usd",
+                Json::Num(round4(baseline.report.base.cost_usd)),
+            ),
+            (
+                "best_spot_cost_usd",
+                Json::Num(round4(winner.report.base.cost_usd)),
+            ),
+            (
+                "best_spot_saving_pct",
+                Json::Num(round4(
+                    (1.0 - winner.report.base.cost_usd / baseline.report.base.cost_usd) * 100.0,
+                )),
+            ),
+        ])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{gate, pass, Args};
 
     #[test]
     fn grid_has_baseline_first_and_full_cartesian_after() {
@@ -286,22 +279,24 @@ mod tests {
 
     #[test]
     fn quick_grid_is_thread_count_invariant_and_dominated() {
-        let seed = crate::REPORT_SEED;
-        let serial = run_grid(seed, 1, true);
-        let parallel = run_grid(seed, 3, true);
-        assert_eq!(render(&serial), render(&parallel));
-        assert_eq!(
-            json_doc(seed, &serial).render(),
-            json_doc(seed, &parallel).render()
-        );
-        let winner = dominating_row(&serial);
+        let quick = Args {
+            threads: 3,
+            quick: true,
+            ..Args::default()
+        };
+        let rows = gate(&SpotGrid, &quick).rows;
+        let winner = dominating_row(&rows).expect("a spot row dominates");
         assert!(winner.spot_fraction > 0.0);
-        assert!(winner.report.base.cost_usd < serial[0].report.base.cost_usd);
+        assert!(winner.report.base.cost_usd < rows[0].report.base.cost_usd);
     }
 
     #[test]
     fn harsher_markets_never_reduce_preemptions_on_all_spot_rows() {
-        let rows = run_grid(7507, 0, false);
+        let full = Args {
+            seed: 7507,
+            ..Args::default()
+        };
+        let rows = pass(&SpotGrid, &full);
         let all_spot: Vec<&SpotGridRow> = rows.iter().filter(|r| r.spot_fraction == 1.0).collect();
         // Combo order within a fraction: calm, 60 min, 15 min.
         assert_eq!(all_spot.len(), 3);
@@ -318,8 +313,12 @@ mod tests {
 
     #[test]
     fn report_renders_with_the_claim_line() {
-        let rows = run_grid(7508, 0, true);
-        let out = render(&rows);
+        let quick = Args {
+            seed: 7508,
+            quick: true,
+            ..Args::default()
+        };
+        let out = SpotGrid.render(&pass(&SpotGrid, &quick));
         assert!(out.contains("E10"));
         assert!(out.contains("best spot mix"));
     }

@@ -22,6 +22,13 @@
 //! parallel sweep pool (`0` = one per CPU, the default; `1` = serial —
 //! the report is byte-identical either way). Benches (`cargo bench`)
 //! measure the simulator's own performance.
+//!
+//! The five parameter grids (E10, E12–E15) run on one driver,
+//! [`grid::main`]: each experiment module implements [`grid::Grid`] (its
+//! cells, one cell's episode, table, JSON, claim check and optional
+//! `--report`), and the driver runs every cell serially and then at
+//! `--threads`, asserts both passes render the same bytes, and rewrites
+//! the grid's committed `BENCH_e*.json` unless `--quick`.
 
 pub mod experiments {
     //! Experiment implementations, one module per paper artifact.
@@ -40,6 +47,7 @@ pub mod experiments {
     pub mod usecase;
 }
 
+pub mod grid;
 pub mod kernel;
 pub mod table;
 
@@ -87,14 +95,6 @@ fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Optio
         .parse()
         .map(Some)
         .map_err(|_| format!("{name} expects an unsigned integer, got {value:?}"))
-}
-
-/// Whether `--report` was passed: experiment binaries then append their
-/// telemetry episode report (per-job walltime decomposition assembled
-/// from lifecycle spans) after the regular table. Off by default so the
-/// standard outputs stay byte-identical to the pre-telemetry tree.
-pub fn report_from_args() -> bool {
-    std::env::args().any(|a| a == "--report")
 }
 
 /// First positional argument (ignoring `--seed`/`--threads` flags and

@@ -71,16 +71,6 @@ impl LabelledMatrix {
         (0..self.nrows()).map(|r| self.get(r, c)).collect()
     }
 
-    /// Index of a column by name.
-    pub fn col_index(&self, name: &str) -> Option<usize> {
-        self.col_names.iter().position(|n| n == name)
-    }
-
-    /// Index of a row by name.
-    pub fn row_index(&self, name: &str) -> Option<usize> {
-        self.row_names.iter().position(|n| n == name)
-    }
-
     /// New matrix keeping only the given row indices (in the given order).
     pub fn select_rows(&self, rows: &[usize]) -> LabelledMatrix {
         let mut values = Vec::with_capacity(rows.len() * self.ncols());
@@ -133,31 +123,6 @@ impl LabelledMatrix {
         }
     }
 
-    /// Column means.
-    pub fn col_means(&self) -> Vec<f64> {
-        let mut means = vec![0.0; self.ncols()];
-        for r in 0..self.nrows() {
-            for (c, m) in means.iter_mut().enumerate() {
-                *m += self.get(r, c);
-            }
-        }
-        let n = self.nrows().max(1) as f64;
-        for m in &mut means {
-            *m /= n;
-        }
-        means
-    }
-
-    /// Row means.
-    pub fn row_means(&self) -> Vec<f64> {
-        (0..self.nrows())
-            .map(|r| {
-                let row = self.row(r);
-                row.iter().sum::<f64>() / row.len().max(1) as f64
-            })
-            .collect()
-    }
-
     /// Split column indices into groups by a prefix of the sample name up
     /// to the first `_` (the convention used by the synthetic CEL bundles:
     /// `groupA_1`, `groupB_2`, …). Returns `(group names, per-group column
@@ -205,9 +170,6 @@ mod tests {
         assert_eq!(m.get(1, 0), 4.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.col(1), vec![2.0, 5.0]);
-        assert_eq!(m.col_index("b_1"), Some(2));
-        assert_eq!(m.row_index("g2"), Some(1));
-        assert_eq!(m.row_index("nope"), None);
     }
 
     #[test]
@@ -234,13 +196,6 @@ mod tests {
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.get(2, 0), 3.0);
         assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn means() {
-        let m = m();
-        assert_eq!(m.col_means(), vec![2.5, 3.5, 4.5]);
-        assert_eq!(m.row_means(), vec![2.0, 5.0]);
     }
 
     #[test]

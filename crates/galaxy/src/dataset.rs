@@ -100,18 +100,6 @@ impl ContentBody {
         }
     }
 
-    /// Matrix view, if numeric.
-    pub fn as_matrix(&self) -> Option<(&[String], &[String], &[f64])> {
-        match self {
-            ContentBody::Matrix {
-                row_names,
-                col_names,
-                values,
-            } => Some((row_names, col_names, values)),
-            _ => None,
-        }
-    }
-
     /// The digest of the canonical serialization: discriminant byte,
     /// length-prefixed fields, floats by bit pattern.
     fn hash(&self) -> ContentId {

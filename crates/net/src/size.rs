@@ -55,11 +55,6 @@ impl DataSize {
         self.0 as f64 / 1e6
     }
 
-    /// Gigabytes as a float.
-    pub fn as_gb_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Megabits as a float (8 bits per byte).
     pub fn as_megabits_f64(self) -> f64 {
         self.0 as f64 * 8.0 / 1e6
@@ -196,7 +191,6 @@ mod tests {
         let s = DataSize::from_mb(5);
         assert_eq!(s.as_mb_f64(), 5.0);
         assert_eq!(s.as_megabits_f64(), 40.0);
-        assert_eq!(DataSize::from_gb(2).as_gb_f64(), 2.0);
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl GpCloud {
         self.spot_floor = floor;
     }
 
-    /// The current spot floor, if any.
-    pub fn spot_worker_floor(&self) -> Option<usize> {
-        self.spot_floor
-    }
-
     /// A world with all stochastic jitter disabled — used for calibration
     /// runs and determinism tests.
     pub fn deterministic(master_seed: u64) -> Self {
@@ -329,11 +324,6 @@ impl GpCloud {
         self.instances
             .get_mut(id)
             .ok_or_else(|| GpError::UnknownInstance(id.0.clone()))
-    }
-
-    /// All instance ids.
-    pub fn instance_ids(&self) -> Vec<GpInstanceId> {
-        self.instances.keys().cloned().collect()
     }
 
     /// A copy of the converge configuration (used by reconfiguration).

@@ -107,11 +107,6 @@ impl ObjectStore {
         self.objects.get(&cid).copied()
     }
 
-    /// Number of distinct objects stored.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Time to move `size` through one request: latency plus the
     /// bandwidth-limited body.
     pub fn transfer_duration(&self, size: DataSize) -> SimDuration {

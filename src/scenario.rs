@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use cumulus_cloud::InstanceType;
 use cumulus_crdata::datagen::{generate_cel_bundle, CelBundleSpec};
 use cumulus_galaxy::{DatasetId, GalaxyError, GalaxyJobId, GalaxyServer, HistoryId};
-use cumulus_net::DataSize;
 use cumulus_provision::{DeployReport, GpCloud, GpError, GpInstanceId, Topology};
 use cumulus_simkit::time::SimTime;
 use cumulus_transfer::EndpointKind;
@@ -250,11 +249,6 @@ impl UseCaseScenario {
     pub fn window_cost(&self, from: SimTime, to: SimTime) -> f64 {
         self.world.ec2.ledger.window_cost(from, to)
     }
-}
-
-/// The two dataset sizes of the use case, for reference in reports.
-pub fn paper_dataset_sizes() -> (DataSize, DataSize) {
-    (DataSize::from_mb_f64(10.7), DataSize::from_mb_f64(190.3))
 }
 
 #[cfg(test)]

@@ -180,10 +180,11 @@ fn predictive_logs_survive_the_parallel_replica_runner() {
 /// pool (E9e policy sweep, E10 spot, E12 predictive, E13 datashare) must
 /// render byte-identically whether its replicas run serially or across
 /// threads. Quick mode keeps the grids small; the full-size runs are
-/// asserted the same way inside each `--bin` itself.
+/// asserted by the same gate when each `--bin` runs.
 #[test]
 fn experiment_grids_are_thread_invariant() {
     use cumulus_bench::experiments::{datashare, extensions, predictive, spot};
+    use cumulus_bench::grid::{gate, Args};
 
     let seed = 20120512;
     assert_eq!(
@@ -192,41 +193,17 @@ fn experiment_grids_are_thread_invariant() {
         "E9e policy sweep diverged across threads"
     );
 
-    let serial = spot::run_grid(seed, 1, true);
-    let parallel = spot::run_grid(seed, 3, true);
-    assert_eq!(
-        spot::render(&serial),
-        spot::render(&parallel),
-        "E10 spot grid diverged across threads"
-    );
-    assert_eq!(
-        spot::json_doc(seed, &serial).render(),
-        spot::json_doc(seed, &parallel).render()
-    );
-
-    let serial = predictive::run_grid(seed, 1, true);
-    let parallel = predictive::run_grid(seed, 3, true);
-    assert_eq!(
-        predictive::render(&serial),
-        predictive::render(&parallel),
-        "E12 predictive grid diverged across threads"
-    );
-    assert_eq!(
-        predictive::json_doc(seed, &serial).render(),
-        predictive::json_doc(seed, &parallel).render()
-    );
-
-    let serial = datashare::run_grid(seed, 1, true);
-    let parallel = datashare::run_grid(seed, 3, true);
-    assert_eq!(
-        datashare::render(&serial),
-        datashare::render(&parallel),
-        "E13 datashare grid diverged across threads"
-    );
-    assert_eq!(
-        datashare::json_doc(seed, &serial).render(),
-        datashare::json_doc(seed, &parallel).render()
-    );
+    // The gate runs each grid serially and at 3 threads and panics unless
+    // both passes render the same table and JSON.
+    let quick = Args {
+        seed,
+        threads: 3,
+        quick: true,
+        report: false,
+    };
+    gate(&spot::SpotGrid, &quick);
+    gate(&predictive::PredictiveGrid, &quick);
+    gate(&datashare::DatashareGrid, &quick);
 }
 
 /// Seeded-loop span property: generate randomized-but-valid span streams
@@ -312,11 +289,18 @@ fn assembler_round_trips_randomized_span_streams() {
 #[test]
 fn span_invariants_hold_across_seeded_episodes() {
     use cumulus::simkit::telemetry::{assemble_lenient, JobBreakdown, SpanKind};
-    use cumulus_bench::experiments::datashare;
+    use cumulus_bench::experiments::datashare::DatashareGrid;
+    use cumulus_bench::grid::{pass, Args};
 
     for seed in [7u64, 20120512, 99991] {
-        for (row, telemetry) in datashare::run_grid_instrumented(seed, 1, true) {
-            let set = assemble_lenient(&telemetry.events())
+        let instrumented = Args {
+            seed,
+            threads: 1,
+            quick: true,
+            report: true,
+        };
+        for row in pass(&DatashareGrid, &instrumented) {
+            let set = assemble_lenient(&row.telemetry.events())
                 .unwrap_or_else(|e| panic!("seed {seed} {}: {e:?}", row.spec.label()));
             for (kind, id, _) in &set.open {
                 assert!(
@@ -356,21 +340,33 @@ fn span_invariants_hold_across_seeded_episodes() {
 /// stream — must not depend on how many threads the replica runner used.
 #[test]
 fn telemetry_digests_are_thread_invariant() {
-    use cumulus_bench::experiments::datashare;
+    use cumulus_bench::experiments::datashare::{self, DatashareGrid};
+    use cumulus_bench::grid::{pass, Args};
 
-    let seed = 20120512;
-    let serial = datashare::run_grid_instrumented(seed, 1, true);
-    let parallel = datashare::run_grid_instrumented(seed, 3, true);
+    let instrumented = Args {
+        seed: 20120512,
+        threads: 3,
+        quick: true,
+        report: true,
+    };
+    let serial = pass(
+        &DatashareGrid,
+        &Args {
+            threads: 1,
+            ..instrumented
+        },
+    );
+    let parallel = pass(&DatashareGrid, &instrumented);
     assert_eq!(serial.len(), parallel.len());
-    for ((row_s, tel_s), (row_p, tel_p)) in serial.iter().zip(&parallel) {
-        assert_eq!(row_s.spec.label(), row_p.spec.label());
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_eq!(s.spec.label(), p.spec.label());
         assert_eq!(
-            tel_s.digest(),
-            tel_p.digest(),
+            s.telemetry.digest(),
+            p.telemetry.digest(),
             "{}: telemetry digest diverged across threads",
-            row_s.spec.label()
+            s.spec.label()
         );
-        assert_eq!(tel_s.len(), tel_p.len());
+        assert_eq!(s.telemetry.len(), p.telemetry.len());
     }
     assert_eq!(
         datashare::episode_report(&serial),
