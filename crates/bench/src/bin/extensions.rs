@@ -4,7 +4,8 @@
 //! The E9e policy sweep runs twice — serially and fanned out over the
 //! replica runner (`--threads N`, default one per CPU) — asserts the two
 //! reports are byte-identical, and records the wall-time comparison in
-//! `BENCH_e9.json` at the repo root.
+//! `BENCH_e9.json` at the repo root unless `--quick`, which runs the same
+//! sweeps and assertion and writes nothing.
 
 use std::time::Instant;
 
@@ -12,7 +13,8 @@ use cumulus_bench::experiments::extensions;
 use cumulus_provision::json::Json;
 
 fn main() {
-    cumulus_bench::check_args(&[], Some("fault replicas"));
+    cumulus_bench::check_args(&["--quick"], Some("fault replicas"));
+    let quick = std::env::args().any(|a| a == "--quick");
     let seed = cumulus_bench::seed_from_args(cumulus_bench::REPORT_SEED);
     let replicas = cumulus_bench::positional_from_args(16);
     let threads = cumulus_bench::threads_from_args(0);
@@ -65,5 +67,5 @@ fn main() {
             Json::Num((serial_secs / parallel_secs * 100.0).round() / 100.0),
         ),
     ]);
-    cumulus_bench::write_results("BENCH_e9.json", &doc, false);
+    cumulus_bench::write_results("BENCH_e9.json", &doc, quick);
 }

@@ -105,10 +105,12 @@ pub fn positional_from_args(default: usize) -> usize {
     or_usage(positional_value(&cli_args())).unwrap_or(default)
 }
 
-/// The first positional argument of `args` as a replica count, if any.
+/// The first positional argument of `args` (the first not starting with
+/// `--`) as a replica count, if any.
 fn positional_value(args: &[String]) -> Result<Option<usize>, String> {
     unparsed(args)
-        .first()
+        .into_iter()
+        .find(|arg| !arg.starts_with("--"))
         .map(|arg| {
             arg.parse()
                 .map_err(|_| format!("expected a replica count, got {arg:?}"))
@@ -321,6 +323,11 @@ mod tests {
             Ok(Some(8))
         );
         assert_eq!(positional_value(&args(&["--seed=3"])), Ok(None));
+        assert_eq!(positional_value(&args(&["--quick", "4"])), Ok(Some(4)));
+        assert_eq!(
+            validate_args(&args(&["--quick", "4"]), &["--quick"], true),
+            Ok(())
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use cumulus_simkit::time::{SimDuration, SimTime};
 
 use crate::classad::{ClassAd, Expr, ParseError, Value};
-use crate::machine::MachineName;
+use crate::machine::MachineId;
 use crate::pool::sym_owner;
 use crate::signature::Signature;
 
@@ -69,6 +69,11 @@ pub enum JobState {
 
 /// A submitted job: its own ids, times and state, plus a handle to the
 /// matchmaking signature it shares with its autocluster.
+///
+/// A completed job is kept for the pool's life, so the record owns no
+/// heap memory of its own: the machine is an id into the pool's name
+/// table (read it with [`CondorPool::running_on`](crate::CondorPool::running_on))
+/// and the signature is shared.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Id assigned at submission.
@@ -79,8 +84,9 @@ pub struct Job {
     pub work: WorkSpec,
     /// Current state.
     pub state: JobState,
-    /// Where it is / was running.
-    pub running_on: Option<MachineName>,
+    /// Where it is running, or ran to completion: `None` while idle,
+    /// held or removed, and after an eviction.
+    pub(crate) machine: Option<MachineId>,
     /// When the current execution finishes.
     pub finish_at: Option<SimTime>,
     /// When it started executing (most recent match).
@@ -89,7 +95,7 @@ pub struct Job {
     pub evictions: u32,
     /// Bumped every time the job is (re)scheduled; lets the settle heap
     /// detect stale entries after evictions or deadline extensions.
-    pub(crate) run_gen: u64,
+    pub(crate) run_gen: u32,
     /// Autocluster id assigned at submission: jobs whose builders set
     /// bitwise-equal (requirements, rank, ad, owner) share a cluster, so
     /// the negotiator can reuse one job's verdict and score per machine
@@ -100,6 +106,8 @@ pub struct Job {
     /// The autocluster's signature, one allocation for all its jobs.
     pub(crate) sig: Arc<Signature>,
 }
+
+const _: () = assert!(std::mem::size_of::<Job>() <= 96);
 
 impl Job {
     /// Build a job ready for submission. Requirements default to `true`,
@@ -135,7 +143,7 @@ impl Job {
             submitted_at,
             work,
             state: JobState::Idle,
-            running_on: None,
+            machine: None,
             finish_at: None,
             started_at: None,
             evictions: 0,

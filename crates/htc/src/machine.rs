@@ -2,6 +2,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::num::NonZeroU32;
 
 use crate::classad::{ClassAd, Value};
 
@@ -21,6 +22,25 @@ impl Borrow<str> for MachineName {
 impl fmt::Display for MachineName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// A machine name's index in its pool's name table, fixed the first time
+/// the name joins the pool and kept for the pool's whole life. Non-zero,
+/// so an `Option<MachineId>` is four bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MachineId(NonZeroU32);
+
+impl MachineId {
+    /// The id of table entry `index`.
+    pub(crate) fn from_index(index: usize) -> MachineId {
+        let id = u32::try_from(index + 1).expect("fewer than 2^32 machine names");
+        MachineId(NonZeroU32::new(id).expect("index + 1 is non-zero"))
+    }
+
+    /// The table entry this id indexes.
+    pub(crate) fn index(self) -> usize {
+        self.0.get() as usize - 1
     }
 }
 

@@ -19,7 +19,7 @@ use cumulus_simkit::time::{SimDuration, SimTime};
 use crate::classad::{ClassAd, Symbol, Value};
 use crate::idle::IdleOrder;
 use crate::job::{Job, JobBuilder, JobId, JobState};
-use crate::machine::{Machine, MachineName};
+use crate::machine::{Machine, MachineId, MachineName};
 use crate::signature::Autoclusters;
 
 /// Job-ad attribute listing the job's input content ids, comma-joined
@@ -212,6 +212,8 @@ pub(crate) fn sym_owner() -> Symbol {
 #[derive(Debug)]
 struct MachineSlot {
     machine: Machine,
+    /// The machine's name in the pool's name table.
+    id: MachineId,
     /// `ComputeUnits` from the ad (Float/Int, else 1.0), read once per
     /// dirty cycle instead of once per accepted match.
     capacity: f64,
@@ -229,9 +231,10 @@ struct MachineSlot {
 }
 
 impl MachineSlot {
-    fn new(machine: Machine) -> Self {
+    fn new(machine: Machine, id: MachineId) -> Self {
         let mut slot = MachineSlot {
             machine,
+            id,
             capacity: 1.0,
             cache_cids: Vec::new(),
             cache_text: String::new(),
@@ -260,6 +263,48 @@ impl MachineSlot {
     }
 }
 
+/// Every machine name the pool has held, append-only. A name keeps the
+/// [`MachineId`] it got when it first joined, so a job records its
+/// machine in four bytes, and a retired job still names its machine
+/// after the machine has left and its slab slot has been reused.
+#[derive(Debug, Default)]
+struct MachineNames {
+    /// Per id: the name, and the slab index of the live machine that
+    /// bears it (`None` while no machine of that name is in the pool).
+    entries: Vec<(MachineName, Option<usize>)>,
+    ids: HashMap<MachineName, MachineId>,
+}
+
+impl MachineNames {
+    /// The id of `name`, issuing the next one on first sight.
+    fn intern(&mut self, name: &MachineName) -> MachineId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = MachineId::from_index(self.entries.len());
+        self.entries.push((name.clone(), None));
+        self.ids.insert(name.clone(), id);
+        id
+    }
+
+    fn id(&self, name: &str) -> Option<MachineId> {
+        self.ids.get(name).copied()
+    }
+
+    fn name(&self, id: MachineId) -> &MachineName {
+        &self.entries[id.index()].0
+    }
+
+    /// The slab index of the live machine named by `id`, if any.
+    fn slab(&self, id: MachineId) -> Option<usize> {
+        self.entries[id.index()].1
+    }
+
+    fn set_slab(&mut self, id: MachineId, slab: Option<usize>) {
+        self.entries[id.index()].1 = slab;
+    }
+}
+
 /// A job owner, interned to a dense index at first submission: the
 /// fair-share state and idle queue the negotiator reads every cycle.
 #[derive(Debug)]
@@ -275,7 +320,7 @@ struct Owner {
 /// Generation counting (mirroring the simkit slab queue) makes eviction,
 /// removal, and deadline extension O(1): the job's `run_gen` is bumped and
 /// the orphaned entry is skipped when popped.
-type FinishEntry = Reverse<(SimTime, JobId, u64)>;
+type FinishEntry = Reverse<(SimTime, JobId, u32)>;
 
 /// A (cluster, machine) verdict not yet evaluated this cycle.
 const UNSEEN: u8 = 0;
@@ -352,7 +397,7 @@ struct RetiredJobs {
 const _: () = assert!(std::mem::size_of::<Option<Job>>() == std::mem::size_of::<Job>());
 
 impl RetiredJobs {
-    /// Jobs per page (60 KB of 120-byte records).
+    /// Jobs per page (48 KB of 96-byte records).
     const PAGE: usize = 512;
 
     /// The page and slot of `id`. Id 0 is never issued and has none.
@@ -412,6 +457,8 @@ pub struct CondorPool {
     machines: Vec<Option<MachineSlot>>,
     /// Name → slab index (name-ordered iteration).
     by_name: BTreeMap<MachineName, usize>,
+    /// Every name ever added, by id; jobs record their machine by id.
+    names: MachineNames,
     /// Reusable slab indices.
     free_list: Vec<usize>,
     /// Slab indices of machines with a free slot and not draining,
@@ -561,6 +608,7 @@ impl CondorPool {
         self.accepting_remove(&name.0);
         self.by_name.remove(&name);
         let slot = self.machines[i].take().expect("live slab index");
+        self.names.set_slab(slot.id, None);
         if slot.machine.draining {
             self.draining_count -= 1;
         }
@@ -587,9 +635,10 @@ impl CondorPool {
             return Err(PoolError::DuplicateMachine(m.name.0.clone()));
         }
         let name = m.name.clone();
+        let id = self.names.intern(&name);
         let accepting = m.accepting();
         let draining = m.draining;
-        let slot = MachineSlot::new(m);
+        let slot = MachineSlot::new(m, id);
         let i = match self.free_list.pop() {
             Some(i) => {
                 self.machines[i] = Some(slot);
@@ -601,6 +650,7 @@ impl CondorPool {
             }
         };
         self.by_name.insert(name, i);
+        self.names.set_slab(id, Some(i));
         if accepting {
             self.accepting_insert(i);
         }
@@ -642,18 +692,16 @@ impl CondorPool {
         // A job runs on a machine only while it holds one of its slots, so
         // a machine with none busy has nothing to evict.
         let busy = self.slot(i).machine.busy_slots() > 0;
-        self.remove_slot(i);
+        let id = self.remove_slot(i).id;
         if !busy {
             return Ok(Vec::new());
         }
         let mut evicted = Vec::new();
         let mut requeue = Vec::new();
         for job in self.jobs.values_mut() {
-            if job.state == JobState::Running
-                && job.running_on.as_ref().is_some_and(|m| m.0 == name)
-            {
+            if job.state == JobState::Running && job.machine == Some(id) {
                 job.state = JobState::Idle;
-                job.running_on = None;
+                job.machine = None;
                 job.finish_at = None;
                 Self::note_eviction(
                     job,
@@ -840,6 +888,14 @@ impl CondorPool {
             .ok_or(PoolError::UnknownJob(id))
     }
 
+    /// The machine `job` is running on, or ran to completion on; `None`
+    /// while it is idle, held or removed, and after an eviction. A
+    /// retired job still names its machine after that machine has left
+    /// the pool. `job` must be one of this pool's jobs.
+    pub fn running_on(&self, job: &Job) -> Option<&MachineName> {
+        job.machine.map(|id| self.names.name(id))
+    }
+
     /// All jobs in a given state.
     pub fn jobs_in_state(&self, state: JobState) -> Vec<JobId> {
         // Completed jobs all live in the history table; every other state
@@ -917,7 +973,7 @@ impl CondorPool {
             // behaviour where Completed → Removed happened in place.
             let mut job = self.history.take(id).ok_or(PoolError::UnknownJob(id))?;
             job.state = JobState::Removed;
-            job.running_on = None;
+            job.machine = None;
             let finished = job.finish_at.take();
             self.jobs.insert(id, job);
             // Only the latest finisher's removal can lower the maximum.
@@ -929,7 +985,7 @@ impl CondorPool {
         let job = self.jobs.get_mut(&id).expect("checked above");
         let prev_state = job.state;
         let (owner, submitted_at) = (job.owner_ix, job.submitted_at);
-        let was_on = job.running_on.take();
+        let was_on = job.machine.take();
         if prev_state == JobState::Running {
             job.run_gen += 1;
         }
@@ -938,8 +994,8 @@ impl CondorPool {
         match prev_state {
             JobState::Running => {
                 self.running -= 1;
-                if let Some(name) = was_on {
-                    if let Some(&i) = self.by_name.get(&name) {
+                if let Some(machine) = was_on {
+                    if let Some(i) = self.names.slab(machine) {
                         let m = &mut self.slot_mut(i).machine;
                         m.slots_free += 1;
                         let newly_accepting = !m.draining && m.slots_free == 1;
@@ -1105,7 +1161,7 @@ impl CondorPool {
                 let i = self.accepting[pos];
                 let slot = self.slot_mut(i);
                 slot.machine.slots_free -= 1;
-                let name = slot.machine.name.clone();
+                let machine = slot.id;
                 let capacity = slot.capacity;
                 if slot.machine.slots_free == 0 {
                     self.accepting.remove(pos);
@@ -1113,7 +1169,7 @@ impl CondorPool {
                 let job = self.jobs.get_mut(&id).expect("exists");
                 let duration = job.work.duration_on(capacity);
                 job.state = JobState::Running;
-                job.running_on = Some(name.clone());
+                job.machine = Some(machine);
                 job.started_at = Some(now);
                 job.finish_at = Some(now + duration);
                 job.run_gen += 1;
@@ -1132,7 +1188,7 @@ impl CondorPool {
                 );
                 matches.push(Match {
                     job: id,
-                    machine: name,
+                    machine: self.names.name(machine).clone(),
                     finish_at: now + duration,
                 });
             }
@@ -1145,7 +1201,7 @@ impl CondorPool {
     /// True when a heap entry still describes a live execution: the job
     /// is in the hot map, still running, and on the generation the entry
     /// was pushed for (evictions / extensions / removals bump it).
-    fn heap_entry_live(&self, id: JobId, gen: u64) -> bool {
+    fn heap_entry_live(&self, id: JobId, gen: u32) -> bool {
         self.jobs
             .get(&id)
             .is_some_and(|j| j.state == JobState::Running && j.run_gen == gen)
@@ -1181,8 +1237,8 @@ impl CondorPool {
             if let Some(started) = job.started_at {
                 self.owners[job.owner_ix as usize].usage += finish.since(started).as_secs_f64();
             }
-            if let Some(name) = &job.running_on {
-                if let Some(&i) = self.by_name.get(name) {
+            if let Some(machine) = job.machine {
+                if let Some(i) = self.names.slab(machine) {
                     let m = &mut self.slot_mut(i).machine;
                     m.slots_free += 1;
                     let newly_accepting = !m.draining && m.slots_free == 1;
@@ -1222,10 +1278,10 @@ impl CondorPool {
     /// When the named machine finishes its last running job, if any is
     /// running there (used when draining a specific host).
     pub fn machine_busy_until(&self, name: &str) -> Option<SimTime> {
+        let machine = self.names.id(name)?;
         self.jobs
             .values()
-            .filter(|j| j.state == JobState::Running)
-            .filter(|j| j.running_on.as_ref().map(|m| m.0.as_str()) == Some(name))
+            .filter(|j| j.state == JobState::Running && j.machine == Some(machine))
             .filter_map(|j| j.finish_at)
             .max()
     }

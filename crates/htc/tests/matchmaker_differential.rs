@@ -582,7 +582,7 @@ fn compare_observables(
         assert_eq!(rj.finish_at, mj.finish_at, "finish of {id} @{step}");
         assert_eq!(rj.started_at, mj.started_at, "started of {id} @{step}");
         assert_eq!(
-            rj.running_on.as_ref().map(|m| m.0.clone()),
+            pool.running_on(rj).map(|m| m.0.clone()),
             mj.running_on.clone(),
             "running_on of {id} @{step}"
         );

@@ -17,13 +17,13 @@ use cumulus_simkit::rng::RngStream;
 use cumulus_simkit::time::{SimDuration, SimTime};
 
 /// Everything a caller can read off a job record.
-fn view(j: &Job) -> impl PartialEq + std::fmt::Debug {
+fn view(pool: &CondorPool, j: &Job) -> impl PartialEq + std::fmt::Debug {
     (
         j.id,
         j.submitted_at,
         j.work.serial_secs.to_bits(),
         j.state,
-        j.running_on.clone(),
+        pool.running_on(j).cloned(),
         j.finish_at,
         j.started_at,
         j.evictions,
@@ -58,7 +58,7 @@ impl Model {
         for id in probes.map(JobId) {
             match (self.retired.get(&id), pool.job(id)) {
                 (Some(want), Ok(got)) => {
-                    assert_eq!(view(got), view(want), "step {step}: {id}")
+                    assert_eq!(view(pool, got), view(pool, want), "step {step}: {id}")
                 }
                 (None, Ok(got)) => {
                     assert!((1..=self.issued).contains(&id.0), "step {step}: {id}");
@@ -169,4 +169,78 @@ fn retired_jobs_match_a_btreemap_model() {
 #[test]
 fn retired_jobs_across_pages_match_a_btreemap_model() {
     run_episode(99, 5000);
+}
+
+/// A retired job names the machine it ran on for the pool's whole life:
+/// after that machine leaves, after another machine takes its slab slot,
+/// and after a machine of the same name joins again. A job the removal
+/// evicts names no machine.
+#[test]
+fn a_retired_job_keeps_its_machine_name_after_the_machine_leaves() {
+    let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    let name = |pool: &CondorPool, id| {
+        let job = pool.job(id).unwrap();
+        pool.running_on(job).map(|m| m.0.clone())
+    };
+    let mut pool = CondorPool::new();
+    pool.add_machine(Machine::new("fast", 4.0, 1700, 1))
+        .unwrap();
+    pool.add_machine(Machine::new("slow", 1.0, 1700, 1))
+        .unwrap();
+    let short = pool.submit(Job::new("alice", WorkSpec::serial(10.0)), at(0));
+    let long = pool.submit(Job::new("alice", WorkSpec::serial(1000.0)), at(0));
+    let placed: Vec<(JobId, String)> = pool
+        .negotiate(at(0))
+        .into_iter()
+        .map(|m| (m.job, m.machine.0))
+        .collect();
+    assert_eq!(
+        placed,
+        [(short, "fast".to_string()), (long, "slow".to_string())]
+    );
+    assert_eq!(pool.settle(at(10)), [short]);
+    assert_eq!(name(&pool, short).as_deref(), Some("fast"));
+
+    // The next job runs on the retired job's machine, which then fails.
+    let evicted = pool.submit(Job::new("bob", WorkSpec::serial(1000.0)), at(10));
+    let placed = pool.negotiate(at(10));
+    assert_eq!(
+        (placed[0].job, placed[0].machine.0.as_str()),
+        (evicted, "fast")
+    );
+    assert_eq!(pool.remove_machine("fast", at(20)).unwrap(), [evicted]);
+    assert_eq!(pool.job(evicted).unwrap().state, JobState::Idle);
+    assert_eq!(name(&pool, evicted), None);
+    assert_eq!(name(&pool, short).as_deref(), Some("fast"));
+    assert_eq!(pool.machine_busy_until("fast"), None);
+
+    // A new machine reuses the freed slab slot; the retired job does not
+    // follow it.
+    pool.add_machine(Machine::new("other", 2.0, 1700, 1))
+        .unwrap();
+    assert_eq!(name(&pool, short).as_deref(), Some("fast"));
+    assert_eq!(name(&pool, long).as_deref(), Some("slow"));
+
+    // A machine of the old name joins again and takes the evicted job.
+    pool.add_machine(Machine::new("fast", 4.0, 1700, 1))
+        .unwrap();
+    assert_eq!(name(&pool, short).as_deref(), Some("fast"));
+    let placed = pool.negotiate(at(30));
+    assert_eq!(
+        (placed[0].job, placed[0].machine.0.as_str()),
+        (evicted, "fast")
+    );
+    assert_eq!(name(&pool, evicted).as_deref(), Some("fast"));
+    assert_eq!(pool.machine_busy_until("fast"), Some(at(1030)));
+
+    // Both complete; every job names the machine it finished on.
+    assert_eq!(pool.settle(at(1000)), [long]);
+    assert_eq!(pool.settle(at(1030)), [evicted]);
+    assert_eq!(name(&pool, short).as_deref(), Some("fast"));
+    assert_eq!(name(&pool, long).as_deref(), Some("slow"));
+    assert_eq!(name(&pool, evicted).as_deref(), Some("fast"));
+    assert_eq!(
+        pool.jobs_in_state(JobState::Completed),
+        [short, long, evicted]
+    );
 }

@@ -138,18 +138,26 @@ impl Tree {
                 });
             }
         }
-        let parts = split(path)?;
-        let Some((name, dirs)) = parts.split_last() else {
+        if !path.starts_with('/') {
             return Err(FsError::InvalidPath(path.to_string()));
-        };
+        }
+        // Walk the components in place: every one but the last is a
+        // directory, created if missing.
+        let mut parts = path.split('/').filter(|c| !c.is_empty()).peekable();
         let mut cur = &mut self.root;
-        for part in dirs {
+        let name = loop {
+            let Some(part) = parts.next() else {
+                return Err(FsError::InvalidPath(path.to_string()));
+            };
+            if parts.peek().is_none() {
+                break part;
+            }
             match child_dir(cur, part) {
                 Some(children) => cur = children,
                 None => return Err(FsError::NotADirectory(part.to_string())),
             }
-        }
-        match cur.get(*name) {
+        };
+        match cur.get(name) {
             Some(FsNode::Dir(_)) => Err(FsError::AlreadyExists(path.to_string())),
             _ => {
                 cur.insert(
@@ -301,6 +309,12 @@ mod tests {
             t.write_file("x.txt", 1, "t"),
             Err(FsError::InvalidPath(_))
         ));
+        for root in ["/", "//"] {
+            assert_eq!(
+                t.write_file(root, 1, "t"),
+                Err(FsError::InvalidPath(root.to_string()))
+            );
+        }
     }
 
     #[test]

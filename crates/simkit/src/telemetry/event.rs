@@ -180,6 +180,11 @@ impl Event {
         category_name(self.category)
     }
 
+    /// The category's interned id, for records that keep it as is.
+    pub(crate) fn category_id(&self) -> u16 {
+        self.category
+    }
+
     /// The typed data, bit for bit as it was recorded.
     pub fn payload(&self) -> Payload {
         let (a, b) = (self.a, self.b);

@@ -12,9 +12,11 @@
 //! An episode's log and its assembled spans are kept whole until the
 //! report is built, so their records are sized for long episodes: an
 //! [`Event`] is 32 bytes (the category interned to a `u16`, the payload
-//! packed into a tag and two words), and a [`Span`] keeps up to two
-//! phases inline (a job's `job.matched` and `job.staged`), so assembly
-//! allocates nothing per job span.
+//! packed into a tag and two words), and a [`Span`] is 96 bytes. A
+//! span keeps its category as the same `u16` and up to two phases
+//! inline (a job's `job.matched` and `job.staged`), so assembly
+//! allocates nothing per job span. A 300,000-job `datashare` episode
+//! records 1.2M events (38.4 MB) and assembles 300,000 spans (28.8 MB).
 //!
 //! Two consumers sit on top:
 //!

@@ -19,7 +19,7 @@ use std::ops::Deref;
 use crate::time::{SimDuration, SimTime};
 
 use super::event::{Event, Payload, SpanKind};
-use super::intern::Key;
+use super::intern::{category_name, Key};
 
 /// Well-known event keys. Emitters pass these; analyzers match against
 /// them. Keeping them here (not per-crate) is what makes the span
@@ -114,7 +114,8 @@ pub struct Phase {
     pub dur: SimDuration,
 }
 
-/// A span's phase boundaries, in event order.
+/// A span's phase boundaries, in event order: 56 bytes, two 24-byte
+/// [`Phase`]s and the tag.
 ///
 /// Derefs to `[Phase]`. Up to two phases are stored inline; a job span
 /// holds exactly two (`job.matched`, `job.staged`) unless it was evicted,
@@ -184,29 +185,42 @@ impl fmt::Debug for Phases {
     }
 }
 
-/// A closed lifecycle span.
-#[derive(Debug, Clone, PartialEq)]
+/// A closed lifecycle span, 96 bytes.
+///
+/// An episode's spans are all held at once while its report is built, so
+/// the record is kept small: the opening component is its interned
+/// category id (read the name with [`Span::category`]), and the fields
+/// are ordered so the two `u32` keys, the id and the kind pack without
+/// padding around the 56-byte [`Phases`].
+#[derive(Clone, PartialEq)]
 pub struct Span {
-    /// The lifecycle kind.
-    pub kind: SpanKind,
     /// Entity id within the kind's namespace.
     pub id: u64,
-    /// Component that opened the span.
-    pub category: &'static str,
-    /// The opening event's key.
-    pub open_key: Key,
     /// When the span opened.
     pub opened_at: SimTime,
+    /// When the span closed.
+    pub closed_at: SimTime,
     /// Phase boundaries, in event order.
     pub phases: Phases,
+    /// The opening event's key.
+    pub open_key: Key,
     /// The closing event's key (distinguishes outcomes: completed vs
     /// removed, terminated vs preempted).
     pub close_key: Key,
-    /// When the span closed.
-    pub closed_at: SimTime,
+    /// Component that opened the span, interned.
+    category: u16,
+    /// The lifecycle kind.
+    pub kind: SpanKind,
 }
 
+const _: () = assert!(std::mem::size_of::<Span>() == 96);
+
 impl Span {
+    /// Component that opened the span (`"htc"`, `"cloud"`, …).
+    pub fn category(&self) -> &'static str {
+        category_name(self.category)
+    }
+
     /// Open → close.
     pub fn duration(&self) -> SimDuration {
         self.closed_at.since(self.opened_at)
@@ -215,6 +229,22 @@ impl Span {
     /// Phases matching `key`, in order.
     pub fn phases_named(&self, key: Key) -> impl Iterator<Item = &Phase> {
         self.phases.iter().filter(move |p| p.key == key)
+    }
+}
+
+impl fmt::Debug for Span {
+    // Show the category's name, not its interning-order id.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Span")
+            .field("kind", &self.kind)
+            .field("id", &self.id)
+            .field("category", &self.category())
+            .field("open_key", &self.open_key)
+            .field("opened_at", &self.opened_at)
+            .field("phases", &self.phases)
+            .field("close_key", &self.close_key)
+            .field("closed_at", &self.closed_at)
+            .finish()
     }
 }
 
@@ -294,7 +324,7 @@ impl std::error::Error for SpanError {}
 /// A partially-built span (open, not yet closed).
 #[derive(Debug, Clone)]
 struct OpenSpan {
-    category: &'static str,
+    category: u16,
     open_key: Key,
     opened_at: SimTime,
     phases: Phases,
@@ -337,7 +367,7 @@ pub fn assemble_lenient(events: &[Event]) -> Result<SpanSet, SpanError> {
                 open.insert(
                     slot,
                     OpenSpan {
-                        category: e.category(),
+                        category: e.category_id(),
                         open_key: e.key,
                         opened_at: e.at,
                         phases: Phases::default(),
@@ -369,14 +399,14 @@ pub fn assemble_lenient(events: &[Event]) -> Result<SpanSet, SpanError> {
                     return Err(SpanError::NonMonotone { kind, id, at: e.at });
                 }
                 set.closed.push(Span {
-                    kind,
                     id,
-                    category: s.category,
-                    open_key: s.open_key,
                     opened_at: s.opened_at,
-                    phases: s.phases,
-                    close_key: e.key,
                     closed_at: e.at,
+                    phases: s.phases,
+                    open_key: s.open_key,
+                    close_key: e.key,
+                    category: s.category,
+                    kind,
                 });
             }
             _ => {}
@@ -494,6 +524,7 @@ mod tests {
         assert_eq!(s.duration(), SimDuration::from_secs(160));
         assert_eq!(s.phases.len(), 2);
         assert_eq!(s.close_key, keys::JOB_COMPLETED);
+        assert_eq!(s.category(), "htc");
     }
 
     #[test]

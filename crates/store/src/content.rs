@@ -51,7 +51,7 @@ impl ContentId {
 
 /// Append `cid` as 16 lowercase hex digits, most significant nibble first
 /// (`{:016x}` without the formatting machinery).
-fn push_hex(out: &mut String, cid: ContentId) {
+pub(crate) fn push_hex(out: &mut String, cid: ContentId) {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     for shift in (0..16).rev() {
         out.push(char::from(DIGITS[(cid.0 >> (shift * 4)) as usize & 0xf]));

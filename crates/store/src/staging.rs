@@ -27,7 +27,7 @@ use cumulus_simkit::time::SimDuration;
 use cumulus_transfer::{inter_site_link, intra_cloud_link, Protocol};
 
 use crate::cache::EvictionPolicy;
-use crate::content::ContentId;
+use crate::content::{push_hex, ContentId};
 use crate::fleet::CacheFleet;
 use crate::object::{ObjectStore, ObjectStoreConfig};
 
@@ -253,9 +253,15 @@ impl DataPlane {
     /// so it bypasses the PUT counters and the bill.
     pub fn seed_dataset(&mut self, cid: ContentId, size: DataSize) {
         self.object.seed(cid, size);
-        let path = format!("/nfs/scratch/{cid}");
+        // The file is `/nfs/scratch/{cid}` and its tag `cid.hex()`: the
+        // hex is written once, and the tag is the path's last 16 bytes.
+        const DIR: &str = "/nfs/scratch/cid-";
+        let mut path = String::with_capacity(DIR.len() + 16);
+        path.push_str(DIR);
+        push_hex(&mut path, cid);
+        let tag = &path[DIR.len()..];
         self.nfs
-            .put(&path, size.as_bytes(), &cid.hex())
+            .put(&path, size.as_bytes(), tag)
             .expect("scratch path is absolute");
     }
 
@@ -608,7 +614,9 @@ mod tests {
         let mut p = plane(SharingBackend::ObjectStore);
         p.seed_dataset(cid(1), mb(10));
         assert!(p.object.contains(cid(1)));
-        assert!(p.nfs.tree.exists(&format!("/nfs/scratch/{}", cid(1))));
+        let path = format!("/nfs/scratch/{}", cid(1));
+        assert_eq!(p.nfs.tree.file_size(&path), Ok(mb(10).as_bytes()));
+        assert_eq!(p.nfs.tree.file_tag(&path), Ok(cid(1).hex().as_str()));
         assert_eq!(p.object.puts(), 0, "seeding bypasses the request meter");
         assert_eq!(p.object.cost_usd(), 0.0, "seeding never bills");
     }

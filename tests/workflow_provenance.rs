@@ -148,7 +148,7 @@ fn parallel_workflow_branches_use_multiple_workers() {
             .values()
             .filter_map(|j| s.galaxy.job(*j).ok())
             .filter_map(|j| j.condor_job)
-            .filter_map(|cj| pool.job(cj).ok().and_then(|j| j.running_on.clone()))
+            .filter_map(|cj| pool.job(cj).ok().and_then(|j| pool.running_on(j).cloned()))
             .map(|m| m.0)
             .collect()
     };
